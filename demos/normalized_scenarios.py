@@ -12,10 +12,11 @@ computed side by side:
 The report compares both against the published values, including the one
 anomalous entry (C5's calculated N) that is property-checked instead.
 """
-from omnidris import ReducedParams, optimize_fixed_theta, reproduce_table2
+from omnidris import ReducedParams, optimize_fixed_theta
+from omnidris.cli import main
 from omnidris.scenario import NORMALIZED_COMBOS
 
-print(reproduce_table2().to_text())
+main(["tables", "--which", "normalized"])
 
 print()
 print("Why C5 is flagged: the rate scale factor xi multiplies f(N) but cannot")

@@ -13,11 +13,11 @@ from omnidris import (
     bits_per_sequence,
     optimize_proportional,
     rate_total,
-    reproduce_table1,
     stationarity_constant,
 )
+from omnidris.cli import main
 
-print(reproduce_table1().to_text())
+main(["tables", "--which", "selection"])
 
 print()
 print("The proportional-mode optimum comes from one universal constant:")

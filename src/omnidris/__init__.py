@@ -8,6 +8,9 @@ rate-maximizing element count (stationarity cubic, universal proportional
 constant, brute-force oracle) and applies the power-of-two hardware
 selection rule.  Scenario files and bundled presets drive sweeps and the
 reference-table reproduction reports; ``omnidris`` is the CLI entry point.
+
+``omnidris.optimize.optimize`` (either absorbing rule) is not re-exported
+here: a package attribute of that name would hide the ``optimize`` module.
 """
 from .channel import (
     TETRAHEDRON_PLACEMENTS,
@@ -19,14 +22,12 @@ from .channel import (
 )
 from .optimize import (
     BruteForceResult,
-    ClosedFormRoot,
     CubicCoefficients,
     NoInteriorMaximumError,
     OptimumReport,
     Pow2Selection,
     brute_force_argmax,
     build_cubic,
-    closed_form_root,
     meaningful_root,
     optimize_fixed_theta,
     optimize_proportional,
@@ -41,11 +42,9 @@ from .rate import (
     FixedCount,
     Fraction,
     ReducedParams,
-    RisConfig,
     SystemParams,
     bits_per_sequence,
     f_series,
-    rate_for_config,
     rate_single_link,
     rate_total,
     reduce_params,
@@ -76,65 +75,3 @@ from .scenario import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # channel
-    "LinkGeometry",
-    "PanelSide",
-    "UserPlacement",
-    "TETRAHEDRON_PLACEMENTS",
-    "channel_dc_gain",
-    "reference_room_geometry",
-    # rate
-    "E_OVER_2PI",
-    "SystemParams",
-    "FixedCount",
-    "Fraction",
-    "AbsorbingMode",
-    "RisConfig",
-    "ReducedParams",
-    "DegenerateConfigWarning",
-    "snr_single_link",
-    "rate_single_link",
-    "reduce_params",
-    "rate_total",
-    "rate_for_config",
-    "f_series",
-    "bits_per_sequence",
-    # optimize
-    "CubicCoefficients",
-    "OptimumReport",
-    "BruteForceResult",
-    "Pow2Selection",
-    "ClosedFormRoot",
-    "NoInteriorMaximumError",
-    "build_cubic",
-    "solve_cubic",
-    "meaningful_root",
-    "brute_force_argmax",
-    "select_power_of_two",
-    "closed_form_root",
-    "stationarity_constant",
-    "optimize_fixed_theta",
-    "optimize_proportional",
-    # scenario
-    "Scenario",
-    "ScenarioError",
-    "SweepSpec",
-    "SweepRow",
-    "CSV_COLUMNS",
-    "HARDWARE_POWERS_OF_TWO",
-    "load_scenario",
-    "preset_scenarios",
-    "get_preset",
-    "resolve_scenario",
-    "run_sweep",
-    "sweep_to_csv",
-    "alpha_calibration_for",
-    # reports
-    "CALIBRATION_NOTE",
-    "NormalizedTableReport",
-    "SelectionTableReport",
-    "reproduce_table1",
-    "reproduce_table2",
-]

@@ -11,15 +11,19 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, fields
+from operator import attrgetter
 
-from .optimize import optimize_fixed_theta, optimize_proportional
+from .optimize import optimize
 from .rate import DegenerateConfigWarning, FixedCount, Fraction, rate_total
-from .reports import reproduce_table1, reproduce_table2
+from .reports import NormalizedRow, reproduce_table1, reproduce_table2
 from .scenario import (
+    CSV_COLUMNS,
     ScenarioError,
+    SweepRow,
     preset_scenarios,
     resolve_scenario,
     run_sweep,
@@ -27,6 +31,25 @@ from .scenario import (
 )
 
 __all__ = ["main"]
+
+#: Normalized-table CSV columns: every :class:`NormalizedRow` field but the note.
+_NORMALIZED_COLUMNS = tuple(f.name for f in fields(NormalizedRow) if f.name != "note")
+#: Selection-table CSV columns, as :class:`SelectionRow` fields; ``label`` is headed "row".
+_SELECTION_COLUMNS = (
+    "label",
+    "active_fraction",
+    "noise_psd",
+    "n_star",
+    "pow2_lower",
+    "rate_lower_bps",
+    "pow2_upper",
+    "rate_upper_bps",
+    "selected_n",
+    "selected_rate_bps",
+    "published_selected_n",
+    "pattern_ok",
+)
+_SELECTION_HEADER = ("row",) + _SELECTION_COLUMNS[1:]
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -38,7 +61,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _json_dump(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _csv_table(header: list[str], rows: list[list]) -> str:
@@ -57,6 +80,20 @@ def _fmt(value) -> str:
     return "" if value is None else str(value)
 
 
+def _records_csv(records, columns, header=None) -> str:
+    """One CSV row per record: the named attributes, each through :func:`_fmt`."""
+    rows = [[_fmt(getattr(record, name)) for name in columns] for record in records]
+    return _csv_table(list(header or columns), rows)
+
+
+def _emit_record(payload: dict, args) -> None:
+    """Write one flat record as JSON or as a one-row CSV table."""
+    if args.format == "json":
+        _emit(_json_dump(payload), args.out)
+    else:
+        _emit(_csv_table(list(payload), [[_fmt(value) for value in payload.values()]]), args.out)
+
+
 def _absorbing_override(args, scenario):
     if getattr(args, "theta", None) is not None:
         if args.theta < 0:
@@ -72,6 +109,8 @@ def cmd_rate(args) -> int:
     red = scenario.reduced_params()
     absorbing = _absorbing_override(args, scenario)
     n = float(args.n)
+    if not math.isfinite(n):
+        raise ValueError(f"--n must be a finite element count, got {args.n}")
     theta = min(absorbing.theta_at(n), n)
     zeta = n - theta
     with warnings.catch_warnings():
@@ -88,27 +127,14 @@ def cmd_rate(args) -> int:
         "psi": red.psi,
         "xi": red.xi,
     }
-    if args.format == "json":
-        _emit(_json_dump(payload), args.out)
-    else:
-        header = list(payload)
-        _emit(_csv_table(header, [[_fmt(payload[key]) for key in header]]), args.out)
+    _emit_record(payload, args)
     return 0
 
 
 def cmd_optimize(args) -> int:
     scenario = resolve_scenario(args.scenario)
-    red = scenario.reduced_params()
-    if isinstance(scenario.absorbing, Fraction):
-        report = optimize_proportional(red, 1.0 - scenario.absorbing.q)
-    else:
-        report = optimize_fixed_theta(red, float(scenario.absorbing.count))
-    payload = {"scenario": scenario.name, **asdict(report)}
-    if args.format == "json":
-        _emit(_json_dump(payload), args.out)
-    else:
-        header = list(payload)
-        _emit(_csv_table(header, [[_fmt(payload[key]) for key in header]]), args.out)
+    report = optimize(scenario.reduced_params(), scenario.absorbing)
+    _emit_record({"scenario": scenario.name, **asdict(report)}, args)
     return 0
 
 
@@ -116,93 +142,11 @@ def cmd_sweep(args) -> int:
     scenario = resolve_scenario(args.scenario)
     rows = run_sweep(scenario)
     if args.format == "json":
-        payload = [
-            {
-                "n": row.n,
-                "theta": row.theta,
-                "zeta": row.zeta,
-                "rate_bps": row.rate_bps,
-                "pow2": row.is_power_of_two,
-                "selected": row.is_selected,
-            }
-            for row in rows
-        ]
-        _emit(_json_dump(payload), args.out)
+        values = attrgetter(*(f.name for f in fields(SweepRow)))
+        _emit(_json_dump([dict(zip(CSV_COLUMNS, values(row))) for row in rows]), args.out)
     else:
         _emit(sweep_to_csv(rows), args.out)
     return 0
-
-
-def _selection_report_rows(report):
-    header = [
-        "row",
-        "active_fraction",
-        "noise_psd",
-        "n_star",
-        "pow2_lower",
-        "rate_lower_bps",
-        "pow2_upper",
-        "rate_upper_bps",
-        "selected_n",
-        "selected_rate_bps",
-        "published_selected_n",
-        "pattern_ok",
-    ]
-    rows = [
-        [
-            row.label,
-            _fmt(row.active_fraction),
-            _fmt(row.noise_psd),
-            _fmt(row.n_star),
-            row.pow2_lower,
-            _fmt(row.rate_lower_bps),
-            row.pow2_upper,
-            _fmt(row.rate_upper_bps),
-            row.selected_n,
-            _fmt(row.selected_rate_bps),
-            row.published_selected_n,
-            _fmt(row.pattern_ok),
-        ]
-        for row in report.rows
-    ]
-    return header, rows
-
-
-def _normalized_report_rows(report):
-    header = [
-        "scenario",
-        "meas_n",
-        "meas_f",
-        "calc_n",
-        "calc_f",
-        "published_meas_n",
-        "published_meas_f",
-        "published_calc_n",
-        "published_calc_f",
-        "meas_n_ok",
-        "meas_f_ok",
-        "calc_n_status",
-        "calc_f_ok",
-    ]
-    rows = [
-        [
-            row.scenario,
-            _fmt(row.meas_n),
-            _fmt(row.meas_f),
-            _fmt(row.calc_n),
-            _fmt(row.calc_f),
-            _fmt(row.published_meas_n),
-            _fmt(row.published_meas_f),
-            _fmt(row.published_calc_n),
-            _fmt(row.published_calc_f),
-            _fmt(row.meas_n_ok),
-            _fmt(row.meas_f_ok),
-            row.calc_n_status,
-            _fmt(row.calc_f_ok),
-        ]
-        for row in report.rows
-    ]
-    return header, rows
 
 
 def cmd_tables(args) -> int:
@@ -215,8 +159,7 @@ def cmd_tables(args) -> int:
             "scale_invariance_ok": normalized.scale_invariance_ok,
             "all_ok": normalized.all_ok(),
         }
-        header, rows = _normalized_report_rows(normalized)
-        chunks_csv.append(_csv_table(header, rows))
+        chunks_csv.append(_records_csv(normalized.rows, _NORMALIZED_COLUMNS))
     if args.which in ("both", "selection"):
         selection = reproduce_table1()
         payload["selection"] = {
@@ -227,8 +170,7 @@ def cmd_tables(args) -> int:
             "all_ok": selection.all_ok(),
             "note": selection.note,
         }
-        header, rows = _selection_report_rows(selection)
-        chunks_csv.append(_csv_table(header, rows))
+        chunks_csv.append(_records_csv(selection.rows, _SELECTION_COLUMNS, _SELECTION_HEADER))
     if args.format == "json":
         _emit(_json_dump(payload), args.out)
     else:

@@ -18,7 +18,6 @@ compares the exact rate at the two bracketing candidates.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -26,22 +25,21 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rate import Fraction, ReducedParams, f_series, rate_total
+from .rate import AbsorbingMode, Fraction, ReducedParams, f_series, rate_total
 
 __all__ = [
     "CubicCoefficients",
     "OptimumReport",
     "BruteForceResult",
     "Pow2Selection",
-    "ClosedFormRoot",
     "NoInteriorMaximumError",
     "build_cubic",
     "solve_cubic",
     "meaningful_root",
     "brute_force_argmax",
     "select_power_of_two",
-    "closed_form_root",
     "stationarity_constant",
+    "optimize",
     "optimize_fixed_theta",
     "optimize_proportional",
 ]
@@ -87,11 +85,6 @@ class Pow2Selection(NamedTuple):
     rate_lower: float
     rate_upper: float
     degenerate: bool
-
-
-class ClosedFormRoot(NamedTuple):
-    value: float
-    imaginary_residue: float
 
 
 @dataclass(frozen=True)
@@ -320,31 +313,6 @@ def select_power_of_two(n_star: float, red: ReducedParams, absorbing=0.0) -> Pow
     return Pow2Selection(chosen, chosen_rate, lower, upper, rate_lower, rate_upper, False)
 
 
-def closed_form_root(red: ReducedParams, theta: float) -> ClosedFormRoot:
-    """Literal radical expression for the meaningful root, for comparison only.
-
-    The inner radicand ``-alpha (128 psi^2 theta^4 + 18 alpha psi theta^2
-    + 27 alpha^2) / psi`` is negative for all positive parameters, so the
-    expression is evaluated with complex intermediates and the leftover
-    imaginary component is reported alongside the real part.  The
-    production path is :func:`solve_cubic` + :func:`meaningful_root`.
-    """
-    if theta <= 0:
-        raise ValueError("the closed form degenerates for absorbing count 0")
-    a = red.alpha
-    p = red.psi
-    radicand = -(a * (128.0 * p * p * theta**4 + 18.0 * a * p * theta**2 + 27.0 * a * a)) / p
-    inner = (
-        cmath.sqrt(complex(radicand, 0.0)) / (6.0**1.5 * p)
-        + 8.0 * theta**3 / 27.0
-        + (6.0 * a * theta / (2.0 * p) - 6.0 * theta * a / p) / 6.0
-    )
-    cube = inner ** (1.0 / 3.0)
-    linear = -4.0 * theta * theta / 9.0 - 3.0 * a / (6.0 * p)
-    value = cube - linear / cube + 2.0 * theta / 3.0
-    return ClosedFormRoot(value.real, value.imag)
-
-
 @lru_cache(maxsize=1)
 def stationarity_constant() -> float:
     """Root t* of ln(1 + t) = 2t / (1 + t) on (0, 100].
@@ -373,8 +341,20 @@ def stationarity_constant() -> float:
     return t
 
 
-def _pow2_bits(n: int) -> int:
-    return n.bit_length() - 1
+def _checked_fields(oracle: BruteForceResult, selection: Pow2Selection) -> dict:
+    """The oracle and power-of-two selection fields of an :class:`OptimumReport`."""
+    return dict(
+        n_star_exact=oracle.n,
+        f_at_exact=oracle.f,
+        pow2_lower=selection.lower,
+        pow2_upper=selection.upper,
+        rate_pow2_lower=selection.rate_lower,
+        rate_pow2_upper=selection.rate_upper,
+        selected_n=selection.n,
+        selected_rate=selection.rate,
+        selected_bits=selection.n.bit_length() - 1,
+        at_boundary=oracle.at_boundary or selection.degenerate,
+    )
 
 
 def _auto_range_fixed(red: ReducedParams, theta: float) -> float:
@@ -414,25 +394,15 @@ def optimize_fixed_theta(
         f_cubic = oracle.f
         f_exact_cubic = oracle.f
 
-    selection = select_power_of_two(n_cubic, red, theta)
     return OptimumReport(
         mode="fixed-count",
         theta=theta,
         active_fraction=None,
         n_star_cubic=n_cubic,
-        n_star_exact=oracle.n,
         f_at_cubic=f_cubic,
-        f_at_exact=oracle.f,
         f_exact_at_cubic=f_exact_cubic,
-        pow2_lower=selection.lower,
-        pow2_upper=selection.upper,
-        rate_pow2_lower=selection.rate_lower,
-        rate_pow2_upper=selection.rate_upper,
-        selected_n=selection.n,
-        selected_rate=selection.rate,
-        selected_bits=_pow2_bits(selection.n),
-        at_boundary=oracle.at_boundary or selection.degenerate,
         used_fallback=used_fallback,
+        **_checked_fields(oracle, select_power_of_two(n_cubic, red, theta)),
     )
 
 
@@ -460,23 +430,24 @@ def optimize_proportional(
 
     oracle = brute_force_argmax(red, mode, 1.0, n_max, grid)
     f_analytic = rate_total(red, n_analytic, mode)
-    selection = select_power_of_two(n_analytic, red, mode)
     return OptimumReport(
         mode="proportional",
         theta=None,
         active_fraction=active_fraction,
         n_star_cubic=n_analytic,
-        n_star_exact=oracle.n,
         f_at_cubic=f_analytic,
-        f_at_exact=oracle.f,
         f_exact_at_cubic=f_analytic,
-        pow2_lower=selection.lower,
-        pow2_upper=selection.upper,
-        rate_pow2_lower=selection.rate_lower,
-        rate_pow2_upper=selection.rate_upper,
-        selected_n=selection.n,
-        selected_rate=selection.rate,
-        selected_bits=_pow2_bits(selection.n),
-        at_boundary=oracle.at_boundary or selection.degenerate,
         used_fallback=False,
+        **_checked_fields(oracle, select_power_of_two(n_analytic, red, mode)),
     )
+
+
+def optimize(red: ReducedParams, absorbing: AbsorbingMode) -> OptimumReport:
+    """Optimize the element count under either absorbing rule.
+
+    A :class:`~omnidris.rate.Fraction` runs the proportional optimizer on its
+    active share, a :class:`~omnidris.rate.FixedCount` the fixed-count one.
+    """
+    if isinstance(absorbing, Fraction):
+        return optimize_proportional(red, 1.0 - absorbing.q)
+    return optimize_fixed_theta(red, float(absorbing.count))

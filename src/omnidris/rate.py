@@ -26,14 +26,13 @@ __all__ = [
     "FixedCount",
     "Fraction",
     "AbsorbingMode",
-    "RisConfig",
     "ReducedParams",
     "DegenerateConfigWarning",
     "snr_single_link",
     "rate_single_link",
     "reduce_params",
+    "reduced_with_alpha",
     "rate_total",
-    "rate_for_config",
     "f_series",
     "bits_per_sequence",
 ]
@@ -45,6 +44,14 @@ LN2 = math.log(2.0)
 
 class DegenerateConfigWarning(UserWarning):
     """Raised as a warning when a configuration has no active elements."""
+
+
+def require_positive_finite(owner, fields, error=ValueError) -> None:
+    """Raise ``error`` unless each named attribute of ``owner`` is finite and > 0."""
+    for field in fields:
+        value = getattr(owner, field)
+        if not 0.0 < value < math.inf:  # False for NaN as well
+            raise error(f"{field} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -64,9 +71,7 @@ class SystemParams:
     noise_psd: float
 
     def __post_init__(self) -> None:
-        for field in ("bandwidth_hz", "transmit_power_w", "noise_psd"):
-            if getattr(self, field) <= 0:
-                raise ValueError(f"{field} must be positive, got {getattr(self, field)}")
+        require_positive_finite(self, ("bandwidth_hz", "transmit_power_w", "noise_psd"))
         for field in ("num_light_sources", "num_users"):
             value = getattr(self, field)
             if not isinstance(value, int) or value < 1:
@@ -97,8 +102,6 @@ class Fraction:
 
     The rate math treats the absorbing share continuously (``theta = q*n``),
     which is what makes the active-fraction rate ratios exact at every n.
-    Integer hardware counts are recovered with round-half-to-even, see
-    :meth:`count_at`.
     """
 
     q: float
@@ -110,56 +113,8 @@ class Fraction:
     def theta_at(self, n):
         return self.q * n
 
-    def count_at(self, num_elements: int) -> int:
-        return round(self.q * num_elements)
-
 
 AbsorbingMode = Union[FixedCount, Fraction]
-
-
-@dataclass(frozen=True)
-class RisConfig:
-    """A concrete panel: element count plus its absorbing-element rule.
-
-    A fully absorbing panel (zero active elements) is representable but
-    degenerate; see :attr:`is_degenerate`.
-    """
-
-    num_elements: int
-    absorbing: AbsorbingMode = FixedCount(0)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.num_elements, int) or self.num_elements < 1:
-            raise ValueError(
-                f"num_elements must be a positive integer, got {self.num_elements!r}"
-            )
-        if self.absorbing_count > self.num_elements:
-            raise ValueError(
-                f"absorbing count {self.absorbing_count} exceeds the "
-                f"{self.num_elements} available elements"
-            )
-
-    @property
-    def absorbing_count(self) -> int:
-        if isinstance(self.absorbing, FixedCount):
-            return self.absorbing.count
-        return self.absorbing.count_at(self.num_elements)
-
-    @property
-    def active_count(self) -> int:
-        return self.num_elements - self.absorbing_count
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.active_count == 0
-
-    @property
-    def bits_per_sequence(self) -> int | None:
-        """log2 of the element count when it is a power of two, else None."""
-        n = self.num_elements
-        if n & (n - 1) == 0:
-            return n.bit_length() - 1
-        return None
 
 
 @dataclass(frozen=True)
@@ -171,9 +126,7 @@ class ReducedParams:
     xi: float
 
     def __post_init__(self) -> None:
-        for field in ("alpha", "psi", "xi"):
-            if getattr(self, field) <= 0:
-                raise ValueError(f"{field} must be positive, got {getattr(self, field)}")
+        require_positive_finite(self, ("alpha", "psi", "xi"))
 
 
 def snr_single_link(params: SystemParams, gain: float, num_elements: int) -> float:
@@ -206,12 +159,11 @@ def rate_single_link(params: SystemParams, snr: float) -> float:
 def reduce_params(params: SystemParams, gain: float) -> ReducedParams:
     """Collapse system parameters and a channel gain into (alpha, psi, xi).
 
-    alpha = e/(2 pi) * rho^2 G^2 P_t^2 / (noise_psd / 2),
-    psi = (M L)^2, xi = W L M / 2.
+    alpha = e/(2 pi) * rho^2 G^2 P_t^2 / (noise_psd / 2), with psi and xi
+    from :func:`reduced_with_alpha`.
     """
     if gain <= 0:
         raise ValueError("channel gain must be positive to form reduced parameters")
-    links = params.num_users * params.num_light_sources
     alpha = (
         E_OVER_2PI
         * params.oe_conversion**2
@@ -219,6 +171,12 @@ def reduce_params(params: SystemParams, gain: float) -> ReducedParams:
         * params.transmit_power_w**2
         / (params.noise_psd / 2.0)
     )
+    return reduced_with_alpha(params, alpha)
+
+
+def reduced_with_alpha(params: SystemParams, alpha: float) -> ReducedParams:
+    """The triple for a given alpha: psi = (M L)^2 and xi = W L M / 2 from ``params``."""
+    links = params.num_users * params.num_light_sources
     return ReducedParams(alpha=alpha, psi=float(links * links), xi=params.bandwidth_hz * links / 2.0)
 
 
@@ -257,11 +215,6 @@ def rate_total(red: ReducedParams, n, absorbing=0.0):
             )
         return float(rate)
     return rate
-
-
-def rate_for_config(red: ReducedParams, config: RisConfig) -> float:
-    """Aggregate rate of a concrete panel configuration."""
-    return rate_total(red, float(config.num_elements), config.absorbing)
 
 
 def f_series(red: ReducedParams, n: float, theta: float, terms: int) -> float:

@@ -23,8 +23,8 @@ from .optimize import (
     optimize_proportional,
     solve_cubic,
 )
-from .rate import ReducedParams
-from .scenario import NORMALIZED_COMBOS, alpha_calibration_for
+from .rate import ReducedParams, reduced_with_alpha
+from .scenario import NORMALIZED_COMBOS, alpha_calibration_for, reference_system
 
 __all__ = [
     "CALIBRATION_NOTE",
@@ -117,33 +117,6 @@ class NormalizedTableReport:
             and row.calc_n_status in ("pass", "anomaly")
             for row in self.rows
         )
-
-    def to_text(self) -> str:
-        header = (
-            f"{'scenario':<9}{'meas N':>10}{'(pub)':>9}{'meas f':>9}{'(pub)':>8}"
-            f"{'calc N':>10}{'(pub)':>9}{'calc f':>9}{'(pub)':>8}  status"
-        )
-        lines = ["normalized scenario table: measured (grid) vs calculated (cubic)", header]
-        for row in self.rows:
-            flags = (
-                f"measN:{'ok' if row.meas_n_ok else 'FAIL'} "
-                f"measF:{'ok' if row.meas_f_ok else 'FAIL'} "
-                f"calcN:{row.calc_n_status} "
-                f"calcF:{'ok' if row.calc_f_ok else 'FAIL'}"
-            )
-            lines.append(
-                f"{row.scenario:<9}{row.meas_n:>10.4f}{row.published_meas_n:>9.4f}"
-                f"{row.meas_f:>9.4f}{row.published_meas_f:>8.4f}"
-                f"{row.calc_n:>10.4f}{row.published_calc_n:>9.4f}"
-                f"{row.calc_f:>9.4f}{row.published_calc_f:>8.4f}  {flags}"
-            )
-            if row.note:
-                lines.append(f"{'':9}note: {row.note}")
-        lines.append(
-            "scale-invariance check (stationary point unmoved by xi): "
-            + ("ok" if self.scale_invariance_ok else "FAIL")
-        )
-        return "\n".join(lines)
 
 
 def _xi_invariant_root(alpha: float, theta: float, psi: float) -> bool:
@@ -242,49 +215,16 @@ class SelectionTableReport:
     def all_ok(self) -> bool:
         return self.ratios_ok and all(row.pattern_ok for row in self.rows)
 
-    def to_text(self) -> str:
-        lines = [
-            "power-of-two selection table (computed vs published selection)",
-            f"{'row':<14}{'N*':>9}{'N-':>6}{'rate':>12}{'N+':>6}{'rate':>12}"
-            f"{'sel':>6}{'pub':>6}  ok",
-        ]
-        for row in self.rows:
-            lines.append(
-                f"{row.label:<14}{row.n_star:>9.2f}{row.pow2_lower:>6d}"
-                f"{row.rate_lower_bps / 1e6:>12.4f}{row.pow2_upper:>6d}"
-                f"{row.rate_upper_bps / 1e6:>12.4f}{row.selected_n:>6d}"
-                f"{row.published_selected_n:>6d}  "
-                f"{'ok' if row.pattern_ok else 'FAIL'}"
-            )
-        lines.append(
-            f"active-fraction rate ratios: 3N/4 -> {self.ratio_3n4:.12f}, "
-            f"N/2 -> {self.ratio_n2:.12f} "
-            f"({'exact' if self.ratios_ok else 'FAIL'})"
-        )
-        lines.append("note: " + self.note)
-        return "\n".join(lines)
 
-
-def reproduce_table1(
-    calibrated_alpha: float | None = None,
-    *,
-    bandwidth_hz: float = 1e6,
-    num_light_sources: int = 1,
-    num_users: int = 1,
-) -> SelectionTableReport:
+def reproduce_table1() -> SelectionTableReport:
     """Rebuild the selection table rows and check the selection pattern.
 
-    ``calibrated_alpha`` is the alpha at noise PSD 2 W/Hz (defaults to the
-    documented peak-at-180 calibration); the noise rows scale it by
+    Rows run on the reference system with the documented peak-at-180 alpha
+    calibration at noise PSD 2 W/Hz; the noise rows scale it by
     2/noise_psd.  Selection patterns and the exact active-fraction rate
     ratios are asserted; absolute published Mbps figures are display-only.
     """
-    if calibrated_alpha is None:
-        calibrated_alpha = alpha_calibration_for(2.0)
-    links = num_users * num_light_sources
-    psi = float(links * links)
-    xi = bandwidth_hz * links / 2.0
-
+    calibrated_alpha = alpha_calibration_for(2.0)
     layout = [
         ("zeta = N", 1.0, 2.0),
         ("zeta = 3N/4", 0.75, 2.0),
@@ -296,7 +236,7 @@ def reproduce_table1(
     rows = []
     for label, active_fraction, noise_psd in layout:
         alpha = calibrated_alpha * 2.0 / noise_psd
-        red = ReducedParams(alpha=alpha, psi=psi, xi=xi)
+        red = reduced_with_alpha(reference_system(noise_psd), alpha)
         report = optimize_proportional(red, active_fraction)
         published_n, published_mbps = PUBLISHED_SELECTION_TABLE[label]
         absorbing = round((1.0 - active_fraction) * report.selected_n)

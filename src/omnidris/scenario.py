@@ -55,7 +55,7 @@ import numpy as np
 import yaml
 
 from .channel import LinkGeometry, channel_dc_gain, reference_room_geometry
-from .optimize import optimize_fixed_theta, optimize_proportional, stationarity_constant
+from .optimize import optimize, stationarity_constant
 from .rate import (
     AbsorbingMode,
     FixedCount,
@@ -64,6 +64,8 @@ from .rate import (
     SystemParams,
     rate_total,
     reduce_params,
+    reduced_with_alpha,
+    require_positive_finite,
 )
 
 __all__ = [
@@ -80,11 +82,16 @@ __all__ = [
     "get_preset",
     "resolve_scenario",
     "alpha_calibration_for",
+    "reference_system",
     "HARDWARE_POWERS_OF_TWO",
+    "MAX_SWEEP_POINTS",
 ]
 
 #: Realizable element counts: 1 <= N <= 512 with N = 2^k.
 HARDWARE_POWERS_OF_TWO = tuple(2**k for k in range(10))
+
+#: Largest stepped sweep grid; the bundled presets stop at 4,901 points.
+MAX_SWEEP_POINTS = 1_000_000
 
 
 class ScenarioError(ValueError):
@@ -100,17 +107,17 @@ class SweepSpec:
     step: float | None = None
 
     def __post_init__(self) -> None:
+        # a zero (or absent) step is checked below; any other must be positive
+        bounds = ("n_min", "n_max", "step") if self.step else ("n_min", "n_max")
+        require_positive_finite(self, bounds, ScenarioError)
         if self.n_min < 1.0:
             raise ScenarioError(f"sweep n_min must be at least 1, got {self.n_min}")
         if self.n_max < self.n_min:
             raise ScenarioError(
                 f"sweep bounds invalid: n_max {self.n_max} < n_min {self.n_min}"
             )
-        if self.step is not None:
-            if self.step < 0:
-                raise ScenarioError(f"sweep step must be positive, got {self.step}")
-            if self.step == 0 and self.n_max > self.n_min:
-                raise ScenarioError("sweep step 0 is only valid when n_min == n_max")
+        if self.step == 0 and self.n_max > self.n_min:
+            raise ScenarioError("sweep step 0 is only valid when n_min == n_max")
 
 
 @dataclass(frozen=True)
@@ -146,24 +153,17 @@ class Scenario:
             raise ScenarioError(
                 "a 'system' scenario needs 'geometry' or 'alpha_calibration' to fix alpha"
             )
-        if self.alpha_calibration is not None and self.alpha_calibration <= 0:
-            raise ScenarioError(
-                f"alpha_calibration must be positive, got {self.alpha_calibration}"
-            )
+        if self.alpha_calibration is not None:
+            require_positive_finite(self, ("alpha_calibration",), ScenarioError)
 
     def reduced_params(self) -> ReducedParams:
         """Resolve the (alpha, psi, xi) triple this scenario runs with."""
         if self.reduced is not None:
             red = self.reduced
-        elif self.geometry is not None:
+        elif self.geometry is not None:  # a zero gain is rejected even when calibrated
             red = reduce_params(self.system, channel_dc_gain(self.geometry))
         else:
-            links = self.system.num_users * self.system.num_light_sources
-            red = ReducedParams(
-                alpha=self.alpha_calibration,
-                psi=float(links * links),
-                xi=self.system.bandwidth_hz * links / 2.0,
-            )
+            return reduced_with_alpha(self.system, self.alpha_calibration)
         if self.alpha_calibration is not None:
             red = ReducedParams(self.alpha_calibration, red.psi, red.xi)
         return red
@@ -181,6 +181,7 @@ class SweepRow:
     is_selected: bool
 
 
+#: Sweep output columns, one per :class:`SweepRow` field in field order.
 CSV_COLUMNS = ("n", "theta", "zeta", "rate_bps", "pow2", "selected")
 
 # --- strict YAML schema -----------------------------------------------------
@@ -368,14 +369,17 @@ def scenario_from_dict(data: dict, *, source: str = "scenario") -> Scenario:
 def load_scenario(path) -> Scenario:
     """Load and strictly validate a scenario file."""
     text = Path(path).read_text(encoding="utf-8")
+    loader = yaml.SafeLoader(text)  # one parse pass: its node is both built and key-checked
     try:
-        node = yaml.compose(text, Loader=yaml.SafeLoader)
-        data = yaml.safe_load(text)
+        node = loader.get_single_node()
+        data = None if node is None else loader.construct_document(node)
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         where = f" (line {mark.line + 1}, column {mark.column + 1})" if mark else ""
         raise ScenarioError(f"cannot parse scenario file: {exc.problem or exc}{where}") from exc
-    if node is None or not isinstance(data, dict):
+    finally:
+        loader.dispose()
+    if not isinstance(data, dict):
         raise ScenarioError(f"scenario file {path} must contain a mapping")
     _reject_unknown_keys(node, _SCHEMA, "")
     return scenario_from_dict(data, source=str(path))
@@ -408,7 +412,8 @@ def alpha_calibration_for(noise_psd: float) -> float:
     return stationarity_constant() * 180.0**2 * (2.0 / noise_psd)
 
 
-def _reference_system(noise_psd: float) -> SystemParams:
+def reference_system(noise_psd: float) -> SystemParams:
+    """The reference room's system: 1 MHz, 10 W, one source, one user, rho = 0.5."""
     return SystemParams(
         bandwidth_hz=1e6,
         transmit_power_w=10.0,
@@ -438,7 +443,7 @@ def _calibrated_preset(
 ) -> Scenario:
     return Scenario(
         name=name,
-        system=_reference_system(noise_psd),
+        system=reference_system(noise_psd),
         geometry=reference_room_geometry(),
         alpha_calibration=alpha_calibration_for(noise_psd),
         absorbing=Fraction(absorbing_fraction),
@@ -529,8 +534,13 @@ def _grid_values(sweep: SweepSpec) -> list[float]:
     if sweep.step is None:
         values = [float(p) for p in HARDWARE_POWERS_OF_TWO if sweep.n_min <= p <= sweep.n_max]
         return values or [sweep.n_min]
-    span = sweep.n_max - sweep.n_min
-    count = int(math.floor(span / sweep.step + 1e-9)) + 1
+    steps = (sweep.n_max - sweep.n_min) / sweep.step + 1e-9
+    if steps >= MAX_SWEEP_POINTS:  # checked before the list is built
+        raise ScenarioError(
+            f"sweep step {sweep.step} over [{sweep.n_min}, {sweep.n_max}] "
+            f"gives more than {MAX_SWEEP_POINTS} points"
+        )
+    count = int(math.floor(steps)) + 1
     values = [sweep.n_min + k * sweep.step for k in range(count)]
     if values[-1] < sweep.n_max - 1e-9 * max(1.0, sweep.n_max):
         values.append(sweep.n_max)
@@ -554,13 +564,8 @@ def run_sweep(scenario: Scenario) -> list[SweepRow]:
 
     ns = np.asarray(values, dtype=float)
     rates = rate_total(red, ns, scenario.absorbing)
-    if isinstance(scenario.absorbing, Fraction):
-        thetas = np.minimum(scenario.absorbing.q * ns, ns)
-        report = optimize_proportional(red, 1.0 - scenario.absorbing.q)
-    else:
-        thetas = np.minimum(float(scenario.absorbing.count), ns)
-        report = optimize_fixed_theta(red, float(scenario.absorbing.count))
-    selected = float(report.selected_n)
+    thetas = np.minimum(scenario.absorbing.theta_at(ns), ns)
+    selected = float(optimize(red, scenario.absorbing).selected_n)
 
     rows = []
     for n, theta, rate in zip(values, thetas, rates):

@@ -88,6 +88,14 @@ def test_rate_normal_evaluation(capsys):
     assert payload["degenerate"] is False
 
 
+def test_rate_rejects_non_finite_n(capsys):
+    for value in ("nan", "inf", "-inf"):
+        code, out, err = run(capsys, "rate", "--scenario", "C0", f"--n={value}")
+        assert code == 1
+        assert out == ""
+        assert "--n must be a finite element count" in err
+
+
 def test_tables_reports_all_pass(capsys):
     code, out, _ = run(capsys, "tables", "--format", "json")
     assert code == 0

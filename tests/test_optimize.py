@@ -11,7 +11,6 @@ from omnidris.optimize import (
     NoInteriorMaximumError,
     brute_force_argmax,
     build_cubic,
-    closed_form_root,
     meaningful_root,
     optimize_fixed_theta,
     optimize_proportional,
@@ -251,26 +250,6 @@ def test_select_below_one_degenerates():
     assert selection.n == 1
     with pytest.raises(ValueError):
         select_power_of_two(float("nan"), red, 0.0)
-
-
-# --- literal closed form --------------------------------------------------------------
-
-
-def test_closed_form_root_is_measured_not_asserted():
-    # contract: a finite real part plus the leftover imaginary component;
-    # the deviation from the cubic solver is recorded, not required
-    for name in ("C0", "C2", "C4"):
-        red, theta = reduced(name)
-        result = closed_form_root(red, theta)
-        assert math.isfinite(result.value)
-        assert abs(result.imaginary_residue) <= 1e-9
-        deviation = abs(result.value - solve_cubic(build_cubic(red, theta))[-1])
-        print(f"{name}: closed-form deviation {deviation:.3e}")
-
-
-def test_closed_form_root_rejects_zero_theta():
-    with pytest.raises(ValueError):
-        closed_form_root(ReducedParams(1.0, 1.0, 1.0), 0.0)
 
 
 # --- universal constant ----------------------------------------------------------------

@@ -12,11 +12,9 @@ from omnidris.rate import (
     FixedCount,
     Fraction,
     ReducedParams,
-    RisConfig,
     SystemParams,
     bits_per_sequence,
     f_series,
-    rate_for_config,
     rate_single_link,
     rate_total,
     reduce_params,
@@ -27,6 +25,8 @@ from omnidris.rate import (
 REFERENCE_GAIN = 1.5409187756393058e-7
 REFERENCE_SNR_N128 = 3.6230936784633443e-17
 REFERENCE_ALPHA = 2.5681129220781254e-13
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
 
 
 def system(**overrides) -> SystemParams:
@@ -125,7 +125,9 @@ def test_reduce_rejects_zero_gain():
 
 
 def test_reduced_params_must_be_positive():
-    for bad in ({"alpha": 0.0}, {"psi": -1.0}, {"xi": 0.0}):
+    bad_cases = [{"alpha": 0.0}, {"psi": -1.0}, {"xi": 0.0}]
+    bad_cases += [{field: value} for field in ("alpha", "psi", "xi") for value in NON_FINITE]
+    for bad in bad_cases:
         kwargs = dict(alpha=1.0, psi=1.0, xi=1.0)
         kwargs.update(bad)
         with pytest.raises(ValueError):
@@ -149,8 +151,6 @@ def test_rate_total_all_absorbing_is_zero_and_flagged():
     red = ReducedParams(1.0, 1.0, 1.0)
     with pytest.warns(DegenerateConfigWarning):
         assert rate_total(red, 8.0, 8.0) == 0.0
-    with pytest.warns(DegenerateConfigWarning):
-        assert rate_for_config(red, RisConfig(8, FixedCount(8))) == 0.0
 
 
 def test_rate_total_array_path_matches_scalars():
@@ -306,31 +306,13 @@ def test_bits_round_trip_property(log_alpha, log_psi, log_xi, bits, theta_fracti
 # --- configuration type ---------------------------------------------------------------
 
 
-def test_ris_config_bits_property():
-    assert RisConfig(128).bits_per_sequence == 7
-    assert RisConfig(1).bits_per_sequence == 0
-    assert RisConfig(100).bits_per_sequence is None
-
-
-def test_ris_config_fraction_counts_round_half_to_even():
-    config = RisConfig(128, Fraction(0.25))
-    assert config.absorbing_count == 32
-    assert config.active_count == 96
-    # 0.5 * 5 = 2.5 rounds to the even neighbor
-    assert RisConfig(5, Fraction(0.5)).absorbing_count == 2
-
-
 def test_ris_config_validation():
-    with pytest.raises(ValueError):
-        RisConfig(0)
-    with pytest.raises(ValueError):
-        RisConfig(4, FixedCount(5))
     with pytest.raises(ValueError):
         FixedCount(-1)
     with pytest.raises(ValueError):
         Fraction(1.0)
-    assert RisConfig(4, FixedCount(4)).is_degenerate
-    assert not RisConfig(4, FixedCount(3)).is_degenerate
+    with pytest.raises(ValueError):
+        Fraction(math.nan)
 
 
 def test_system_params_validation():
@@ -342,3 +324,7 @@ def test_system_params_validation():
         system(oe_conversion=1.5)
     with pytest.raises(ValueError):
         system(noise_psd=-2.0)
+    for field in ("bandwidth_hz", "transmit_power_w", "oe_conversion", "noise_psd"):
+        for value in NON_FINITE:
+            with pytest.raises(ValueError, match=field):
+                system(**{field: value})

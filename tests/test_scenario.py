@@ -6,6 +6,7 @@ from omnidris.rate import FixedCount, Fraction, ReducedParams
 from omnidris.scenario import (
     CSV_COLUMNS,
     HARDWARE_POWERS_OF_TWO,
+    MAX_SWEEP_POINTS,
     NORMALIZED_COMBOS,
     Scenario,
     ScenarioError,
@@ -113,9 +114,10 @@ def test_parse_failure_reports_position(tmp_path):
 
 
 def test_zero_psi_rejected(tmp_path):
-    bad = VALID_REDUCED_YAML.replace("psi: 1.0", "psi: 0.0")
-    with pytest.raises(ScenarioError, match="psi"):
-        load_scenario(write(tmp_path, bad))
+    for value in ("0.0", ".nan", ".inf", "-.inf"):
+        bad = VALID_REDUCED_YAML.replace("psi: 1.0", f"psi: {value}")
+        with pytest.raises(ScenarioError, match="psi"):
+            load_scenario(write(tmp_path, bad))
 
 
 def test_schema_version_required_and_checked(tmp_path):
@@ -151,6 +153,9 @@ def test_system_without_geometry_needs_calibration(tmp_path):
     without_geometry = text[:start] + text[end:]
     with pytest.raises(ScenarioError, match="alpha_calibration"):
         load_scenario(write(tmp_path, without_geometry))
+    for value in (".nan", ".inf", "-.inf", "0.0"):
+        with pytest.raises(ScenarioError, match="alpha_calibration"):
+            load_scenario(write(tmp_path, without_geometry + f"alpha_calibration: {value}\n"))
     calibrated = without_geometry + "alpha_calibration: 127058.34\n"
     scenario = load_scenario(write(tmp_path, calibrated, "cal.yaml"))
     assert scenario.reduced_params().alpha == 127058.34
@@ -179,6 +184,10 @@ def test_sweep_bounds_validation():
     with pytest.raises(ScenarioError):
         SweepSpec(1.0, 2.0, 0.0)
     SweepSpec(3.0, 3.0, 0.0)  # single point: zero step allowed
+    for value in (math.nan, math.inf, -math.inf):
+        for bounds in ((value, 10.0, 1.0), (1.0, value, 1.0), (1.0, 10.0, value)):
+            with pytest.raises(ScenarioError, match="finite"):
+                SweepSpec(*bounds)
 
 
 # --- presets ----------------------------------------------------------------------
@@ -299,6 +308,18 @@ def test_run_sweep_single_row_edge():
     rows = run_sweep(scenario)
     assert len(rows) == 1
     assert rows[0].n == 5.0
+
+
+def test_run_sweep_caps_the_grid_before_building_it():
+    # 999,999,001 points requested; the cap must fire before any list is built
+    scenario = Scenario(
+        name="huge",
+        reduced=ReducedParams(1.0, 1.0, 1.0),
+        absorbing=FixedCount(0),
+        sweep=SweepSpec(1.0, 1e6, 1e-3),
+    )
+    with pytest.raises(ScenarioError, match=f"more than {MAX_SWEEP_POINTS} points"):
+        run_sweep(scenario)
 
 
 def test_run_sweep_powers_of_two_grid():
