@@ -9,7 +9,6 @@ import math
 
 from omnidris import (
     SystemParams,
-    TETRAHEDRON_PLACEMENTS,
     channel_dc_gain,
     rate_single_link,
     reduce_params,
@@ -59,14 +58,3 @@ print(f"  per-link rate:            {rate:.6e} bit/s")
 print(f"  reduced parameters:       alpha = {red.alpha:.3e}, psi = {red.psi:g}, xi = {red.xi:g}")
 print("  (the tiny geometric alpha is why the bundled sweep presets carry a")
 print("   documented alpha calibration; see README)")
-
-print()
-print("=" * 70)
-print("4. Tetrahedron user disposition (descriptive metadata)")
-print("=" * 70)
-for name, placement in TETRAHEDRON_PLACEMENTS.items():
-    note = f"  <- {placement.description}" if placement.description else ""
-    print(
-        f"  {name:3s} az {placement.azimuth_deg:7.2f} deg, el {placement.elevation_deg:7.2f} deg,"
-        f" {placement.side.value:5s}{note}"
-    )

@@ -35,7 +35,7 @@ for family, names in FAMILIES.items():
         path = OUT_DIR / f"{name}.csv"
         path.write_text(sweep_to_csv(rows), encoding="utf-8")
         peak = max(rows, key=lambda row: row.rate_bps)
-        selected = next(row for row in rows if row.is_selected)
+        selected = next(row for row in rows if row.selected)
         print(
             f"  {name:22s} peak {peak.rate_bps / 1e6:8.3f} Mbps at N = {peak.n:5.0f}, "
             f"selected 2^k: N = {selected.n:5.0f} ({selected.rate_bps / 1e6:8.3f} Mbps) "

@@ -12,14 +12,7 @@ reference-table reproduction reports; ``omnidris`` is the CLI entry point.
 ``omnidris.optimize.optimize`` (either absorbing rule) is not re-exported
 here: a package attribute of that name would hide the ``optimize`` module.
 """
-from .channel import (
-    TETRAHEDRON_PLACEMENTS,
-    LinkGeometry,
-    PanelSide,
-    UserPlacement,
-    channel_dc_gain,
-    reference_room_geometry,
-)
+from .channel import LinkGeometry, channel_dc_gain, reference_room_geometry
 from .optimize import (
     BruteForceResult,
     CubicCoefficients,

@@ -10,18 +10,12 @@ radians in exactly one place (:func:`channel_dc_gain`).
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
-__all__ = [
-    "LinkGeometry",
-    "PanelSide",
-    "UserPlacement",
-    "TETRAHEDRON_PLACEMENTS",
-    "channel_dc_gain",
-    "reference_room_geometry",
-]
+from .rate import require_positive_finite
+
+__all__ = ["LinkGeometry", "channel_dc_gain", "reference_room_geometry"]
 
 
 def _cos_deg(angle_deg: float) -> float:
@@ -55,20 +49,18 @@ class LinkGeometry:
     filter_gain: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.lambertian_order < 0:
-            raise ValueError(
-                f"lambertian_order must be >= 0, got {self.lambertian_order}"
-            )
+        for field in ("lambertian_order", "concentrator_gain", "filter_gain"):
+            value = getattr(self, field)
+            if not 0.0 <= value < math.inf:  # False for NaN as well
+                raise ValueError(f"{field} must be >= 0 and finite, got {value}")
         if not 0.0 <= self.ris_reflectiveness <= 1.0:
             raise ValueError(
                 f"ris_reflectiveness must be within [0, 1], got {self.ris_reflectiveness}"
             )
-        for field in ("ris_element_area_m2", "photodetector_area_m2"):
-            if getattr(self, field) <= 0:
-                raise ValueError(f"{field} must be positive, got {getattr(self, field)}")
-        for field in ("dist_ls_ris_m", "dist_ris_user_m"):
-            if getattr(self, field) <= 0:
-                raise ValueError(f"{field} must be positive, got {getattr(self, field)}")
+        require_positive_finite(
+            self,
+            ("ris_element_area_m2", "photodetector_area_m2", "dist_ls_ris_m", "dist_ris_user_m"),
+        )
         for field in (
             "irradiance_angle_ls_ris_deg",
             "irradiance_angle_ris_user_deg",
@@ -78,57 +70,6 @@ class LinkGeometry:
             value = getattr(self, field)
             if not 0.0 <= value <= 90.0:
                 raise ValueError(f"{field} must be within [0, 90] degrees, got {value}")
-        for field in ("concentrator_gain", "filter_gain"):
-            if getattr(self, field) < 0:
-                raise ValueError(f"{field} must be >= 0, got {getattr(self, field)}")
-
-
-class PanelSide(enum.Enum):
-    """Which side of the panel a user sits on."""
-
-    FRONT = "front"  # served by reflection
-    BACK = "back"  # served by refraction
-
-
-@dataclass(frozen=True)
-class UserPlacement:
-    """Angular position of a user relative to the panel.
-
-    Descriptive metadata only: link angles are independent inputs of
-    :class:`LinkGeometry` and are not derived from the placement.
-    """
-
-    azimuth_deg: float
-    elevation_deg: float
-    side: PanelSide
-    description: str = ""
-
-    def __post_init__(self) -> None:
-        if not -180.0 < self.azimuth_deg <= 180.0:
-            raise ValueError(f"azimuth must lie in (-180, 180], got {self.azimuth_deg}")
-        if not -90.0 <= self.elevation_deg <= 90.0:
-            raise ValueError(f"elevation must lie in [-90, 90], got {self.elevation_deg}")
-
-
-#: Reference tetrahedron disposition of eight users around the panel.
-#: Values are kept verbatim from the source data; note that D' is listed
-#: with the same coordinates as C' there (most likely a sign slip), which
-#: is flagged on the entry rather than silently corrected.
-TETRAHEDRON_PLACEMENTS: dict[str, UserPlacement] = {
-    "A": UserPlacement(31.22, -27.39, PanelSide.FRONT),
-    "B": UserPlacement(-31.22, -27.38, PanelSide.FRONT),
-    "C": UserPlacement(31.22, 27.39, PanelSide.FRONT),
-    "D": UserPlacement(-31.22, 27.39, PanelSide.FRONT),
-    "A'": UserPlacement(36.47, -30.33, PanelSide.BACK),
-    "B'": UserPlacement(36.47, 30.33, PanelSide.BACK),
-    "C'": UserPlacement(-36.47, 30.33, PanelSide.BACK),
-    "D'": UserPlacement(
-        -36.47,
-        30.33,
-        PanelSide.BACK,
-        description="listed identically to C' in the source data; kept verbatim",
-    ),
-}
 
 
 def channel_dc_gain(geom: LinkGeometry) -> float:

@@ -15,15 +15,12 @@ import math
 import sys
 import warnings
 from dataclasses import asdict, fields
-from operator import attrgetter
 
 from .optimize import optimize
 from .rate import DegenerateConfigWarning, FixedCount, Fraction, rate_total
 from .reports import NormalizedRow, reproduce_table1, reproduce_table2
 from .scenario import (
-    CSV_COLUMNS,
     ScenarioError,
-    SweepRow,
     preset_scenarios,
     resolve_scenario,
     run_sweep,
@@ -142,8 +139,7 @@ def cmd_sweep(args) -> int:
     scenario = resolve_scenario(args.scenario)
     rows = run_sweep(scenario)
     if args.format == "json":
-        values = attrgetter(*(f.name for f in fields(SweepRow)))
-        _emit(_json_dump([dict(zip(CSV_COLUMNS, values(row))) for row in rows]), args.out)
+        _emit(_json_dump([row._asdict() for row in rows]), args.out)
     else:
         _emit(sweep_to_csv(rows), args.out)
     return 0

@@ -296,13 +296,8 @@ def select_power_of_two(n_star: float, red: ReducedParams, absorbing=0.0) -> Pow
         rate_one = rate_total(red, 1.0, absorbing)
         return Pow2Selection(1, rate_one, 1, 1, rate_one, rate_one, True)
 
-    exponent = int(math.floor(math.log2(n_star)))
-    while (1 << (exponent + 1)) <= n_star:
-        exponent += 1
-    while (1 << exponent) > n_star:
-        exponent -= 1
-    lower = 1 << exponent
-    upper = lower if float(lower) == n_star else 1 << (exponent + 1)
+    lower = 1 << (int(n_star).bit_length() - 1)
+    upper = lower if lower == n_star else 2 * lower
 
     rate_lower = rate_total(red, float(lower), absorbing)
     rate_upper = rate_lower if upper == lower else rate_total(red, float(upper), absorbing)
@@ -363,11 +358,7 @@ def _auto_range_fixed(red: ReducedParams, theta: float) -> float:
 
 
 def optimize_fixed_theta(
-    red: ReducedParams,
-    theta: float,
-    *,
-    n_max: float | None = None,
-    grid: int = 100_000,
+    red: ReducedParams, theta: float, *, n_max: float | None = None
 ) -> OptimumReport:
     """Optimize the element count with a fixed absorbing count.
 
@@ -381,7 +372,7 @@ def optimize_fixed_theta(
     if n_max is None:
         n_max = _auto_range_fixed(red, theta)
 
-    oracle = brute_force_argmax(red, theta, 1.0, n_max, grid)
+    oracle = brute_force_argmax(red, theta, 1.0, n_max)
 
     used_fallback = False
     try:
@@ -406,13 +397,7 @@ def optimize_fixed_theta(
     )
 
 
-def optimize_proportional(
-    red: ReducedParams,
-    active_fraction: float,
-    *,
-    n_max: float | None = None,
-    grid: int = 100_000,
-) -> OptimumReport:
+def optimize_proportional(red: ReducedParams, active_fraction: float) -> OptimumReport:
     """Optimize the element count with a proportional active share.
 
     With ``zeta = q n`` the active fraction and the rate scale factor out
@@ -425,10 +410,7 @@ def optimize_proportional(
         raise ValueError(f"active fraction must lie in (0, 1], got {active_fraction}")
     mode = Fraction(1.0 - active_fraction)
     n_analytic = math.sqrt(red.alpha / (red.psi * stationarity_constant()))
-    if n_max is None:
-        n_max = max(50.0, 4.0 * n_analytic)
-
-    oracle = brute_force_argmax(red, mode, 1.0, n_max, grid)
+    oracle = brute_force_argmax(red, mode, 1.0, max(50.0, 4.0 * n_analytic))
     f_analytic = rate_total(red, n_analytic, mode)
     return OptimumReport(
         mode="proportional",

@@ -131,7 +131,7 @@ def _xi_invariant_root(alpha: float, theta: float, psi: float) -> bool:
     return True
 
 
-def reproduce_table2(grid: int = 100_000) -> NormalizedTableReport:
+def reproduce_table2() -> NormalizedTableReport:
     """Run C0..C6 and compare against the published normalized table.
 
     Measured columns come from the brute-force oracle on [1, 50]; the
@@ -141,7 +141,7 @@ def reproduce_table2(grid: int = 100_000) -> NormalizedTableReport:
     rows = []
     for name, (alpha, theta, xi, psi) in NORMALIZED_COMBOS.items():
         red = ReducedParams(alpha=alpha, psi=psi, xi=xi)
-        report = optimize_fixed_theta(red, theta, n_max=50.0, grid=grid)
+        report = optimize_fixed_theta(red, theta, n_max=50.0)
         published = PUBLISHED_NORMALIZED_TABLE[name]
 
         if name in ANOMALOUS_CALC_N:

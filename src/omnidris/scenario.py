@@ -42,14 +42,19 @@ sweep grid.  Scenario files are YAML with a strict schema::
       step: 0.01                 # positive number, or "powers-of-two"
     alpha_calibration: 127058.3  # optional, overrides the computed alpha
 
-Unknown keys are rejected with the line/column where they appear.
+Unknown keys are rejected with the line/column where they appear.  The
+``reduced``, ``system`` and ``geometry`` keys are the field names of
+:class:`~omnidris.rate.ReducedParams`, :class:`~omnidris.rate.SystemParams`
+and :class:`~omnidris.channel.LinkGeometry`, except that
+``SystemParams.noise_psd`` is written ``noise_psd_w_per_hz``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -169,50 +174,41 @@ class Scenario:
         return red
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One sweep grid point; ``theta`` is clamped so ``zeta`` is never negative."""
+class SweepRow(NamedTuple):
+    """One sweep grid point; ``theta`` is clamped so ``zeta`` is never negative.
+
+    The field names are the sweep output columns, in order.
+    """
 
     n: float
     theta: float
     zeta: float
     rate_bps: float
-    is_power_of_two: bool
-    is_selected: bool
+    pow2: bool
+    selected: bool
 
 
-#: Sweep output columns, one per :class:`SweepRow` field in field order.
-CSV_COLUMNS = ("n", "theta", "zeta", "rate_bps", "pow2", "selected")
+#: Sweep output columns: the :class:`SweepRow` fields.
+CSV_COLUMNS = SweepRow._fields
 
 # --- strict YAML schema -----------------------------------------------------
+
+#: The only record field whose YAML key is not the field name itself.
+_YAML_KEYS = {"noise_psd": "noise_psd_w_per_hz"}
+
+
+def _record_schema(cls) -> dict:
+    """``{yaml_key: field}`` for every field of the record type ``cls``, in field order."""
+    return {_YAML_KEYS.get(field.name, field.name): field for field in fields(cls)}
+
 
 _SCHEMA = {
     "schema_version": None,
     "name": None,
     "description": None,
-    "reduced": {"alpha": None, "psi": None, "xi": None},
-    "system": {
-        "bandwidth_hz": None,
-        "transmit_power_w": None,
-        "num_light_sources": None,
-        "num_users": None,
-        "oe_conversion": None,
-        "noise_psd_w_per_hz": None,
-    },
-    "geometry": {
-        "lambertian_order": None,
-        "ris_reflectiveness": None,
-        "ris_element_area_m2": None,
-        "photodetector_area_m2": None,
-        "dist_ls_ris_m": None,
-        "dist_ris_user_m": None,
-        "irradiance_angle_ls_ris_deg": None,
-        "irradiance_angle_ris_user_deg": None,
-        "incidence_angle_ris_deg": None,
-        "incidence_angle_user_deg": None,
-        "concentrator_gain": None,
-        "filter_gain": None,
-    },
+    "reduced": _record_schema(ReducedParams),
+    "system": _record_schema(SystemParams),
+    "geometry": _record_schema(LinkGeometry),
     "ris": {"mode": None, "absorbing_count": None, "absorbing_fraction": None},
     "sweep": {"n_min": None, "n_max": None, "step": None},
     "alpha_calibration": None,
@@ -265,6 +261,24 @@ def _integer(value, context: str) -> int:
     return value
 
 
+def _record(cls, data: dict, block: str):
+    """The ``cls`` record of a block, or None when the block is absent.
+
+    Keys are checked in field order; a key may be left out only when its
+    field has a default.
+    """
+    if block not in data:
+        return None
+    mapping = data[block] or {}
+    values = {}
+    for key, field in _SCHEMA[block].items():
+        if key not in mapping and field.default is not MISSING:
+            continue  # the field's default stands
+        check = _integer if field.type == "int" else _number
+        values[field.name] = check(_require(mapping, key, block), f"{block}.{key}")
+    return cls(**values)
+
+
 def scenario_from_dict(data: dict, *, source: str = "scenario") -> Scenario:
     """Build and validate a :class:`Scenario` from parsed YAML data."""
     version = _require(data, "schema_version", source)
@@ -275,43 +289,9 @@ def scenario_from_dict(data: dict, *, source: str = "scenario") -> Scenario:
         raise ScenarioError(f"scenario name must be a non-empty string, got {name!r}")
 
     try:
-        reduced = None
-        if "reduced" in data:
-            block = data["reduced"] or {}
-            reduced = ReducedParams(
-                alpha=_number(_require(block, "alpha", "reduced"), "reduced.alpha"),
-                psi=_number(_require(block, "psi", "reduced"), "reduced.psi"),
-                xi=_number(_require(block, "xi", "reduced"), "reduced.xi"),
-            )
-
-        system = None
-        if "system" in data:
-            block = data["system"] or {}
-            system = SystemParams(
-                bandwidth_hz=_number(_require(block, "bandwidth_hz", "system"), "system.bandwidth_hz"),
-                transmit_power_w=_number(
-                    _require(block, "transmit_power_w", "system"), "system.transmit_power_w"
-                ),
-                num_light_sources=_integer(
-                    _require(block, "num_light_sources", "system"), "system.num_light_sources"
-                ),
-                num_users=_integer(_require(block, "num_users", "system"), "system.num_users"),
-                oe_conversion=_number(
-                    _require(block, "oe_conversion", "system"), "system.oe_conversion"
-                ),
-                noise_psd=_number(
-                    _require(block, "noise_psd_w_per_hz", "system"), "system.noise_psd_w_per_hz"
-                ),
-            )
-
-        geometry = None
-        if "geometry" in data:
-            block = dict(data["geometry"] or {})
-            block.setdefault("concentrator_gain", 1.0)
-            block.setdefault("filter_gain", 1.0)
-            for key in _SCHEMA["geometry"]:
-                _number(_require(block, key, "geometry"), f"geometry.{key}")
-            geometry = LinkGeometry(**{key: float(block[key]) for key in _SCHEMA["geometry"]})
+        reduced = _record(ReducedParams, data, "reduced")
+        system = _record(SystemParams, data, "system")
+        geometry = _record(LinkGeometry, data, "geometry")
 
         ris = _require(data, "ris", source) or {}
         mode = _require(ris, "mode", "ris")
@@ -369,16 +349,18 @@ def scenario_from_dict(data: dict, *, source: str = "scenario") -> Scenario:
 def load_scenario(path) -> Scenario:
     """Load and strictly validate a scenario file."""
     text = Path(path).read_text(encoding="utf-8")
-    loader = yaml.SafeLoader(text)  # one parse pass: its node is both built and key-checked
     try:
-        node = loader.get_single_node()
-        data = None if node is None else loader.construct_document(node)
-    except yaml.MarkedYAMLError as exc:
-        mark = exc.problem_mark
+        loader = yaml.SafeLoader(text)  # one parse pass: its node is both built and key-checked
+        try:
+            node = loader.get_single_node()
+            data = None if node is None else loader.construct_document(node)
+        finally:
+            loader.dispose()
+    except yaml.YAMLError as exc:  # a ReaderError (bad character) carries no mark
+        mark = getattr(exc, "problem_mark", None)
         where = f" (line {mark.line + 1}, column {mark.column + 1})" if mark else ""
-        raise ScenarioError(f"cannot parse scenario file: {exc.problem or exc}{where}") from exc
-    finally:
-        loader.dispose()
+        problem = getattr(exc, "problem", None) or str(exc).partition("\n")[0]
+        raise ScenarioError(f"cannot parse scenario file: {problem}{where}") from exc
     if not isinstance(data, dict):
         raise ScenarioError(f"scenario file {path} must contain a mapping")
     _reject_unknown_keys(node, _SCHEMA, "")
@@ -565,22 +547,12 @@ def run_sweep(scenario: Scenario) -> list[SweepRow]:
     ns = np.asarray(values, dtype=float)
     rates = rate_total(red, ns, scenario.absorbing)
     thetas = np.minimum(scenario.absorbing.theta_at(ns), ns)
-    selected = float(optimize(red, scenario.absorbing).selected_n)
+    selected_n = float(optimize(red, scenario.absorbing).selected_n)
 
-    rows = []
-    for n, theta, rate in zip(values, thetas, rates):
-        is_pow2 = n in pow2_in_range
-        rows.append(
-            SweepRow(
-                n=float(n),
-                theta=float(theta),
-                zeta=float(n - theta),
-                rate_bps=float(rate),
-                is_power_of_two=is_pow2,
-                is_selected=is_pow2 and n == selected,
-            )
-        )
-    return rows
+    pow2 = [n in pow2_in_range for n in values]
+    selected = [is_pow2 and n == selected_n for n, is_pow2 in zip(values, pow2)]
+    columns = (ns.tolist(), thetas.tolist(), (ns - thetas).tolist(), rates.tolist(), pow2, selected)
+    return list(map(SweepRow._make, zip(*columns)))
 
 
 def sweep_to_csv(rows: list[SweepRow]) -> str:
@@ -589,6 +561,6 @@ def sweep_to_csv(rows: list[SweepRow]) -> str:
     for row in rows:
         lines.append(
             f"{row.n:.17g},{row.theta:.17g},{row.zeta:.17g},{row.rate_bps:.17g},"
-            f"{int(row.is_power_of_two)},{int(row.is_selected)}"
+            f"{int(row.pow2)},{int(row.selected)}"
         )
     return "\n".join(lines) + "\n"

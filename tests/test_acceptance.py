@@ -182,8 +182,8 @@ def test_criterion_07_source_doubling_law():
         )
         doubled = ReducedParams(red.alpha, 4.0 * red.psi, 2.0 * red.xi)
         for q in (1.0, 0.75):
-            base = optimize_proportional(red, q, grid=2000)
-            two = optimize_proportional(doubled, q, grid=2000)
+            base = optimize_proportional(red, q)
+            two = optimize_proportional(doubled, q)
             assert abs(two.n_star_cubic - base.n_star_cubic / 2.0) <= 1e-9 * base.n_star_cubic
             assert abs(two.f_at_cubic - base.f_at_cubic) <= 1e-9 * base.f_at_cubic
     print("criterion 7: PASS (doubling sources halves N*, continuous peak rate unchanged)")

@@ -4,14 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omnidris.channel import (
-    TETRAHEDRON_PLACEMENTS,
-    LinkGeometry,
-    PanelSide,
-    UserPlacement,
-    channel_dc_gain,
-    reference_room_geometry,
-)
+from omnidris.channel import LinkGeometry, channel_dc_gain, reference_room_geometry
 
 # Frozen from a 40-digit evaluation of the gain product at the reference
 # room parameters (r=1, eta=0.5, A_o=0.04, A_pd=4e-4, d=1.52/2.03,
@@ -130,36 +123,17 @@ def test_non_integer_lambertian_order():
         {"photodetector_area_m2": -4e-4},
         {"lambertian_order": -0.5},
         {"concentrator_gain": -1.0},
+        {"dist_ris_user_m": math.nan},
+        {"dist_ls_ris_m": math.inf},
+        {"ris_element_area_m2": math.inf},
+        {"photodetector_area_m2": math.nan},
+        {"lambertian_order": math.inf},
+        {"lambertian_order": math.nan},
+        {"concentrator_gain": math.nan},
+        {"filter_gain": math.inf},
+        {"filter_gain": -math.inf},
     ],
 )
 def test_invalid_geometry_is_rejected(overrides):
     with pytest.raises(ValueError):
         geometry(**overrides)
-
-
-def test_tetrahedron_placements_verbatim():
-    assert set(TETRAHEDRON_PLACEMENTS) == {"A", "B", "C", "D", "A'", "B'", "C'", "D'"}
-    assert TETRAHEDRON_PLACEMENTS["A"] == UserPlacement(31.22, -27.39, PanelSide.FRONT)
-    # B carries -27.38 (not -27.39) in the source data
-    assert TETRAHEDRON_PLACEMENTS["B"].elevation_deg == -27.38
-    for name in ("A", "B", "C", "D"):
-        assert TETRAHEDRON_PLACEMENTS[name].side is PanelSide.FRONT
-    for name in ("A'", "B'", "C'", "D'"):
-        assert TETRAHEDRON_PLACEMENTS[name].side is PanelSide.BACK
-
-
-def test_duplicate_back_placement_is_flagged_not_corrected():
-    c_prime = TETRAHEDRON_PLACEMENTS["C'"]
-    d_prime = TETRAHEDRON_PLACEMENTS["D'"]
-    assert (c_prime.azimuth_deg, c_prime.elevation_deg) == (
-        d_prime.azimuth_deg,
-        d_prime.elevation_deg,
-    )
-    assert d_prime.description  # the duplication is called out
-
-
-def test_placement_range_validation():
-    with pytest.raises(ValueError):
-        UserPlacement(-180.0, 0.0, PanelSide.FRONT)
-    with pytest.raises(ValueError):
-        UserPlacement(0.0, 91.0, PanelSide.BACK)

@@ -128,6 +128,16 @@ def test_unknown_preset_is_a_clean_error(capsys):
     assert "error:" in err
 
 
+def test_unreadable_character_is_a_one_line_error(capsys, tmp_path):
+    path = tmp_path / "bell.yaml"
+    path.write_text("schema_version: 1\nname: a\x07b\n", encoding="utf-8")
+    code, out, err = run(capsys, "optimize", "--scenario", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot parse scenario file")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys, "optimize")[0] == 2  # missing --scenario

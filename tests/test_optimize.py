@@ -252,6 +252,23 @@ def test_select_below_one_degenerates():
         select_power_of_two(float("nan"), red, 0.0)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.floats(min_value=1.0, max_value=2.0**62),
+        st.integers(min_value=0, max_value=62).map(lambda k: float(2**k)),
+    )
+)
+def test_select_brackets_with_powers_of_two(n_star):
+    selection = select_power_of_two(n_star, ReducedParams(1.0, 1.0, 1.0), 0.0)
+    lower, upper = selection.lower, selection.upper
+    assert lower <= n_star < 2 * lower
+    assert lower & (lower - 1) == 0 and upper & (upper - 1) == 0
+    is_pow2 = n_star.is_integer() and int(n_star) & (int(n_star) - 1) == 0
+    assert (upper == lower) == is_pow2
+    assert upper in (lower, 2 * lower)
+
+
 # --- universal constant ----------------------------------------------------------------
 
 

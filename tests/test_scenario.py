@@ -1,9 +1,14 @@
 import math
+import textwrap
 
 import pytest
+import yaml
+
+import omnidris.scenario
 
 from omnidris.rate import FixedCount, Fraction, ReducedParams
 from omnidris.scenario import (
+    _SCHEMA,
     CSV_COLUMNS,
     HARDWARE_POWERS_OF_TWO,
     MAX_SWEEP_POINTS,
@@ -118,6 +123,29 @@ def test_zero_psi_rejected(tmp_path):
         bad = VALID_REDUCED_YAML.replace("psi: 1.0", f"psi: {value}")
         with pytest.raises(ScenarioError, match="psi"):
             load_scenario(write(tmp_path, bad))
+
+
+def test_non_finite_geometry_names_the_field(tmp_path):
+    # a finite calibration would otherwise hide the input behind "alpha must be ..."
+    calibrated = VALID_SYSTEM_YAML + "alpha_calibration: 127058.34\n"
+    cases = {
+        "dist_ris_user_m": calibrated.replace("dist_ris_user_m: 2.03", "dist_ris_user_m: .nan"),
+        "filter_gain": calibrated.replace("geometry:\n", "geometry:\n  filter_gain: .inf\n"),
+    }
+    for field, text in cases.items():
+        with pytest.raises(ScenarioError, match=f"{field} must be .*finite"):
+            load_scenario(write(tmp_path, text))
+
+
+def test_documented_schema_matches_the_derived_one():
+    doc = omnidris.scenario.__doc__
+    example = doc[doc.index("::\n") + 3 : doc.index("\nUnknown keys")]
+    documented = yaml.safe_load(textwrap.dedent(example))
+
+    def key_tree(mapping):
+        return {k: key_tree(v) if isinstance(v, dict) else None for k, v in mapping.items()}
+
+    assert key_tree(documented) == key_tree(_SCHEMA)
 
 
 def test_schema_version_required_and_checked(tmp_path):
@@ -266,14 +294,14 @@ def test_run_sweep_c0_peaks_near_the_measured_optimum():
     best = max(rows, key=lambda row: row.rate_bps)
     # exact-rate argmax is 2.2120; the 0.01 grid must land within one step
     assert abs(best.n - 2.2120408969353) <= 0.011
-    selected = [row for row in rows if row.is_selected]
+    selected = [row for row in rows if row.selected]
     assert len(selected) == 1
-    assert selected[0].n == 2.0 and selected[0].is_power_of_two
+    assert selected[0].n == 2.0 and selected[0].pow2
 
 
 def test_run_sweep_marks_exactly_the_in_range_powers_of_two():
     rows = run_sweep(get_preset("C0"))
-    flagged = {row.n for row in rows if row.is_power_of_two}
+    flagged = {row.n for row in rows if row.pow2}
     assert flagged == {1.0, 2.0, 4.0, 8.0, 16.0, 32.0}
     assert set(HARDWARE_POWERS_OF_TWO) == {1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
 
@@ -294,7 +322,7 @@ def test_run_sweep_active_fraction_rows_scale_exactly():
     assert [row.n for row in full] == [row.n for row in three_quarters]
     for a, b in zip(full, three_quarters):
         assert b.rate_bps == pytest.approx(0.75 * a.rate_bps, rel=1e-12)
-    selected = [row for row in full if row.is_selected]
+    selected = [row for row in full if row.selected]
     assert selected[0].n == 128.0
 
 
@@ -331,7 +359,7 @@ def test_run_sweep_powers_of_two_grid():
     )
     rows = run_sweep(scenario)
     assert [row.n for row in rows] == [float(p) for p in HARDWARE_POWERS_OF_TWO]
-    assert all(row.is_power_of_two for row in rows)
+    assert all(row.pow2 for row in rows)
 
 
 def test_sweep_rows_match_independent_recomputation():
