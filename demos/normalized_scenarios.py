@@ -5,7 +5,7 @@ small round numbers and asks for the element count that maximizes
 f(N) = xi (N - theta) log2(alpha/(N^2 psi) + 1).  Two answers are
 computed side by side:
 
-* "measured": brute-force argmax of the exact f on [1, 50];
+* "measured": the argmax of the exact f, the root of its stationarity;
 * "calculated": the meaningful root of the stationarity cubic of the
   two-term series, with f evaluated by the same two-term series.
 
@@ -32,7 +32,7 @@ for name in ("C0", "C5", "C3"):
 
 print()
 print("Approximation honesty: the cubic comes from a two-term series, so its")
-print("root sits slightly off the exact argmax; the oracle is never beaten:")
+print("root sits slightly off the exact argmax, which is never beaten:")
 for name, combo in NORMALIZED_COMBOS.items():
     alpha, theta, xi, psi = combo
     report = optimize_fixed_theta(ReducedParams(alpha, psi, xi), theta)

@@ -4,9 +4,9 @@ omni-DRIS-assisted indoor visible-light links.
 The library models the NLoS light-source -> panel-element -> user channel,
 collapses the system into the reduced rate form
 ``f(n) = xi (n - theta) log2(alpha/(n^2 psi) + 1)``, locates the
-rate-maximizing element count (stationarity cubic, universal proportional
-constant, brute-force oracle) and applies the power-of-two hardware
-selection rule.  Scenario files and bundled presets drive sweeps and the
+rate-maximizing element count (stationarity cubic, exact stationarity
+root, universal proportional constant) and applies the power-of-two
+hardware selection rule.  Scenario files and bundled presets drive sweeps and the
 reference-table reproduction reports; ``omnidris`` is the CLI entry point.
 
 ``omnidris.optimize.optimize`` (either absorbing rule) is not re-exported
@@ -14,12 +14,10 @@ here: a package attribute of that name would hide the ``optimize`` module.
 """
 from .channel import LinkGeometry, channel_dc_gain, reference_room_geometry
 from .optimize import (
-    BruteForceResult,
     CubicCoefficients,
     NoInteriorMaximumError,
     OptimumReport,
     Pow2Selection,
-    brute_force_argmax,
     build_cubic,
     meaningful_root,
     optimize_fixed_theta,

@@ -11,10 +11,11 @@ Two regimes:
   puts the optimum at ``n* = sqrt(alpha / (psi t*))`` regardless of the
   active fraction or the rate scale.
 
-Every analytic optimum is cross-checked against a brute-force grid +
-golden-section oracle that evaluates the exact rate, never the series.
-Hardware realizations are restricted to powers of two; the selection rule
-compares the exact rate at the two bracketing candidates.
+The exact-rate optimum is the root of the exact stationarity: in fixed
+mode it is bracketed and bisected to the last float; in proportional mode
+it is ``sqrt(alpha / (psi t*))`` itself.  Hardware realizations are the
+powers of two 1 <= N <= 512; the selection rule compares the exact rate at
+the two candidates bracketing the exact optimum.
 """
 from __future__ import annotations
 
@@ -23,28 +24,26 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-import numpy as np
-
 from .rate import AbsorbingMode, Fraction, ReducedParams, f_series, rate_total
 
 __all__ = [
     "CubicCoefficients",
     "OptimumReport",
-    "BruteForceResult",
     "Pow2Selection",
     "NoInteriorMaximumError",
     "build_cubic",
     "solve_cubic",
     "meaningful_root",
-    "brute_force_argmax",
     "select_power_of_two",
     "stationarity_constant",
     "optimize",
     "optimize_fixed_theta",
     "optimize_proportional",
+    "HARDWARE_POWERS_OF_TWO",
 ]
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+#: Realizable element counts: 1 <= N <= 512 with N = 2^k.
+HARDWARE_POWERS_OF_TWO = tuple(2**k for k in range(10))
 
 
 class NoInteriorMaximumError(ValueError):
@@ -71,12 +70,6 @@ class CubicCoefficients:
         return (3.0 * self.c3 * x + 2.0 * self.c2) * x + self.c1
 
 
-class BruteForceResult(NamedTuple):
-    n: float
-    f: float
-    at_boundary: bool
-
-
 class Pow2Selection(NamedTuple):
     n: int
     rate: float
@@ -93,11 +86,13 @@ class OptimumReport:
 
     ``n_star_cubic`` is the analytic optimum (cubic root in fixed mode,
     ``sqrt(alpha/(psi t*))`` in proportional mode) and ``n_star_exact``
-    the brute-force argmax of the exact rate.  In fixed mode
+    the argmax of the exact rate on n >= 1.  In fixed mode
     ``f_at_cubic`` follows the two-term-series convention of the
     published "calculated" column, while ``f_exact_at_cubic`` is the
     exact rate at the same point; in proportional mode the stationarity
-    is exact and the two coincide.
+    is exact and the two coincide.  The panel is selected around
+    ``n_star_exact``, clamped to 512 elements; ``at_boundary`` is set when
+    the exact optimum lies at one element or beyond 512.
     """
 
     mode: str
@@ -222,66 +217,6 @@ def meaningful_root(roots: list[float], red: ReducedParams, theta: float) -> flo
     )
 
 
-def _golden_max(fun, lo: float, hi: float, rel_tol: float = 1e-8) -> float:
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    fc = fun(c)
-    fd = fun(d)
-    while (hi - lo) > rel_tol * max(1.0, abs(lo), abs(hi)):
-        if fc >= fd:  # ties keep the left interval: deterministic, favors small n
-            hi, d, fd = d, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc = fun(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_PHI * (hi - lo)
-            fd = fun(d)
-    return 0.5 * (lo + hi)
-
-
-def brute_force_argmax(
-    red: ReducedParams,
-    absorbing,
-    n_min: float,
-    n_max: float,
-    grid: int = 100_000,
-) -> BruteForceResult:
-    """Verification oracle: exact-rate argmax by grid scan + golden section.
-
-    Evaluates the exact rate (never the series) on a uniform grid, then
-    refines inside the best bracketing interval to 1e-8 relative.  Grid
-    ties resolve to the smallest index.  An argmax on the range edge is
-    returned as-is with ``at_boundary`` set.
-
-    All comparisons run on the xi-normalized profile (xi is a common
-    factor of the rate), so rate scaling cannot perturb the argmax even at
-    the last float bit; the reported value is at full scale.
-    """
-    if n_min < 1.0:
-        raise ValueError(f"n_min must be at least 1, got {n_min}")
-    if not n_max > n_min:
-        raise ValueError(f"invalid sweep range [{n_min}, {n_max}]")
-    if grid < 1000:
-        raise ValueError(f"grid must have at least 1000 points, got {grid}")
-
-    profile_params = ReducedParams(red.alpha, red.psi, 1.0)
-    xs = np.linspace(n_min, n_max, int(grid))
-    profile = rate_total(profile_params, xs, absorbing)
-    best = int(np.argmax(profile))
-    if best == 0 or best == len(xs) - 1:
-        n_best = float(xs[best])
-        return BruteForceResult(n_best, rate_total(red, n_best, absorbing), True)
-
-    refined = _golden_max(
-        lambda x: rate_total(profile_params, float(x), absorbing),
-        float(xs[best - 1]),
-        float(xs[best + 1]),
-    )
-    if profile[best] > rate_total(profile_params, refined, absorbing):
-        refined = float(xs[best])  # never return worse than the grid point
-    return BruteForceResult(refined, rate_total(red, refined, absorbing), False)
-
-
 def select_power_of_two(n_star: float, red: ReducedParams, absorbing=0.0) -> Pow2Selection:
     """Hardware selection between the powers of two bracketing n_star.
 
@@ -336,11 +271,45 @@ def stationarity_constant() -> float:
     return t
 
 
-def _checked_fields(oracle: BruteForceResult, selection: Pow2Selection) -> dict:
-    """The oracle and power-of-two selection fields of an :class:`OptimumReport`."""
+def _exact_optimum(red: ReducedParams, theta: float) -> tuple[float, bool]:
+    """Argmax of the exact fixed-count rate on n >= 1, and whether it is n = 1.
+
+    The rate's slope has the sign of ``ln(1 + x) - 2 (1 - theta/n) x/(1 + x)``
+    with ``x = alpha/(psi n^2)``: positive just above max(theta, 1) and
+    negative for large n.  The bracket doubles ``hi`` until the sign turns,
+    then bisects to the last float.  Only when theta < 1 can the slope be
+    non-positive at one element already; n = 1 is then the optimum.
+    """
+
+    def rising(n: float) -> bool:
+        x = red.alpha / (red.psi * n * n)
+        return math.log1p(x) > 2.0 * (1.0 - theta / n) * x / (1.0 + x)
+
+    lo = max(theta, 1.0)
+    if not rising(lo):
+        return lo, True
+    hi = 2.0 * lo
+    while rising(hi):
+        lo, hi = hi, 2.0 * hi
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if rising(mid):
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return lo, False
+
+
+def _exact_fields(red: ReducedParams, absorbing, n_exact: float, at_one: bool) -> dict:
+    """The exact-optimum and power-of-two selection fields of an :class:`OptimumReport`."""
+    if not math.isfinite(red.alpha / red.psi):
+        raise ValueError(f"alpha/psi overflows ({red.alpha}/{red.psi}): no finite optimum")
+    largest = HARDWARE_POWERS_OF_TWO[-1]
+    selection = select_power_of_two(min(n_exact, largest), red, absorbing)
     return dict(
-        n_star_exact=oracle.n,
-        f_at_exact=oracle.f,
+        n_star_exact=n_exact,
+        f_at_exact=rate_total(red, n_exact, absorbing),
         pow2_lower=selection.lower,
         pow2_upper=selection.upper,
         rate_pow2_lower=selection.rate_lower,
@@ -348,31 +317,20 @@ def _checked_fields(oracle: BruteForceResult, selection: Pow2Selection) -> dict:
         selected_n=selection.n,
         selected_rate=selection.rate,
         selected_bits=selection.n.bit_length() - 1,
-        at_boundary=oracle.at_boundary or selection.degenerate,
+        at_boundary=at_one or n_exact > largest,
     )
 
 
-def _auto_range_fixed(red: ReducedParams, theta: float) -> float:
-    # the optimum sits near max(2 theta, ~0.5 sqrt(alpha/psi)); leave headroom
-    return max(50.0, 5.0 * theta + 10.0, 2.0 * math.sqrt(red.alpha / red.psi) + 10.0)
-
-
-def optimize_fixed_theta(
-    red: ReducedParams, theta: float, *, n_max: float | None = None
-) -> OptimumReport:
+def optimize_fixed_theta(red: ReducedParams, theta: float) -> OptimumReport:
     """Optimize the element count with a fixed absorbing count.
 
-    Runs the cubic path and the brute-force oracle side by side; if no
-    cubic root qualifies, the oracle argmax stands in for the analytic
-    value (``used_fallback``).  Power-of-two selection is applied to the
-    analytic optimum.
+    Solves the exact stationarity for ``n_star_exact`` and the cubic for
+    the analytic value; if no cubic root qualifies, the exact optimum
+    stands in for it (``used_fallback``).
     """
     if theta < 0:
         raise ValueError(f"absorbing count must be >= 0, got {theta}")
-    if n_max is None:
-        n_max = _auto_range_fixed(red, theta)
-
-    oracle = brute_force_argmax(red, theta, 1.0, n_max)
+    exact = _exact_fields(red, theta, *_exact_optimum(red, theta))
 
     used_fallback = False
     try:
@@ -381,9 +339,8 @@ def optimize_fixed_theta(
         f_exact_cubic = rate_total(red, n_cubic, theta)
     except NoInteriorMaximumError:
         used_fallback = True
-        n_cubic = oracle.n
-        f_cubic = oracle.f
-        f_exact_cubic = oracle.f
+        n_cubic = exact["n_star_exact"]
+        f_cubic = f_exact_cubic = exact["f_at_exact"]
 
     return OptimumReport(
         mode="fixed-count",
@@ -393,7 +350,7 @@ def optimize_fixed_theta(
         f_at_cubic=f_cubic,
         f_exact_at_cubic=f_exact_cubic,
         used_fallback=used_fallback,
-        **_checked_fields(oracle, select_power_of_two(n_cubic, red, theta)),
+        **exact,
     )
 
 
@@ -404,13 +361,13 @@ def optimize_proportional(red: ReducedParams, active_fraction: float) -> Optimum
     of the stationarity, so the analytic optimum is
     ``n* = sqrt(alpha / (psi t*))`` with the universal constant t*.  This
     is exact (no series truncation), hence ``f_at_cubic`` equals the
-    exact rate at n*.
+    exact rate at n*, and ``n_star_exact`` is n* clipped at one element.
     """
     if not 0.0 < active_fraction <= 1.0:
         raise ValueError(f"active fraction must lie in (0, 1], got {active_fraction}")
     mode = Fraction(1.0 - active_fraction)
     n_analytic = math.sqrt(red.alpha / (red.psi * stationarity_constant()))
-    oracle = brute_force_argmax(red, mode, 1.0, max(50.0, 4.0 * n_analytic))
+    exact = _exact_fields(red, mode, max(n_analytic, 1.0), n_analytic < 1.0)
     f_analytic = rate_total(red, n_analytic, mode)
     return OptimumReport(
         mode="proportional",
@@ -420,7 +377,7 @@ def optimize_proportional(red: ReducedParams, active_fraction: float) -> Optimum
         f_at_cubic=f_analytic,
         f_exact_at_cubic=f_analytic,
         used_fallback=False,
-        **_checked_fields(oracle, select_power_of_two(n_analytic, red, mode)),
+        **exact,
     )
 
 

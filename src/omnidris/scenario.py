@@ -60,7 +60,7 @@ import numpy as np
 import yaml
 
 from .channel import LinkGeometry, channel_dc_gain, reference_room_geometry
-from .optimize import optimize, stationarity_constant
+from .optimize import HARDWARE_POWERS_OF_TWO, optimize, stationarity_constant
 from .rate import (
     AbsorbingMode,
     FixedCount,
@@ -91,9 +91,6 @@ __all__ = [
     "HARDWARE_POWERS_OF_TWO",
     "MAX_SWEEP_POINTS",
 ]
-
-#: Realizable element counts: 1 <= N <= 512 with N = 2^k.
-HARDWARE_POWERS_OF_TWO = tuple(2**k for k in range(10))
 
 #: Largest stepped sweep grid; the bundled presets stop at 4,901 points.
 MAX_SWEEP_POINTS = 1_000_000
@@ -242,17 +239,15 @@ def _require(data: dict, key: str, context: str):
 
 
 def _number(value, context: str) -> float:
-    if isinstance(value, bool):
+    # YAML 1.1 reads exponent forms like 1.0e6 (no sign) as strings
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ScenarioError(f"{context} must be a number, got {value!r}")
-    if isinstance(value, str):
-        # YAML 1.1 reads exponent forms like 1.0e6 (no sign) as strings
-        try:
-            return float(value)
-        except ValueError:
-            raise ScenarioError(f"{context} must be a number, got {value!r}") from None
-    if not isinstance(value, (int, float)):
-        raise ScenarioError(f"{context} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except ValueError:
+        raise ScenarioError(f"{context} must be a number, got {value!r}") from None
+    except OverflowError:  # an integer beyond the float range
+        raise ScenarioError(f"{context} is too large to be a float") from None
 
 
 def _integer(value, context: str) -> int:
@@ -420,18 +415,35 @@ def _normalized_preset(name: str) -> Scenario:
     )
 
 
-def _calibrated_preset(
-    name: str, noise_psd: float, absorbing_fraction: float, description: str
-) -> Scenario:
-    return Scenario(
-        name=name,
-        system=reference_system(noise_psd),
-        geometry=reference_room_geometry(),
-        alpha_calibration=alpha_calibration_for(noise_psd),
-        absorbing=Fraction(absorbing_fraction),
-        sweep=SweepSpec(1.0, 512.0, 1.0),
-        description=description + " [alpha calibrated: fully active peak at N = 180]",
-    )
+#: Calibrated presets: name -> (noise PSD in W/Hz, absorbing fraction, description).
+#: The source text and its selection table disagree on the bottom-family
+#: noise set ({3,4,8} vs {3,5,8}); both variants ship, neither is canonical.
+_CALIBRATED_PRESETS: dict[str, tuple[float, float, str]] = {
+    "fig2-top": (
+        2.0,
+        0.0,
+        "rate-vs-N top curve family, fully active panel (zeta = N), noise PSD 2 W/Hz;"
+        " siblings fig2-top-zeta-3n4 and fig2-top-zeta-n2",
+    ),
+    "fig2-top-zeta-3n4": (2.0, 0.25, "rate-vs-N top family, zeta = 3N/4, noise PSD 2 W/Hz"),
+    "fig2-top-zeta-n2": (2.0, 0.5, "rate-vs-N top family, zeta = N/2, noise PSD 2 W/Hz"),
+    "fig2-bottom-text": (
+        3.0,
+        0.5,
+        "rate-vs-N bottom family per the running text, noise PSD 3 W/Hz, zeta = N/2;"
+        " siblings fig2-bottom-text-psd4 and fig2-bottom-text-psd8",
+    ),
+    "fig2-bottom-text-psd4": (4.0, 0.5, "bottom family per the running text, noise PSD 4 W/Hz"),
+    "fig2-bottom-text-psd8": (8.0, 0.5, "bottom family per the running text, noise PSD 8 W/Hz"),
+    "table1": (
+        3.0,
+        0.5,
+        "selection-table noise family, noise PSD 3 W/Hz, zeta = N/2;"
+        " siblings table1-psd5 and table1-psd8",
+    ),
+    "table1-psd5": (5.0, 0.5, "selection-table noise family, noise PSD 5 W/Hz"),
+    "table1-psd8": (8.0, 0.5, "selection-table noise family, noise PSD 8 W/Hz"),
+}
 
 
 def preset_scenarios() -> dict[str, Scenario]:
@@ -442,47 +454,16 @@ def preset_scenarios() -> dict[str, Scenario]:
 @lru_cache(maxsize=1)
 def _build_presets() -> dict[str, Scenario]:
     presets = {name: _normalized_preset(name) for name in NORMALIZED_COMBOS}
-    presets["fig2-top"] = _calibrated_preset(
-        "fig2-top",
-        2.0,
-        0.0,
-        "rate-vs-N top curve family, fully active panel (zeta = N), noise PSD 2 W/Hz;"
-        " siblings fig2-top-zeta-3n4 and fig2-top-zeta-n2",
-    )
-    presets["fig2-top-zeta-3n4"] = _calibrated_preset(
-        "fig2-top-zeta-3n4", 2.0, 0.25, "rate-vs-N top family, zeta = 3N/4, noise PSD 2 W/Hz"
-    )
-    presets["fig2-top-zeta-n2"] = _calibrated_preset(
-        "fig2-top-zeta-n2", 2.0, 0.5, "rate-vs-N top family, zeta = N/2, noise PSD 2 W/Hz"
-    )
-    # The source text and its selection table disagree on the bottom-family
-    # noise set ({3,4,8} vs {3,5,8}); both variants ship, neither is canonical.
-    presets["fig2-bottom-text"] = _calibrated_preset(
-        "fig2-bottom-text",
-        3.0,
-        0.5,
-        "rate-vs-N bottom family per the running text, noise PSD 3 W/Hz, zeta = N/2;"
-        " siblings fig2-bottom-text-psd4 and fig2-bottom-text-psd8",
-    )
-    presets["fig2-bottom-text-psd4"] = _calibrated_preset(
-        "fig2-bottom-text-psd4", 4.0, 0.5, "bottom family per the running text, noise PSD 4 W/Hz"
-    )
-    presets["fig2-bottom-text-psd8"] = _calibrated_preset(
-        "fig2-bottom-text-psd8", 8.0, 0.5, "bottom family per the running text, noise PSD 8 W/Hz"
-    )
-    presets["table1"] = _calibrated_preset(
-        "table1",
-        3.0,
-        0.5,
-        "selection-table noise family, noise PSD 3 W/Hz, zeta = N/2;"
-        " siblings table1-psd5 and table1-psd8",
-    )
-    presets["table1-psd5"] = _calibrated_preset(
-        "table1-psd5", 5.0, 0.5, "selection-table noise family, noise PSD 5 W/Hz"
-    )
-    presets["table1-psd8"] = _calibrated_preset(
-        "table1-psd8", 8.0, 0.5, "selection-table noise family, noise PSD 8 W/Hz"
-    )
+    for name, (noise_psd, absorbing_fraction, description) in _CALIBRATED_PRESETS.items():
+        presets[name] = Scenario(
+            name=name,
+            system=reference_system(noise_psd),
+            geometry=reference_room_geometry(),
+            alpha_calibration=alpha_calibration_for(noise_psd),
+            absorbing=Fraction(absorbing_fraction),
+            sweep=SweepSpec(1.0, 512.0, 1.0),
+            description=description + " [alpha calibrated: fully active peak at N = 180]",
+        )
     return presets
 
 

@@ -21,7 +21,6 @@ import pytest
 
 from omnidris.channel import channel_dc_gain, reference_room_geometry
 from omnidris.optimize import (
-    brute_force_argmax,
     build_cubic,
     meaningful_root,
     optimize_fixed_theta,
@@ -40,6 +39,7 @@ from omnidris.rate import (
 )
 from omnidris.reports import CALIBRATION_NOTE, reproduce_table1, reproduce_table2
 from omnidris.scenario import NORMALIZED_COMBOS, alpha_calibration_for
+from oracle import brute_force_argmax
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 

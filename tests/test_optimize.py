@@ -1,17 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omnidris.rate import Fraction, ReducedParams, rate_total
+from omnidris.rate import DegenerateConfigWarning, FixedCount, Fraction, ReducedParams, rate_total
 from omnidris.optimize import (
+    HARDWARE_POWERS_OF_TWO,
     CubicCoefficients,
     NoInteriorMaximumError,
-    brute_force_argmax,
     build_cubic,
     meaningful_root,
+    optimize,
     optimize_fixed_theta,
     optimize_proportional,
     select_power_of_two,
@@ -19,6 +21,7 @@ from omnidris.optimize import (
     stationarity_constant,
 )
 from omnidris.scenario import NORMALIZED_COMBOS, alpha_calibration_for
+from oracle import brute_force_argmax
 
 # Largest cubic roots of the normalized benchmark combinations, frozen from
 # a 40-digit polynomial root finder.
@@ -314,6 +317,7 @@ def test_oracle_is_never_beaten():
     for name in NORMALIZED_COMBOS:
         red, theta = reduced(name)
         report = optimize_fixed_theta(red, theta)
+        assert report.n_star_exact == pytest.approx(PRECISE_ARGMAX[name], rel=1e-12)
         assert report.f_at_exact >= report.f_exact_at_cubic * (1.0 - 1e-12)
         gap = (report.f_at_exact - report.f_exact_at_cubic) / report.f_at_exact
         assert gap <= 0.02
@@ -334,6 +338,59 @@ def test_optimize_fixed_theta_fallback_to_oracle():
     assert report.at_boundary  # optimum below one element
     assert report.selected_n == 1
     assert report.selected_bits == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    alpha=st.floats(min_value=-2.0, max_value=7.0).map(lambda e: 10.0**e),
+    psi=st.floats(min_value=-1.0, max_value=1.0).map(lambda e: 10.0**e),
+    theta=st.one_of(
+        st.integers(min_value=0, max_value=9), st.floats(min_value=0.0, max_value=20.0)
+    ),
+)
+def test_exact_optimum_agrees_with_the_oracle(alpha, psi, theta):
+    red = ReducedParams(alpha, psi, 1.0)
+    report = optimize_fixed_theta(red, theta)
+    # the optimum lies below ~2 theta + sqrt(alpha/psi); the range leaves headroom
+    oracle = brute_force_argmax(red, theta, 1.0, 4.0 * (theta + math.sqrt(alpha / psi)) + 10.0)
+    assert oracle.f <= report.f_at_exact * (1.0 + 1e-12)  # rounding only
+    if report.n_star_exact > 1.0:
+        assert not oracle.at_boundary
+        assert abs(oracle.n - report.n_star_exact) <= 1e-7 * report.n_star_exact
+    else:
+        assert report.at_boundary and oracle.at_boundary and oracle.n == 1.0
+
+
+@pytest.mark.parametrize("alpha,selected,at_boundary", [(1000.0, 16, False), (1e7, 512, True)])
+def test_fixed_selection_brackets_the_exact_optimum(alpha, selected, at_boundary):
+    # at theta = 0 the cubic root sqrt(1.5 alpha/psi) is ~2.4x the exact optimum
+    red = ReducedParams(alpha, 1.0, 1.0)
+    report = optimize_fixed_theta(red, 0.0)
+    assert report.selected_n == selected
+    assert report.at_boundary == at_boundary
+    assert report.selected_rate == rate_total(red, float(selected), 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    alpha=st.floats(min_value=-2.0, max_value=8.0).map(lambda e: 10.0**e),
+    psi=st.floats(min_value=-1.0, max_value=1.0).map(lambda e: 10.0**e),
+    absorbing=st.one_of(
+        st.integers(min_value=0, max_value=20).map(FixedCount),
+        st.floats(min_value=0.0, max_value=0.99).map(Fraction),
+    ),
+)
+def test_no_hardware_panel_beats_the_selected_one(alpha, psi, absorbing):
+    red = ReducedParams(alpha, psi, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateConfigWarning)
+        report = optimize(red, absorbing)
+        # the absorbing rule exactly as the optimizer evaluates it
+        fixed = report.active_fraction is None
+        mode = report.theta if fixed else Fraction(1.0 - report.active_fraction)
+        best = max(rate_total(red, float(p), mode) for p in HARDWARE_POWERS_OF_TWO)
+    assert report.selected_n in HARDWARE_POWERS_OF_TWO
+    assert report.selected_rate == best
 
 
 def test_optimize_proportional_oracle_agreement():
@@ -378,6 +435,14 @@ def test_optimize_proportional_matches_curve_read_trend():
         red = ReducedParams(alpha_calibration_for(psd), 1.0, 5e5)
         n_star = optimize_proportional(red, 0.5).n_star_cubic
         assert abs(n_star - read) / read <= 0.10
+
+
+def test_optimizers_reject_an_overflowing_load():
+    red = ReducedParams(1e300, 1e-10, 1.0)  # alpha/psi = inf: infinite rate at one element
+    with pytest.raises(ValueError, match="overflows"):
+        optimize_fixed_theta(red, 0.0)
+    with pytest.raises(ValueError, match="overflows"):
+        optimize_proportional(red, 0.5)
 
 
 def test_optimize_proportional_validation():

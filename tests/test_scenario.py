@@ -119,7 +119,7 @@ def test_parse_failure_reports_position(tmp_path):
 
 
 def test_zero_psi_rejected(tmp_path):
-    for value in ("0.0", ".nan", ".inf", "-.inf"):
+    for value in ("0.0", ".nan", ".inf", "-.inf", "1" + "0" * 400):
         bad = VALID_REDUCED_YAML.replace("psi: 1.0", f"psi: {value}")
         with pytest.raises(ScenarioError, match="psi"):
             load_scenario(write(tmp_path, bad))
