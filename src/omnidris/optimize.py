@@ -12,8 +12,9 @@ Two regimes:
   active fraction or the rate scale.
 
 The exact-rate optimum is the root of the exact stationarity: in fixed
-mode it is bracketed and bisected to the last float; in proportional mode
-it is ``sqrt(alpha / (psi t*))`` itself.  Hardware realizations are the
+mode a safeguarded Newton iteration brackets it and a bisection takes the
+bracket to the last float; in proportional mode it is
+``sqrt(alpha / (psi t*))`` itself.  Hardware realizations are the
 powers of two 1 <= N <= 512; the selection rule compares the exact rate at
 the two candidates bracketing the exact optimum.
 """
@@ -153,10 +154,22 @@ def solve_cubic(cubic: CubicCoefficients) -> list[float]:
     Trigonometric form for the three-real-root case (negative
     discriminant, the casus irreducibilis), real Cardano branch for the
     single-real-root case, plus one Newton polish step per root.
+
+    The monic cubic ``x^3 + b x^2 + c x + d`` is solved for ``u = x / unit``,
+    with ``unit`` the power of two at or below the largest of ``|b|``,
+    ``sqrt|c|`` and ``cbrt|d|``, so every scaled coefficient is O(1) and
+    nothing overflows for finite ``b``, ``c``, ``d``; non-finite ones give
+    NaN roots.  Scaling by a power of two is exact, so only rounding inside
+    ``**`` can tell the roots apart from those of an unscaled solve.  The
+    polish runs on the unscaled cubic and is skipped where it overflows.
     """
     b = cubic.c2 / cubic.c3
     c = cubic.c1 / cubic.c3
     d = cubic.c0 / cubic.c3
+    if not math.isfinite(b + c + d):
+        return [math.nan] * 3
+    unit = math.ldexp(0.5, math.frexp(max(abs(b), math.sqrt(abs(c)), abs(d) ** (1.0 / 3.0)))[1])
+    b, c, d = b / unit, c / unit / unit, d / unit / unit / unit
     p = c - b * b / 3.0
     q = 2.0 * b**3 / 27.0 - b * c / 3.0 + d
     shift = -b / 3.0
@@ -186,32 +199,28 @@ def solve_cubic(cubic: CubicCoefficients) -> list[float]:
         double = -3.0 * q / (2.0 * p) + shift
         roots = [single, double, double]
 
-    return sorted(_polish(cubic, x) for x in roots)
+    return sorted(_polish(cubic, u * unit) for u in roots)
 
 
 def meaningful_root(roots: list[float], red: ReducedParams, theta: float) -> float:
     """Pick the root that is the usable rate maximum.
 
-    Candidates must exceed the absorbing count and be at least 1; among
-    them the one with the largest exact rate wins, provided a central
-    finite-difference probe (step 1e-6 * n) of the two-term series shows a
-    derivative sign change from + to - across it.
+    The two-term series has slope ``-alpha xi / (2 ln2 psi^2 n^5) * cubic(n)``,
+    so a root is a series maximum exactly where the cubic rises through
+    zero.  The largest root wins that exceeds the absorbing count, is at
+    least 1, has ``cubic'(root) > 0`` and keeps the load
+    ``alpha / (psi root^2)`` within the series' convergence domain (<= 1).
     """
-    candidates = [root for root in roots if root > theta and root >= 1.0]
-    candidates.sort(key=lambda root: rate_total(red, root, theta), reverse=True)
-    for root in candidates:
-        h = 1e-6 * root
-
-        def probe(x: float) -> float:
-            return (
-                f_series(red, x + h, theta, 2) - f_series(red, x - h, theta, 2)
-            ) / (2.0 * h)
-
-        try:
-            if probe(root - h) > 0.0 > probe(root + h):
-                return root
-        except ValueError:
-            continue  # series domain violated near this root; not usable
+    ratio = red.alpha / red.psi
+    for root in reversed(roots):
+        # cubic'(root) / (psi root): the same sign, without overflow
+        if (
+            root > theta
+            and root >= 1.0
+            and 6.0 * root - 8.0 * theta - 3.0 * ratio / root > 0.0
+            and red.alpha / (red.psi * root * root) <= 1.0
+        ):
+            return root
     raise NoInteriorMaximumError(
         f"no interior maximum: no root above theta={theta} is a series maximum"
     )
@@ -274,11 +283,21 @@ def stationarity_constant() -> float:
 def _exact_optimum(red: ReducedParams, theta: float) -> tuple[float, bool]:
     """Argmax of the exact fixed-count rate on n >= 1, and whether it is n = 1.
 
-    The rate's slope has the sign of ``ln(1 + x) - 2 (1 - theta/n) x/(1 + x)``
+    The rate's slope has the sign of ``g(n) = ln(1 + x) - 2 (1 - theta/n) x/(1 + x)``
     with ``x = alpha/(psi n^2)``: positive just above max(theta, 1) and
-    negative for large n.  The bracket doubles ``hi`` until the sign turns,
-    then bisects to the last float.  Only when theta < 1 can the slope be
+    negative for large n.  Only when theta < 1 can the slope be
     non-positive at one element already; n = 1 is then the optimum.
+
+    Otherwise a safeguarded Newton iteration on g starts from the larger of
+    the theta = 0 optimum ``sqrt(alpha/(psi t*))`` and ``2 theta``, both at
+    or below the root: g grows with theta, and ``g(2 theta) =
+    ln(1 + x) - x/(1 + x) > 0``.  Every iterate narrows a bracket of points
+    where ``rising`` holds (``lo``) and fails (``hi``); a step that leaves
+    the bracket bisects it instead, or doubles ``lo`` while no ``hi`` is
+    known.  Once a step is a few ULPs, probes that far either side of the
+    iterate (widened fourfold until they straddle the sign change) close
+    the bracket, and it is bisected with ``rising`` down to adjacent
+    floats; the last float where the rate still rises is returned.
     """
 
     def rising(n: float) -> bool:
@@ -288,9 +307,32 @@ def _exact_optimum(red: ReducedParams, theta: float) -> tuple[float, bool]:
     lo = max(theta, 1.0)
     if not rising(lo):
         return lo, True
-    hi = 2.0 * lo
-    while rising(hi):
-        lo, hi = hi, 2.0 * hi
+    hi = math.inf
+    n = max(lo, 2.0 * theta, math.sqrt(red.alpha / (red.psi * stationarity_constant())))
+    for _ in range(100):
+        x = red.alpha / (red.psi * n * n)
+        gap = math.log1p(x) - 2.0 * (1.0 - theta / n) * x / (1.0 + x)  # > 0 iff rising(n)
+        if gap > 0.0:
+            lo = n
+        else:
+            hi = n
+        # dg/dn = 2x (1 - x - (theta/n)(3 + x)) / (n (1 + x)^2), negative at the root
+        slope = 2.0 * x * (1.0 - x - theta / n * (3.0 + x)) / (n * (1.0 + x) * (1.0 + x))
+        step = gap / slope if slope < 0.0 else math.nan
+        if abs(step) <= 2.0**-50 * n:
+            break  # n is within a few ULPs of the root
+        n -= step
+        if not lo < n < hi:  # also for a NaN step
+            n = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
+    width = 2.0**-50 * n  # 4 to 8 ULPs
+    while not hi - lo <= 2.0 * width:
+        for probe in (n - width, n + width):
+            if lo < probe < hi:
+                if rising(probe):
+                    lo = probe
+                else:
+                    hi = probe
+        width *= 4.0
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
         if rising(mid):

@@ -197,7 +197,27 @@ def rate_total(red: ReducedParams, n, absorbing=0.0):
     ``absorbing`` is an :data:`AbsorbingMode` or a plain count.  A
     configuration with no active elements yields 0 and, for scalar input,
     a :class:`DegenerateConfigWarning`.
+
+    A scalar (anything of ``np.ndim`` 0) is evaluated in Python floats with
+    numpy's ``log1p``, so it returns a ``float`` bit-identical to the
+    corresponding element of the array result without building an array.
     """
+    if isinstance(n, (int, float)) or np.ndim(n) == 0:
+        n = float(n)
+        if n <= 0:
+            raise ValueError("element count must be positive")
+        active = n - _theta_of(absorbing, n)
+        if active > 0.0:
+            denominator = red.psi * n * n
+            load = red.alpha / denominator if denominator else math.inf  # as numpy divides
+            return red.xi * active * float(np.log1p(load)) / LN2
+        if active <= 0.0:  # not for NaN, which the array path zeroes silently too
+            warnings.warn(
+                "no active elements (absorbing count >= element count); rate is 0",
+                DegenerateConfigWarning,
+                stacklevel=2,
+            )
+        return 0.0
     values = np.asarray(n, dtype=float)
     if np.any(values <= 0):
         raise ValueError("element count must be positive")
@@ -205,16 +225,7 @@ def rate_total(red: ReducedParams, n, absorbing=0.0):
     active = values - theta
     load = red.alpha / (red.psi * values * values)
     rate = red.xi * active * np.log1p(load) / LN2
-    rate = np.where(active > 0.0, rate, 0.0)
-    if np.ndim(n) == 0:
-        if float(active) <= 0.0:
-            warnings.warn(
-                "no active elements (absorbing count >= element count); rate is 0",
-                DegenerateConfigWarning,
-                stacklevel=2,
-            )
-        return float(rate)
-    return rate
+    return np.where(active > 0.0, rate, 0.0)
 
 
 def f_series(red: ReducedParams, n: float, theta: float, terms: int) -> float:

@@ -1,9 +1,15 @@
-"""Verification oracle for the optimizers: the exact-rate argmax by brute force.
+"""Verification oracles for the optimizers.
 
-A uniform grid scan of the exact rate (never the series) followed by a
+:func:`brute_force_argmax` is the exact-rate argmax by brute force: a
+uniform grid scan of the exact rate (never the series) followed by a
 golden-section refinement.  It never uses the stationarity condition
 that :mod:`omnidris.optimize` solves, so the tests compare the
 optimizers against it.
+
+:func:`bisection_exact_optimum` and :func:`probe_meaningful_root` are the
+earlier, slower forms of the optimizer's exact root (plain bisection) and
+cubic root choice (rate-ranked candidates checked by finite-difference
+probes of the two-term series), kept as references for the fast ones.
 """
 from __future__ import annotations
 
@@ -12,7 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from omnidris.rate import ReducedParams, rate_total
+from omnidris.optimize import NoInteriorMaximumError
+from omnidris.rate import ReducedParams, f_series, rate_total
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -81,3 +88,61 @@ def brute_force_argmax(
     if profile[best] > rate_total(profile_params, refined, absorbing):
         refined = float(xs[best])  # never return worse than the grid point
     return BruteForceResult(refined, rate_total(red, refined, absorbing), False)
+
+
+def bisection_exact_optimum(red: ReducedParams, theta: float) -> tuple[float, bool]:
+    """Argmax of the exact fixed-count rate on n >= 1, and whether it is n = 1.
+
+    The rate's slope has the sign of ``ln(1 + x) - 2 (1 - theta/n) x/(1 + x)``
+    with ``x = alpha/(psi n^2)``: positive just above max(theta, 1) and
+    negative for large n.  The bracket doubles ``hi`` until the sign turns,
+    then bisects to the last float.  Only when theta < 1 can the slope be
+    non-positive at one element already; n = 1 is then the optimum.
+    """
+
+    def rising(n: float) -> bool:
+        x = red.alpha / (red.psi * n * n)
+        return math.log1p(x) > 2.0 * (1.0 - theta / n) * x / (1.0 + x)
+
+    lo = max(theta, 1.0)
+    if not rising(lo):
+        return lo, True
+    hi = 2.0 * lo
+    while rising(hi):
+        lo, hi = hi, 2.0 * hi
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if rising(mid):
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return lo, False
+
+
+def probe_meaningful_root(roots: list[float], red: ReducedParams, theta: float) -> float:
+    """Pick the root that is the usable rate maximum.
+
+    Candidates must exceed the absorbing count and be at least 1; among
+    them the one with the largest exact rate wins, provided a central
+    finite-difference probe (step 1e-6 * n) of the two-term series shows a
+    derivative sign change from + to - across it.
+    """
+    candidates = [root for root in roots if root > theta and root >= 1.0]
+    candidates.sort(key=lambda root: rate_total(red, root, theta), reverse=True)
+    for root in candidates:
+        h = 1e-6 * root
+
+        def probe(x: float) -> float:
+            return (
+                f_series(red, x + h, theta, 2) - f_series(red, x - h, theta, 2)
+            ) / (2.0 * h)
+
+        try:
+            if probe(root - h) > 0.0 > probe(root + h):
+                return root
+        except ValueError:
+            continue  # series domain violated near this root; not usable
+    raise NoInteriorMaximumError(
+        f"no interior maximum: no root above theta={theta} is a series maximum"
+    )

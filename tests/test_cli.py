@@ -1,5 +1,7 @@
 import csv
 import json
+import math
+import warnings
 
 import pytest
 
@@ -136,6 +138,29 @@ def test_unreadable_character_is_a_one_line_error(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error: cannot parse scenario file")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("command", ["optimize", "sweep"])
+@pytest.mark.parametrize("count_digits,alpha", [(201, "5.0"), (151, "1.0e+290")])
+def test_huge_absorbing_count_is_a_finite_report_or_one_error_line(
+    capsys, tmp_path, command, count_digits, alpha
+):
+    # the cubic's coefficients overflow unless it is solved in scaled units
+    path = tmp_path / "huge.yaml"
+    count = "1" + "0" * (count_digits - 1)
+    text = SCENARIO_YAML.replace("absorbing_count: 5", f"absorbing_count: {count}")
+    path.write_text(text.replace("alpha: 5.0", f"alpha: {alpha}"), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # every panel is fully absorbing
+        code, out, err = run(capsys, command, "--scenario", str(path), "--format", "json")
+    if code == 0:
+        payload = json.loads(out)
+        for record in payload if isinstance(payload, list) else [payload]:
+            numbers = [v for v in record.values() if isinstance(v, float)]
+            assert numbers and all(math.isfinite(v) for v in numbers)
+    else:
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_usage_errors_exit_2(capsys):

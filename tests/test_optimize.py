@@ -16,12 +16,13 @@ from omnidris.optimize import (
     optimize,
     optimize_fixed_theta,
     optimize_proportional,
+    _exact_optimum,
     select_power_of_two,
     solve_cubic,
     stationarity_constant,
 )
 from omnidris.scenario import NORMALIZED_COMBOS, alpha_calibration_for
-from oracle import brute_force_argmax
+from oracle import bisection_exact_optimum, brute_force_argmax, probe_meaningful_root
 
 # Largest cubic roots of the normalized benchmark combinations, frozen from
 # a 40-digit polynomial root finder.
@@ -175,6 +176,46 @@ def test_meaningful_root_none_qualifies():
     roots = solve_cubic(build_cubic(red, 0.0))
     with pytest.raises(NoInteriorMaximumError):
         meaningful_root(roots, red, 0.0)
+
+
+# The ranges of the draws the derivative-sign rule was checked on.
+WIDE_ALPHA = st.floats(min_value=-2.0, max_value=8.0).map(lambda e: 10.0**e)
+HARDWARE_PSI = st.sampled_from([1.0, 4.0, 16.0, 64.0])
+WIDE_THETA = st.one_of(
+    st.integers(min_value=0, max_value=50).map(float), st.floats(min_value=0.0, max_value=50.0)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=WIDE_ALPHA, psi=HARDWARE_PSI, theta=WIDE_THETA)
+def test_meaningful_root_matches_the_probe_reference(alpha, psi, theta):
+    red = ReducedParams(alpha, psi, 1.0)
+    roots = solve_cubic(build_cubic(red, theta))
+    try:
+        expected = probe_meaningful_root(roots, red, theta)
+    except NoInteriorMaximumError:
+        with pytest.raises(NoInteriorMaximumError):
+            meaningful_root(roots, red, theta)
+    else:
+        assert meaningful_root(roots, red, theta).hex() == expected.hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    alpha=WIDE_ALPHA,
+    psi=HARDWARE_PSI,
+    theta=WIDE_THETA,
+    scale_exp=st.integers(min_value=-250, max_value=250),
+)
+def test_cubic_roots_follow_the_scaling_law(alpha, psi, theta, scale_exp):
+    # n -> s n with alpha/psi -> s^2 alpha/psi and theta -> s theta maps the cubic onto itself
+    s = 2.0**scale_exp
+    roots = solve_cubic(build_cubic(ReducedParams(alpha, psi, 1.0), theta))
+    scaled = solve_cubic(build_cubic(ReducedParams(s * s * alpha, psi, 1.0), s * theta))
+    largest = max(abs(root) for root in roots)
+    assert len(scaled) == len(roots)
+    for root, scaled_root in zip(roots, scaled):
+        assert abs(scaled_root - s * root) <= 1e-12 * s * largest
 
 
 # --- brute-force oracle ------------------------------------------------------------
@@ -332,6 +373,17 @@ def test_xi_scaling_cannot_move_the_optimum():
         assert abs(scaled.n_star_exact - baseline.n_star_exact) <= 1e-9 * baseline.n_star_exact
 
 
+@settings(max_examples=300, deadline=None)
+@given(alpha=WIDE_ALPHA, psi=HARDWARE_PSI, theta=WIDE_THETA)
+def test_exact_optimum_matches_the_bisection_reference(alpha, psi, theta):
+    # the slope's sign flickers over a few ULPs at the root, so the last float may move
+    red = ReducedParams(alpha, psi, 1.0)
+    n_exact, at_one = _exact_optimum(red, theta)
+    reference, reference_at_one = bisection_exact_optimum(red, theta)
+    assert at_one == reference_at_one
+    assert abs(n_exact - reference) <= 1e-15 * reference
+
+
 def test_optimize_fixed_theta_fallback_to_oracle():
     report = optimize_fixed_theta(ReducedParams(0.01, 1.0, 1.0), 0.0)
     assert report.used_fallback
@@ -363,9 +415,15 @@ def test_exact_optimum_agrees_with_the_oracle(alpha, psi, theta):
 
 @pytest.mark.parametrize("alpha,selected,at_boundary", [(1000.0, 16, False), (1e7, 512, True)])
 def test_fixed_selection_brackets_the_exact_optimum(alpha, selected, at_boundary):
-    # at theta = 0 the cubic root sqrt(1.5 alpha/psi) is ~2.4x the exact optimum
+    # at theta = 0 the exact optimum is sqrt(alpha/(psi t*)), and the cubic
+    # root sqrt(1.5 alpha/psi) lies sqrt(1.5 t*) ~ 2.425x beyond it
     red = ReducedParams(alpha, 1.0, 1.0)
     report = optimize_fixed_theta(red, 0.0)
+    t_star = stationarity_constant()
+    assert report.n_star_exact == pytest.approx(math.sqrt(alpha / t_star), rel=1e-15)
+    ratio = report.n_star_cubic / report.n_star_exact
+    assert ratio == pytest.approx(math.sqrt(1.5 * t_star), rel=1e-12)
+    assert ratio == pytest.approx(2.42535161406573, rel=1e-12)
     assert report.selected_n == selected
     assert report.at_boundary == at_boundary
     assert report.selected_rate == rate_total(red, float(selected), 0.0)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -153,14 +154,38 @@ def test_rate_total_all_absorbing_is_zero_and_flagged():
         assert rate_total(red, 8.0, 8.0) == 0.0
 
 
-def test_rate_total_array_path_matches_scalars():
-    red = ReducedParams(3.0, 2.0, 7.0)
-    ns = np.array([1.0, 2.5, 4.0, 10.0, 64.0])
-    vectorized = rate_total(red, ns, 1.0)
-    for n, value in zip(ns, vectorized):
-        if n > 1.0:
-            assert value == rate_total(red, float(n), 1.0)
-    assert vectorized[0] == 0.0  # zeta = 0 row zeroed without warning
+@settings(max_examples=150, deadline=None)
+@given(
+    log_alpha=st.floats(min_value=-3.0, max_value=9.0),
+    psi=st.sampled_from([1.0, 4.0, 16.0, 64.0, 3.7]),
+    xi=st.floats(min_value=1e-3, max_value=1e6),
+    absorbing=st.one_of(
+        st.integers(min_value=0, max_value=60).map(float),
+        st.integers(min_value=0, max_value=60).map(FixedCount),
+        st.floats(min_value=0.0, max_value=0.99).map(Fraction),
+    ),
+    ns=st.lists(st.floats(min_value=1.0, max_value=1e4), min_size=1, max_size=20),
+    count=st.integers(min_value=1, max_value=1000),
+)
+def test_rate_total_array_path_matches_scalars(log_alpha, psi, xi, absorbing, ns, count):
+    # the scalar path must give the array path's bits for every 0-d input type
+    red = ReducedParams(10.0**log_alpha, psi, xi)
+    grid = np.array(ns + [float(count)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the array path never warns
+        vectorized = rate_total(red, grid, absorbing)
+    for n, value in zip(grid, vectorized):
+        for scalar in (float(n), np.float64(n), np.array(n)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = rate_total(red, scalar, absorbing)
+            assert type(result) is float
+            assert result.hex() == float(value).hex()
+            degenerate = [w for w in caught if w.category is DegenerateConfigWarning]
+            assert len(degenerate) == (1 if value == 0.0 else 0)
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")
+        assert rate_total(red, count, absorbing) == vectorized[-1]  # a Python int n
 
 
 def test_rate_total_rejects_nonpositive_counts():
