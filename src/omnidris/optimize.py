@@ -306,6 +306,10 @@ def _exact_optimum(red: ReducedParams, theta: float) -> tuple[float, bool]:
 
     lo = max(theta, 1.0)
     if not rising(lo):
+        if red.alpha / (red.psi * lo * lo) == 0.0:
+            # the load underflows: as x -> 0 the stationarity ln(1+x) = 2(1 - theta/n) x/(1+x)
+            # puts the root at n = 2 theta
+            return (2.0 * theta, False) if 2.0 * theta > 1.0 else (1.0, True)
         return lo, True
     hi = math.inf
     n = max(lo, 2.0 * theta, math.sqrt(red.alpha / (red.psi * stationarity_constant())))

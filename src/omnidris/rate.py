@@ -91,6 +91,10 @@ class FixedCount:
     def __post_init__(self) -> None:
         if not isinstance(self.count, int) or self.count < 0:
             raise ValueError(f"absorbing count must be an integer >= 0, got {self.count!r}")
+        try:
+            float(self.count)
+        except OverflowError:  # do not echo hundreds of digits
+            raise ValueError("absorbing count is too large to be a float") from None
 
     def theta_at(self, n):
         return float(self.count)

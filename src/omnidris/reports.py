@@ -1,30 +1,26 @@
 """Reproduction reports for the published reference tables.
 
-Two tables anchor the validation story:
+Every row of both tables is the ``optimize`` report of a bundled preset,
+so ``omnidris tables`` and ``omnidris optimize --scenario NAME`` agree bit
+for bit:
 
-* the *normalized scenario table*: for the benchmark combinations C0..C6,
-  the element count and rate measured on the exact curve versus the ones
+* the *normalized scenario table*: for the presets ``C0``..``C6``, the
+  element count and rate measured on the exact curve versus the ones
   calculated from the stationarity cubic (rates on the calculated side
   follow the two-term-series convention of the source);
 * the *selection table*: which power-of-two panel gets picked around the
-  continuous optimum for three active-fraction rows and three noise rows.
+  continuous optimum for the three active-fraction presets ``fig2-top*``
+  and the three noise presets ``table1*``.
 
 Absolute published rates of the selection table are display-only; see
 :data:`CALIBRATION_NOTE`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .optimize import (
-    build_cubic,
-    meaningful_root,
-    optimize_fixed_theta,
-    optimize_proportional,
-    solve_cubic,
-)
-from .rate import ReducedParams, reduced_with_alpha
-from .scenario import NORMALIZED_COMBOS, alpha_calibration_for, reference_system
+from .optimize import optimize
+from .scenario import get_preset
 
 __all__ = [
     "CALIBRATION_NOTE",
@@ -68,14 +64,14 @@ PUBLISHED_NORMALIZED_TABLE: dict[str, dict[str, float]] = {
 
 ANOMALOUS_CALC_N = frozenset({"C5"})
 
-#: Published selection-table rows: (selected N, selected rate in Mbps).
-PUBLISHED_SELECTION_TABLE: dict[str, tuple[int, float]] = {
-    "zeta = N": (128, 399.59),
-    "zeta = 3N/4": (128, 299.69),
-    "zeta = N/2": (128, 199.80),
-    "noise PSD = 3": (128, 181.34),
-    "noise PSD = 5": (128, 146.27),
-    "noise PSD = 8": (64, 99.94),
+#: Published selection-table rows by preset: (label, selected N, selected rate in Mbps).
+PUBLISHED_SELECTION_TABLE: dict[str, tuple[str, int, float]] = {
+    "fig2-top": ("zeta = N", 128, 399.59),
+    "fig2-top-zeta-3n4": ("zeta = 3N/4", 128, 299.69),
+    "fig2-top-zeta-n2": ("zeta = N/2", 128, 199.80),
+    "table1": ("noise PSD = 3", 128, 181.34),
+    "table1-psd5": ("noise PSD = 5", 128, 146.27),
+    "table1-psd8": ("noise PSD = 8", 64, 99.94),
 }
 
 MEASURED_N_ABS_TOL = 0.05
@@ -119,30 +115,19 @@ class NormalizedTableReport:
         )
 
 
-def _xi_invariant_root(alpha: float, theta: float, psi: float) -> bool:
-    reference = None
-    for xi in (1.0, 3.0, 10.0):
-        red = ReducedParams(alpha=alpha, psi=psi, xi=xi)
-        root = meaningful_root(solve_cubic(build_cubic(red, theta)), red, theta)
-        if reference is None:
-            reference = root
-        elif abs(root - reference) > 1e-9 * abs(reference):
-            return False
-    return True
-
-
 def reproduce_table2() -> NormalizedTableReport:
-    """Run C0..C6 and compare against the published normalized table.
+    """Run the presets C0..C6 and compare against the published normalized table.
 
-    Measured columns are the exact-rate optimum (the root of the exact
-    stationarity); the calculated columns come from the cubic path, with
-    the rate evaluated via the two-term series (the published convention).
+    Each row is the preset's ``optimize`` report: the measured columns are
+    the exact-rate optimum (the root of the exact stationarity); the
+    calculated columns come from the cubic path, with the rate evaluated
+    via the two-term series (the published convention).  Scale invariance
+    holds when C5's cubic root is the same for xi = 1, 3 and 10.
     """
     rows = []
-    for name, (alpha, theta, xi, psi) in NORMALIZED_COMBOS.items():
-        red = ReducedParams(alpha=alpha, psi=psi, xi=xi)
-        report = optimize_fixed_theta(red, theta)
-        published = PUBLISHED_NORMALIZED_TABLE[name]
+    for name, published in PUBLISHED_NORMALIZED_TABLE.items():
+        preset = get_preset(name)
+        report = optimize(preset.reduced_params(), preset.absorbing)
 
         if name in ANOMALOUS_CALC_N:
             calc_n_status = "anomaly"
@@ -176,11 +161,10 @@ def reproduce_table2() -> NormalizedTableReport:
             )
         )
 
-    alpha, theta, _, psi = NORMALIZED_COMBOS["C5"]
-    return NormalizedTableReport(
-        rows=tuple(rows),
-        scale_invariance_ok=_xi_invariant_root(alpha, theta, psi),
-    )
+    c5 = get_preset("C5")
+    red = c5.reduced_params()
+    roots = {optimize(replace(red, xi=xi), c5.absorbing).n_star_cubic for xi in (1.0, 3.0, 10.0)}
+    return NormalizedTableReport(rows=tuple(rows), scale_invariance_ok=len(roots) == 1)
 
 
 @dataclass(frozen=True)
@@ -217,35 +201,26 @@ class SelectionTableReport:
 
 
 def reproduce_table1() -> SelectionTableReport:
-    """Rebuild the selection table rows and check the selection pattern.
+    """Run the six selection-table presets and check the selection pattern.
 
-    Rows run on the reference system with the documented peak-at-180 alpha
-    calibration at noise PSD 2 W/Hz; the noise rows scale it by
-    2/noise_psd.  Selection patterns and the exact active-fraction rate
-    ratios are asserted; absolute published Mbps figures are display-only.
+    Each row is the preset's ``optimize`` report; ``alpha`` comes from the
+    preset's reduced parameters and ``noise_psd`` from its system, the
+    calibrated reference room (see :data:`CALIBRATION_NOTE`).  Selection
+    patterns and the exact active-fraction rate ratios are asserted;
+    absolute published Mbps figures are display-only.
     """
-    calibrated_alpha = alpha_calibration_for(2.0)
-    layout = [
-        ("zeta = N", 1.0, 2.0),
-        ("zeta = 3N/4", 0.75, 2.0),
-        ("zeta = N/2", 0.5, 2.0),
-        ("noise PSD = 3", 0.5, 3.0),
-        ("noise PSD = 5", 0.5, 5.0),
-        ("noise PSD = 8", 0.5, 8.0),
-    ]
     rows = []
-    for label, active_fraction, noise_psd in layout:
-        alpha = calibrated_alpha * 2.0 / noise_psd
-        red = reduced_with_alpha(reference_system(noise_psd), alpha)
-        report = optimize_proportional(red, active_fraction)
-        published_n, published_mbps = PUBLISHED_SELECTION_TABLE[label]
-        absorbing = round((1.0 - active_fraction) * report.selected_n)
+    for name, (label, published_n, published_mbps) in PUBLISHED_SELECTION_TABLE.items():
+        preset = get_preset(name)
+        red = preset.reduced_params()
+        report = optimize(red, preset.absorbing)
+        absorbing = round((1.0 - report.active_fraction) * report.selected_n)
         rows.append(
             SelectionRow(
                 label=label,
-                active_fraction=active_fraction,
-                noise_psd=noise_psd,
-                alpha=alpha,
+                active_fraction=report.active_fraction,
+                noise_psd=preset.system.noise_psd,
+                alpha=red.alpha,
                 n_star=report.n_star_cubic,
                 pow2_lower=report.pow2_lower,
                 pow2_upper=report.pow2_upper,

@@ -57,7 +57,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-import yaml
 
 from .channel import LinkGeometry, channel_dc_gain, reference_room_geometry
 from .optimize import HARDWARE_POWERS_OF_TWO, optimize, stationarity_constant
@@ -87,7 +86,6 @@ __all__ = [
     "get_preset",
     "resolve_scenario",
     "alpha_calibration_for",
-    "reference_system",
     "HARDWARE_POWERS_OF_TWO",
     "MAX_SWEEP_POINTS",
 ]
@@ -213,6 +211,8 @@ _SCHEMA = {
 
 
 def _reject_unknown_keys(node, schema: dict, path: str) -> None:
+    import yaml
+
     if not isinstance(node, yaml.MappingNode):
         mark = node.start_mark
         raise ScenarioError(
@@ -343,6 +343,8 @@ def scenario_from_dict(data: dict, *, source: str = "scenario") -> Scenario:
 
 def load_scenario(path) -> Scenario:
     """Load and strictly validate a scenario file."""
+    import yaml  # only scenario files need PyYAML; presets never do
+
     text = Path(path).read_text(encoding="utf-8")
     try:
         loader = yaml.SafeLoader(text)  # one parse pass: its node is both built and key-checked
@@ -387,18 +389,6 @@ def alpha_calibration_for(noise_psd: float) -> float:
     if noise_psd <= 0:
         raise ScenarioError(f"noise_psd must be positive, got {noise_psd}")
     return stationarity_constant() * 180.0**2 * (2.0 / noise_psd)
-
-
-def reference_system(noise_psd: float) -> SystemParams:
-    """The reference room's system: 1 MHz, 10 W, one source, one user, rho = 0.5."""
-    return SystemParams(
-        bandwidth_hz=1e6,
-        transmit_power_w=10.0,
-        num_light_sources=1,
-        num_users=1,
-        oe_conversion=0.5,
-        noise_psd=noise_psd,
-    )
 
 
 def _normalized_preset(name: str) -> Scenario:
@@ -457,7 +447,8 @@ def _build_presets() -> dict[str, Scenario]:
     for name, (noise_psd, absorbing_fraction, description) in _CALIBRATED_PRESETS.items():
         presets[name] = Scenario(
             name=name,
-            system=reference_system(noise_psd),
+            # the reference room's system: 1 MHz, 10 W, one source, one user, rho = 0.5
+            system=SystemParams(1e6, 10.0, 1, 1, 0.5, noise_psd),
             geometry=reference_room_geometry(),
             alpha_calibration=alpha_calibration_for(noise_psd),
             absorbing=Fraction(absorbing_fraction),

@@ -1,7 +1,11 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -98,6 +102,14 @@ def test_rate_rejects_non_finite_n(capsys):
         assert "--n must be a finite element count" in err
 
 
+def test_rate_rejects_an_absorbing_count_beyond_float(capsys):
+    huge = "1" + "0" * 400
+    code, out, err = run(capsys, "rate", "--scenario", "C0", "--n", "5", "--theta", huge)
+    assert code == 1
+    assert out == ""
+    assert err == "error: absorbing count is too large to be a float\n"
+
+
 def test_tables_reports_all_pass(capsys):
     code, out, _ = run(capsys, "tables", "--format", "json")
     assert code == 0
@@ -141,7 +153,9 @@ def test_unreadable_character_is_a_one_line_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["optimize", "sweep"])
-@pytest.mark.parametrize("count_digits,alpha", [(201, "5.0"), (151, "1.0e+290")])
+@pytest.mark.parametrize(
+    "count_digits,alpha", [(201, "5.0"), (151, "1.0e+290"), (401, "5.0")]
+)
 def test_huge_absorbing_count_is_a_finite_report_or_one_error_line(
     capsys, tmp_path, command, count_digits, alpha
 ):
@@ -161,6 +175,27 @@ def test_huge_absorbing_count_is_a_finite_report_or_one_error_line(
     else:
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_preset_commands_do_not_import_yaml(tmp_path):
+    path = tmp_path / "file.yaml"
+    path.write_text(SCENARIO_YAML, encoding="utf-8")
+    script = (
+        "import contextlib, io, sys\n"
+        "from omnidris.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['optimize', '--scenario', 'C1']) == 0\n"
+        "assert 'yaml' not in sys.modules, 'a preset command imported PyYAML'\n"
+        "from omnidris.scenario import load_scenario\n"
+        f"assert load_scenario({str(path)!r}).name == 'file-based'\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_usage_errors_exit_2(capsys):

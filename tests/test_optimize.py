@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -364,13 +365,36 @@ def test_oracle_is_never_beaten():
         assert gap <= 0.02
 
 
-def test_xi_scaling_cannot_move_the_optimum():
-    alpha, theta, _, psi = NORMALIZED_COMBOS["C5"]
-    baseline = optimize_fixed_theta(ReducedParams(alpha, psi, 1.0), theta)
-    for xi in (0.1, 3.0, 10.0):
-        scaled = optimize_fixed_theta(ReducedParams(alpha, psi, xi), theta)
-        assert abs(scaled.n_star_cubic - baseline.n_star_cubic) <= 1e-9 * baseline.n_star_cubic
-        assert abs(scaled.n_star_exact - baseline.n_star_exact) <= 1e-9 * baseline.n_star_exact
+#: The rate fields of an OptimumReport; every other field is free of xi.
+RATE_FIELDS = (
+    "f_at_cubic", "f_at_exact", "f_exact_at_cubic", "rate_pow2_lower", "rate_pow2_upper",
+    "selected_rate",
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha=WIDE_ALPHA,
+    psi=HARDWARE_PSI,
+    theta=WIDE_THETA,
+    active_fraction=st.one_of(st.none(), st.floats(min_value=0.01, max_value=1.0)),
+    xi=st.floats(min_value=-3.0, max_value=9.0).map(lambda e: 10.0**e),
+    k=st.integers(min_value=-60, max_value=60),
+)
+def test_xi_scaling_cannot_move_the_optimum(alpha, psi, theta, active_fraction, xi, k):
+    # the bandwidth xi scales the rate and nothing else: by 2^k exactly
+    def run(scale):
+        red = ReducedParams(alpha, psi, scale)
+        if active_fraction is None:
+            return optimize_fixed_theta(red, theta)
+        return optimize_proportional(red, active_fraction)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateConfigWarning)
+        unit, base, scaled = run(1.0), run(xi), run(xi * 2.0**k)
+    assert (base.n_star_cubic, base.n_star_exact) == (unit.n_star_cubic, unit.n_star_exact)
+    expected = {**asdict(base), **{f: getattr(base, f) * 2.0**k for f in RATE_FIELDS}}
+    assert asdict(scaled) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -382,6 +406,15 @@ def test_exact_optimum_matches_the_bisection_reference(alpha, psi, theta):
     reference, reference_at_one = bisection_exact_optimum(red, theta)
     assert at_one == reference_at_one
     assert abs(n_exact - reference) <= 1e-15 * reference
+
+
+def test_exact_optimum_survives_an_underflowing_load():
+    # alpha/(psi theta^2) underflows to 0: the x -> 0 stationarity puts the root at 2 theta
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateConfigWarning)  # every panel <= 512 absorbs
+        report = optimize_fixed_theta(ReducedParams(5.0, 1.0, 1.0), 1e200)
+    assert report.n_star_exact == 2e200 == report.n_star_cubic
+    assert report.at_boundary
 
 
 def test_optimize_fixed_theta_fallback_to_oracle():
@@ -466,6 +499,11 @@ def test_optimize_proportional_active_fraction_factors_out():
     half = optimize_proportional(red, 0.5)
     assert half.n_star_cubic == full.n_star_cubic
     assert full.f_at_cubic == pytest.approx(2.0 * half.f_at_cubic, rel=1e-12)
+    # closed form: f(n*) = xi (1 - q) n* log2(1 + t*)
+    for report in (full, half):
+        closed = red.xi * report.active_fraction * report.n_star_cubic
+        closed *= math.log2(1.0 + stationarity_constant())
+        assert report.f_at_cubic == pytest.approx(closed, rel=1e-12)
 
 
 def test_optimize_proportional_l_doubling_law():
