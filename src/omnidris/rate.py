@@ -13,6 +13,7 @@ recovers the number of control-sequence bits from a target rate.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Union
@@ -188,48 +189,49 @@ def _theta_of(absorbing, n):
     if isinstance(absorbing, (FixedCount, Fraction)):
         return absorbing.theta_at(n)
     theta = float(absorbing)
-    if theta < 0:
+    if not theta >= 0:  # rejects NaN as well
         raise ValueError(f"absorbing count must be >= 0, got {theta}")
     return theta
 
 
-def rate_total(red: ReducedParams, n, absorbing=0.0):
-    """Aggregate rate xi * (n - theta) * log2(alpha / (n^2 psi) + 1).
+def _finite_rate(rate: float, n: float) -> float:
+    if not math.isfinite(rate):
+        raise ValueError(f"the rate at n = {n} overflowed the float range")
+    return rate
 
-    ``n`` may be a scalar or an ndarray (element counts are treated as a
-    continuum; the integer restriction only enters at hardware selection).
-    ``absorbing`` is an :data:`AbsorbingMode` or a plain count.  A
-    configuration with no active elements yields 0 and, for scalar input,
-    a :class:`DegenerateConfigWarning`.
 
-    A scalar (anything of ``np.ndim`` 0) is evaluated in Python floats with
-    numpy's ``log1p``, so it returns a ``float`` bit-identical to the
-    corresponding element of the array result without building an array.
+def _first_order_rate(red: ReducedParams, n: float, active: float) -> float:
+    """xi * active * x / ln 2: the rate when x = alpha/(psi n^2) is not a normal float."""
+    return red.xi * (active / n) * (red.alpha / red.psi / n) / LN2
+
+
+def rate_total(red: ReducedParams, n, absorbing=0.0) -> float:
+    """Aggregate rate xi * (n - theta) * log2(alpha / (n^2 psi) + 1) at one count n.
+
+    ``n`` is a positive finite count (a continuum: the integer restriction
+    enters only at hardware selection); ``absorbing`` is an
+    :data:`AbsorbingMode` or a plain count.  No active element gives 0 and a
+    :class:`DegenerateConfigWarning`; a load below the normal floats gives
+    the first-order term, not a silent 0; an overflow raises ``ValueError``.
+    numpy's ``log1p`` stays because ``math.log1p`` differs from it in the
+    last bits, which would move published sweep and table outputs.
     """
-    if isinstance(n, (int, float)) or np.ndim(n) == 0:
-        n = float(n)
-        if n <= 0:
-            raise ValueError("element count must be positive")
-        active = n - _theta_of(absorbing, n)
-        if active > 0.0:
-            denominator = red.psi * n * n
-            load = red.alpha / denominator if denominator else math.inf  # as numpy divides
-            return red.xi * active * float(np.log1p(load)) / LN2
-        if active <= 0.0:  # not for NaN, which the array path zeroes silently too
-            warnings.warn(
-                "no active elements (absorbing count >= element count); rate is 0",
-                DegenerateConfigWarning,
-                stacklevel=2,
-            )
+    n = float(n)
+    if not 0.0 < n < math.inf:  # rejects NaN as well
+        raise ValueError(f"element count must be positive and finite, got {n}")
+    active = n - _theta_of(absorbing, n)
+    if active <= 0.0:
+        warnings.warn(
+            "no active elements (absorbing count >= element count); rate is 0",
+            DegenerateConfigWarning,
+            stacklevel=2,
+        )
         return 0.0
-    values = np.asarray(n, dtype=float)
-    if np.any(values <= 0):
-        raise ValueError("element count must be positive")
-    theta = _theta_of(absorbing, values)
-    active = values - theta
-    load = red.alpha / (red.psi * values * values)
-    rate = red.xi * active * np.log1p(load) / LN2
-    return np.where(active > 0.0, rate, 0.0)
+    denominator = red.psi * n * n
+    load = red.alpha / denominator if denominator else math.inf  # n^2 psi underflowed
+    if load < sys.float_info.min:
+        return _finite_rate(_first_order_rate(red, n, active), n)
+    return _finite_rate(red.xi * active * float(np.log1p(load)) / LN2, n)
 
 
 def f_series(red: ReducedParams, n: float, theta: float, terms: int) -> float:
@@ -242,7 +244,7 @@ def f_series(red: ReducedParams, n: float, theta: float, terms: int) -> float:
     omitted term, xi (n - theta) / ln2 * x^(terms+1) / (terms + 1), and
     successive partial sums bracket the exact rate.  Relative to the exact
     rate the bound is x^(terms+1) / ((terms + 1) ln(1 + x)); with 40 terms
-    it is below 1e-10 only for x <~ 0.613.
+    it is below 1e-10 only for x <~ 0.613.  Loads and overflows as in :func:`rate_total`.
     """
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
@@ -254,13 +256,15 @@ def f_series(red: ReducedParams, n: float, theta: float, terms: int) -> float:
             f"series requires alpha/(n^2 psi) <= 1, got {x:.6g}: "
             "outside the convergence domain"
         )
+    if x < sys.float_info.min:
+        return _finite_rate(_first_order_rate(red, n, n - theta), n)
     total = 0.0
     power = 1.0
     for j in range(1, terms + 1):
         power *= x
         term = power / j
         total += term if j % 2 == 1 else -term
-    return red.xi * (n - theta) / LN2 * total
+    return _finite_rate(red.xi * (n - theta) / LN2 * total, n)
 
 
 def bits_per_sequence(red: ReducedParams, rate: float, active: float) -> float:

@@ -56,8 +56,6 @@ from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
 from .channel import LinkGeometry, channel_dc_gain, reference_room_geometry
 from .optimize import HARDWARE_POWERS_OF_TWO, optimize, stationarity_constant
 from .rate import (
@@ -509,22 +507,20 @@ def run_sweep(scenario: Scenario) -> list[SweepRow]:
     optimizer's selected power of two is marked on its row.
     """
     red = scenario.reduced_params()
+    absorbing = scenario.absorbing
     pow2_in_range = {
         float(p)
         for p in HARDWARE_POWERS_OF_TWO
         if scenario.sweep.n_min <= p <= scenario.sweep.n_max
     }
-    values = sorted(set(_grid_values(scenario.sweep)) | pow2_in_range)
-
-    ns = np.asarray(values, dtype=float)
-    rates = rate_total(red, ns, scenario.absorbing)
-    thetas = np.minimum(scenario.absorbing.theta_at(ns), ns)
-    selected_n = float(optimize(red, scenario.absorbing).selected_n)
-
-    pow2 = [n in pow2_in_range for n in values]
-    selected = [is_pow2 and n == selected_n for n, is_pow2 in zip(values, pow2)]
-    columns = (ns.tolist(), thetas.tolist(), (ns - thetas).tolist(), rates.tolist(), pow2, selected)
-    return list(map(SweepRow._make, zip(*columns)))
+    selected_n = float(optimize(red, absorbing).selected_n)
+    rows = []
+    for n in sorted(set(_grid_values(scenario.sweep)) | pow2_in_range):
+        theta = min(absorbing.theta_at(n), n)
+        rate = rate_total(red, n, absorbing) if theta < n else 0.0  # unwarned: all absorbing
+        pow2 = n in pow2_in_range
+        rows.append(SweepRow(n, theta, n - theta, rate, pow2, pow2 and n == selected_n))
+    return rows
 
 
 def sweep_to_csv(rows: list[SweepRow]) -> str:

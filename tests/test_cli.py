@@ -1,13 +1,19 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omnidris.cli import main
 
@@ -26,6 +32,14 @@ sweep:
   n_max: 50.0
   step: 0.1
 """
+
+
+def _env() -> dict:
+    """This process's environment with the checkout's ``src`` first on ``PYTHONPATH``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def run(capsys, *argv):
@@ -99,7 +113,7 @@ def test_rate_rejects_non_finite_n(capsys):
         code, out, err = run(capsys, "rate", "--scenario", "C0", f"--n={value}")
         assert code == 1
         assert out == ""
-        assert "--n must be a finite element count" in err
+        assert err == f"error: element count must be positive and finite, got {value}\n"
 
 
 def test_rate_rejects_an_absorbing_count_beyond_float(capsys):
@@ -177,6 +191,93 @@ def test_huge_absorbing_count_is_a_finite_report_or_one_error_line(
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rate", "--scenario", "fig2-top", "--n", "1e-200"),  # n^2 psi underflows to 0
+        ("optimize", "--scenario", "{path}"),  # xi (n - theta) overflows from N = 4 on
+        ("sweep", "--scenario", "{path}"),
+    ],
+)
+def test_an_overflowing_rate_is_one_error_line(capsys, tmp_path, argv, fmt):
+    path = tmp_path / "huge-xi.yaml"
+    text = SCENARIO_YAML.replace("psi: 5.0", "psi: 1.0").replace("xi: 5.0", "xi: 1.0e+308")
+    path.write_text(text.replace("absorbing_count: 5", "absorbing_count: 1"), encoding="utf-8")
+    code, out, err = run(capsys, *(arg.format(path=path) for arg in argv), "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the rate at n = ") and "overflowed" in err
+    assert err.count("\n") == 1
+
+
+def test_a_fully_absorbing_panel_prints_no_warning_text(tmp_path):
+    # selection evaluates panels of <= 512 elements, all of them absorbing here
+    path = tmp_path / "absorbing.yaml"
+    path.write_text(SCENARIO_YAML.replace("absorbing_count: 5", "absorbing_count: 600"))
+    script = (
+        "import contextlib, io\n"
+        "from omnidris.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['optimize', '--scenario', {str(path)!r}]) == 0\n"
+        f"    assert main(['sweep', '--scenario', {str(path)!r}]) == 0\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_env(), timeout=60
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+# every positive float, subnormals and the largest finite ones included
+POSITIVE_FLOATS = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+NON_FINITE_TOKEN = re.compile(r"(?i)\b(?:inf|infinity|nan)\b")
+
+
+@st.composite
+def fuzzed_scenarios(draw) -> str:
+    """A reduced-block scenario file over the whole positive float range, <= 64 sweep points."""
+    alpha, psi, xi = (draw(POSITIVE_FLOATS) for _ in range(3))
+    if draw(st.booleans()):
+        ris = f"mode: fixed\n  absorbing_count: {draw(st.integers(0, 10**300))}"
+    else:
+        fraction = draw(st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+        ris = f"mode: fraction\n  absorbing_fraction: {fraction!r}"
+    n_min = draw(st.floats(min_value=1.0, max_value=1e300))
+    n_max = draw(st.floats(min_value=n_min, max_value=1e300))
+    points = draw(st.integers(min_value=1, max_value=64))
+    step = draw(st.one_of(
+        st.just("powers-of-two"), st.just(repr((n_max - n_min) / max(points - 1, 1)))
+    ))
+    return (
+        f"schema_version: 1\nname: fuzzed\n"
+        f"reduced:\n  alpha: {alpha!r}\n  psi: {psi!r}\n  xi: {xi!r}\n"
+        f"ris:\n  {ris}\n"
+        f"sweep:\n  n_min: {n_min!r}\n  n_max: {n_max!r}\n  step: {step}\n"
+    )
+
+
+@settings(max_examples=50, deadline=None)  # six CLI calls, ~20 ms, per example
+@given(text=fuzzed_scenarios(), n=POSITIVE_FLOATS)
+def test_fuzzed_scenarios_give_finite_output_or_one_error_line(text, n):
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "fuzzed.yaml"
+        path.write_text(text, encoding="utf-8")
+        for argv in (["rate", "--n", repr(n)], ["optimize"], ["sweep"]):
+            for fmt in ("csv", "json"):
+                out, err = io.StringIO(), io.StringIO()
+                with warnings.catch_warnings(record=True) as caught, \
+                        contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    warnings.simplefilter("always")  # what a fresh process would print
+                    code = main([*argv, "--scenario", str(path), "--format", fmt])
+                assert [str(w.message) for w in caught] == [], argv
+                if code == 0:
+                    assert err.getvalue() == "", argv
+                    assert not NON_FINITE_TOKEN.search(out.getvalue()), argv
+                else:
+                    assert (code, out.getvalue()) == (1, ""), argv
+                    assert err.getvalue().startswith("error: "), argv
+                    assert err.getvalue().count("\n") == 1, argv
+
+
 def test_preset_commands_do_not_import_yaml(tmp_path):
     path = tmp_path / "file.yaml"
     path.write_text(SCENARIO_YAML, encoding="utf-8")
@@ -189,11 +290,8 @@ def test_preset_commands_do_not_import_yaml(tmp_path):
         "from omnidris.scenario import load_scenario\n"
         f"assert load_scenario({str(path)!r}).name == 'file-based'\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_env(), timeout=60
     )
     assert done.returncode == 0, done.stderr
 

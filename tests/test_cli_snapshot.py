@@ -1,4 +1,4 @@
-"""``tools/cli_snapshot.py`` records every preset command once, in-process."""
+"""``tools/cli_snapshot.py`` records every preset and sample-scenario command once, in-process."""
 import os
 import subprocess
 import sys
@@ -16,9 +16,14 @@ def test_cli_snapshot_records_every_preset_command(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     files = sorted((tmp_path / "snap").iterdir())
-    assert len(files) == 104
+    assert len(files) == 110
     for path in files:
         assert "\n# exit: 0\n" in path.read_text(encoding="utf-8"), path.name
+
+    sample = (tmp_path / "snap" / "optimize-sample-scenario-json.txt").read_text(encoding="utf-8")
+    assert sample.startswith(
+        "# argv: optimize --scenario demos/sample_scenario.yaml --format json\n"
+    )
 
     recorded = (tmp_path / "snap" / "tables-both-json.txt").read_text(encoding="utf-8")
     fresh = subprocess.run(

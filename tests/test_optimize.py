@@ -4,10 +4,17 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from omnidris.rate import DegenerateConfigWarning, FixedCount, Fraction, ReducedParams, rate_total
+from omnidris.rate import (
+    LN2,
+    DegenerateConfigWarning,
+    FixedCount,
+    Fraction,
+    ReducedParams,
+    rate_total,
+)
 from omnidris.optimize import (
     HARDWARE_POWERS_OF_TWO,
     CubicCoefficients,
@@ -415,6 +422,34 @@ def test_exact_optimum_survives_an_underflowing_load():
         report = optimize_fixed_theta(ReducedParams(5.0, 1.0, 1.0), 1e200)
     assert report.n_star_exact == 2e200 == report.n_star_cubic
     assert report.at_boundary
+    # n^2 psi overflows, so each rate is the first-order term, not a silent 0
+    first_order = 0.5 * (5.0 / 2e200) / LN2
+    assert first_order == 1.8033688011112042e-200
+    assert report.f_at_exact == report.f_exact_at_cubic == report.f_at_cubic == first_order
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    alpha=WIDE_ALPHA,
+    psi=HARDWARE_PSI,
+    theta=st.one_of(
+        st.integers(min_value=1, max_value=50).map(float), st.floats(min_value=1.0, max_value=50.0)
+    ),
+    xi=st.floats(min_value=-3.0, max_value=9.0).map(lambda e: 10.0**e),
+    k=st.integers(min_value=0, max_value=60),
+)
+def test_fixed_count_optimum_follows_the_scaling_law(alpha, psi, theta, xi, k):
+    # n -> s n, theta -> s theta and alpha -> s^2 alpha leave the load and theta/n
+    # unchanged and scale the rate by s; with s = 2^k every step is exact
+    s = 2.0**k
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateConfigWarning)
+        base = optimize_fixed_theta(ReducedParams(alpha, psi, xi), theta)
+        assume(base.n_star_exact != 1.0)
+        scaled = optimize_fixed_theta(ReducedParams(s * s * alpha, psi, xi), s * theta)
+    for field in ("n_star_exact", "n_star_cubic", "f_at_exact", "f_exact_at_cubic", "f_at_cubic"):
+        assert getattr(scaled, field) == s * getattr(base, field), field
+    assert scaled.used_fallback == base.used_fallback
 
 
 def test_optimize_fixed_theta_fallback_to_oracle():

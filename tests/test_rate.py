@@ -21,6 +21,7 @@ from omnidris.rate import (
     reduce_params,
     snr_single_link,
 )
+from oracle import vector_rate
 
 # Frozen from 40-digit evaluations at the reference room parameters.
 REFERENCE_GAIN = 1.5409187756393058e-7
@@ -168,14 +169,14 @@ def test_rate_total_all_absorbing_is_zero_and_flagged():
     count=st.integers(min_value=1, max_value=1000),
 )
 def test_rate_total_array_path_matches_scalars(log_alpha, psi, xi, absorbing, ns, count):
-    # the scalar path must give the array path's bits for every 0-d input type
+    # one element count per call, for every scalar input type, gives the array formula's bits
     red = ReducedParams(10.0**log_alpha, psi, xi)
-    grid = np.array(ns + [float(count)])
+    grid = ns + [count]
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the array path never warns
-        vectorized = rate_total(red, grid, absorbing)
-    for n, value in zip(grid, vectorized):
-        for scalar in (float(n), np.float64(n), np.array(n)):
+        warnings.simplefilter("error")  # the reference never warns
+        reference = vector_rate(red, grid, absorbing)
+    for n, value in zip(grid, reference):
+        for scalar in (float(n), np.float64(n), np.array(n), n):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 result = rate_total(red, scalar, absorbing)
@@ -183,9 +184,23 @@ def test_rate_total_array_path_matches_scalars(log_alpha, psi, xi, absorbing, ns
             assert result.hex() == float(value).hex()
             degenerate = [w for w in caught if w.category is DegenerateConfigWarning]
             assert len(degenerate) == (1 if value == 0.0 else 0)
-    with warnings.catch_warnings(record=True):
-        warnings.simplefilter("always")
-        assert rate_total(red, count, absorbing) == vectorized[-1]  # a Python int n
+
+
+def test_rate_total_takes_a_subnormal_load_to_first_order():
+    # the load 1e-310 is subnormal; 1e-10/1e150 and its quotient by ln 2 are normal floats
+    assert rate_total(ReducedParams(1e-10, 1.0, 1.0), 1e150, 0.0) == 1e-10 / 1e150 / LN2
+
+
+def test_rate_total_rejects_an_overflowing_rate():
+    with pytest.raises(ValueError, match=r"n = 4\.0 overflowed"):
+        rate_total(ReducedParams(5.0, 1.0, 1e308), 4.0, 1.0)
+    with pytest.raises(ValueError, match="overflowed"):  # n^2 psi underflows: an infinite load
+        rate_total(ReducedParams(1.0, 1.0, 1.0), 1e-200, 0.0)
+
+
+def test_rate_total_takes_one_element_count():
+    with pytest.raises(TypeError):
+        rate_total(ReducedParams(1.0, 1.0, 1.0), [1.0, 2.0], 0.0)
 
 
 def test_rate_total_rejects_nonpositive_counts():
@@ -196,6 +211,11 @@ def test_rate_total_rejects_nonpositive_counts():
         rate_total(red, -2.0, 0.0)
     with pytest.raises(ValueError):
         rate_total(red, 4.0, -1.0)
+    for value in NON_FINITE:
+        with pytest.raises(ValueError, match="positive and finite"):
+            rate_total(red, value, 0.0)
+    with pytest.raises(ValueError, match="absorbing count"):
+        rate_total(red, 4.0, math.nan)
 
 
 def test_rate_total_equals_explicit_triple_sum():

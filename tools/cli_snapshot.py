@@ -3,20 +3,23 @@
     PYTHONPATH=src python3 tools/cli_snapshot.py OUT_DIR
 
 Runs, in CSV and in JSON, ``rate --n 8``, ``optimize`` and ``sweep`` for
-every bundled preset, ``tables --which both|selection|normalized`` and
-``presets``.  Each command goes through ``omnidris.cli.main`` in this
-process, with the warning filters reset so that it warns as a fresh process
-would.  Its exit code, stderr and stdout go to ``OUT_DIR/<command>.txt``.
+every bundled preset and for the scenario file ``demos/sample_scenario.yaml``,
+``tables --which both|selection|normalized`` and ``presets``.  Each command
+goes through ``omnidris.cli.main`` in this process, with the warning filters
+reset so that it warns as a fresh process would.  Its exit code, stderr and
+stdout go to ``OUT_DIR/<command>.txt``; the ``# argv:`` line gives the
+scenario file relative to the checkout.
 
 omnidris is imported from ``PYTHONPATH``, so the same script snapshots any
 checkout; ``diff -r`` between the snapshots of two commits shows every byte
-of preset output that a change moved.  Exit status: 0 once every file is
-written, 2 for a usage error.
+of output that a change moved.  Exit status: 0 once every file is written,
+2 for a usage error.
 """
 from __future__ import annotations
 
 import contextlib
 import io
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -26,15 +29,18 @@ from omnidris import cli
 from omnidris.scenario import preset_scenarios
 
 FORMATS = ("csv", "json")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def commands() -> dict[str, list[str]]:
-    """File stem -> CLI arguments, for every preset command in both formats."""
+    """File stem -> CLI arguments, for every command in both formats."""
+    scenarios = {name: name for name in sorted(preset_scenarios())}
+    scenarios["sample-scenario"] = str(ROOT / "demos" / "sample_scenario.yaml")
     base = {}
-    for name in sorted(preset_scenarios()):
-        base[f"rate-{name}"] = ["rate", "--scenario", name, "--n", "8"]
-        base[f"optimize-{name}"] = ["optimize", "--scenario", name]
-        base[f"sweep-{name}"] = ["sweep", "--scenario", name]
+    for stem, ref in scenarios.items():
+        base[f"rate-{stem}"] = ["rate", "--scenario", ref, "--n", "8"]
+        base[f"optimize-{stem}"] = ["optimize", "--scenario", ref]
+        base[f"sweep-{stem}"] = ["sweep", "--scenario", ref]
     for which in ("both", "selection", "normalized"):
         base[f"tables-{which}"] = ["tables", "--which", which]
     base["presets"] = ["presets"]
@@ -49,8 +55,9 @@ def run(argv: list[str]) -> str:
     # entering catch_warnings clears the shown-once records of every module
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
+    shown = " ".join(argv).replace(f"{ROOT}{os.sep}", "")
     return (
-        f"# argv: {' '.join(argv)}\n# exit: {code}\n"
+        f"# argv: {shown}\n# exit: {code}\n"
         f"# stderr:\n{err.getvalue()}# stdout:\n{out.getvalue()}"
     )
 
