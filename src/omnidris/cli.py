@@ -126,7 +126,7 @@ def cmd_rate(args) -> int:
 def cmd_optimize(args) -> int:
     scenario = resolve_scenario(args.scenario)
     report = optimize(scenario.reduced_params(), scenario.absorbing)
-    _emit_record({"scenario": scenario.name, **asdict(report)}, args)
+    _emit_record({"scenario": scenario.name, **report._asdict()}, args)
     return 0
 
 

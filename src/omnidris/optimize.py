@@ -81,9 +81,8 @@ class Pow2Selection(NamedTuple):
     degenerate: bool
 
 
-@dataclass(frozen=True)
-class OptimumReport:
-    """Everything learned about one optimization run.
+class OptimumReport(NamedTuple):
+    """Everything learned about one optimization run, as a named tuple.
 
     ``n_star_cubic`` is the analytic optimum (cubic root in fixed mode,
     ``sqrt(alpha/(psi t*))`` in proportional mode) and ``n_star_exact``
@@ -137,17 +136,6 @@ def _real_cbrt(x: float) -> float:
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
-def _polish(cubic: CubicCoefficients, x: float) -> float:
-    # one Newton step; skipped when it would be unstable (double roots)
-    slope = cubic.derivative(x)
-    if slope == 0.0:
-        return x
-    step = cubic(x) / slope
-    if math.isfinite(step) and abs(step) <= 1e-2 * (1.0 + abs(x)):
-        return x - step
-    return x
-
-
 def solve_cubic(cubic: CubicCoefficients) -> list[float]:
     """All real roots, ascending, with multiplicity.
 
@@ -163,9 +151,8 @@ def solve_cubic(cubic: CubicCoefficients) -> list[float]:
     ``**`` can tell the roots apart from those of an unscaled solve.  The
     polish runs on the unscaled cubic and is skipped where it overflows.
     """
-    b = cubic.c2 / cubic.c3
-    c = cubic.c1 / cubic.c3
-    d = cubic.c0 / cubic.c3
+    c3, c2, c1, c0 = cubic.c3, cubic.c2, cubic.c1, cubic.c0
+    b, c, d = c2 / c3, c1 / c3, c0 / c3
     if not math.isfinite(b + c + d):
         return [math.nan] * 3
     unit = math.ldexp(0.5, math.frexp(max(abs(b), math.sqrt(abs(c)), abs(d) ** (1.0 / 3.0)))[1])
@@ -199,7 +186,17 @@ def solve_cubic(cubic: CubicCoefficients) -> list[float]:
         double = -3.0 * q / (2.0 * p) + shift
         roots = [single, double, double]
 
-    return sorted(_polish(cubic, u * unit) for u in roots)
+    polished = []
+    for u in roots:
+        x = u * unit
+        # one Newton step as cubic(x) / cubic.derivative(x); skipped where unstable (double roots)
+        slope = (3.0 * c3 * x + 2.0 * c2) * x + c1
+        if slope != 0.0:
+            step = (((c3 * x + c2) * x + c1) * x + c0) / slope
+            if math.isfinite(step) and abs(step) <= 1e-2 * (1.0 + abs(x)):
+                x -= step
+        polished.append(x)
+    return sorted(polished)
 
 
 def meaningful_root(roots: list[float], red: ReducedParams, theta: float) -> float:
@@ -347,23 +344,17 @@ def _exact_optimum(red: ReducedParams, theta: float) -> tuple[float, bool]:
     return lo, False
 
 
-def _exact_fields(red: ReducedParams, absorbing, n_exact: float, at_one: bool) -> dict:
-    """The exact-optimum and power-of-two selection fields of an :class:`OptimumReport`."""
+def _exact_fields(red: ReducedParams, absorbing, n_exact: float, at_one: bool) -> tuple:
+    """The fields ``n_star_exact`` to ``at_boundary`` of an :class:`OptimumReport`, in order."""
     if not math.isfinite(red.alpha / red.psi):
         raise ValueError(f"alpha/psi overflows ({red.alpha}/{red.psi}): no finite optimum")
     largest = HARDWARE_POWERS_OF_TWO[-1]
-    selection = select_power_of_two(min(n_exact, largest), red, absorbing)
-    return dict(
-        n_star_exact=n_exact,
-        f_at_exact=rate_total(red, n_exact, absorbing),
-        pow2_lower=selection.lower,
-        pow2_upper=selection.upper,
-        rate_pow2_lower=selection.rate_lower,
-        rate_pow2_upper=selection.rate_upper,
-        selected_n=selection.n,
-        selected_rate=selection.rate,
-        selected_bits=selection.n.bit_length() - 1,
-        at_boundary=at_one or n_exact > largest,
+    n, rate, lower, upper, rate_lower, rate_upper, _ = select_power_of_two(
+        min(n_exact, largest), red, absorbing
+    )
+    return (
+        n_exact, rate_total(red, n_exact, absorbing), lower, upper, rate_lower, rate_upper,
+        n, rate, n.bit_length() - 1, at_one or n_exact > largest,
     )
 
 
@@ -377,7 +368,6 @@ def optimize_fixed_theta(red: ReducedParams, theta: float) -> OptimumReport:
     if theta < 0:
         raise ValueError(f"absorbing count must be >= 0, got {theta}")
     exact = _exact_fields(red, theta, *_exact_optimum(red, theta))
-
     used_fallback = False
     try:
         n_cubic = meaningful_root(solve_cubic(build_cubic(red, theta)), red, theta)
@@ -385,18 +375,11 @@ def optimize_fixed_theta(red: ReducedParams, theta: float) -> OptimumReport:
         f_exact_cubic = rate_total(red, n_cubic, theta)
     except NoInteriorMaximumError:
         used_fallback = True
-        n_cubic = exact["n_star_exact"]
-        f_cubic = f_exact_cubic = exact["f_at_exact"]
-
+        n_cubic = exact[0]
+        f_cubic = f_exact_cubic = exact[1]
     return OptimumReport(
-        mode="fixed-count",
-        theta=theta,
-        active_fraction=None,
-        n_star_cubic=n_cubic,
-        f_at_cubic=f_cubic,
-        f_exact_at_cubic=f_exact_cubic,
-        used_fallback=used_fallback,
-        **exact,
+        "fixed-count", theta, None, n_cubic, exact[0], f_cubic, exact[1], f_exact_cubic,
+        *exact[2:], used_fallback,
     )
 
 
@@ -407,23 +390,19 @@ def optimize_proportional(red: ReducedParams, active_fraction: float) -> Optimum
     of the stationarity, so the analytic optimum is
     ``n* = sqrt(alpha / (psi t*))`` with the universal constant t*.  This
     is exact (no series truncation), hence ``f_at_cubic`` equals the
-    exact rate at n*, and ``n_star_exact`` is n* clipped at one element.
+    exact rate at n*, and ``n_star_exact`` is n* clipped at one element
+    (from one element up, both rates are one evaluation).
     """
     if not 0.0 < active_fraction <= 1.0:
         raise ValueError(f"active fraction must lie in (0, 1], got {active_fraction}")
     mode = Fraction(1.0 - active_fraction)
     n_analytic = math.sqrt(red.alpha / (red.psi * stationarity_constant()))
-    exact = _exact_fields(red, mode, max(n_analytic, 1.0), n_analytic < 1.0)
-    f_analytic = rate_total(red, n_analytic, mode)
+    below_one = n_analytic < 1.0
+    exact = _exact_fields(red, mode, 1.0 if below_one else n_analytic, below_one)
+    f_analytic = rate_total(red, n_analytic, mode) if below_one else exact[1]
     return OptimumReport(
-        mode="proportional",
-        theta=None,
-        active_fraction=active_fraction,
-        n_star_cubic=n_analytic,
-        f_at_cubic=f_analytic,
-        f_exact_at_cubic=f_analytic,
-        used_fallback=False,
-        **exact,
+        "proportional", None, active_fraction, n_analytic, exact[0], f_analytic, exact[1],
+        f_analytic, *exact[2:], False,
     )
 
 

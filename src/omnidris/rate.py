@@ -41,6 +41,8 @@ __all__ = [
 #: Capacity lower-bound prefactor e / (2 pi), at full float precision.
 E_OVER_2PI = math.e / (2.0 * math.pi)
 LN2 = math.log(2.0)
+_TINY = sys.float_info.min
+_log1p = np.log1p
 
 
 class DegenerateConfigWarning(UserWarning):
@@ -202,7 +204,10 @@ def _finite_rate(rate: float, n: float) -> float:
 
 def _first_order_rate(red: ReducedParams, n: float, active: float) -> float:
     """xi * active * x / ln 2: the rate when x = alpha/(psi n^2) is not a normal float."""
-    return red.xi * (active / n) * (red.alpha / red.psi / n) / LN2
+    rate = red.xi * (active / n) * (red.alpha / red.psi / n) / LN2
+    if math.isfinite(rate):
+        return rate
+    return red.xi * (active / n) * ((red.alpha / n) / red.psi) / LN2  # alpha/psi may overflow
 
 
 def rate_total(red: ReducedParams, n, absorbing=0.0) -> float:
@@ -212,7 +217,8 @@ def rate_total(red: ReducedParams, n, absorbing=0.0) -> float:
     enters only at hardware selection); ``absorbing`` is an
     :data:`AbsorbingMode` or a plain count.  No active element gives 0 and a
     :class:`DegenerateConfigWarning`; a load below the normal floats gives
-    the first-order term, not a silent 0; an overflow raises ``ValueError``.
+    the first-order term, not a silent 0; a rate beyond the float range
+    raises ``ValueError``, after a second, overflow-safe evaluation order.
     numpy's ``log1p`` stays because ``math.log1p`` differs from it in the
     last bits, which would move published sweep and table outputs.
     """
@@ -229,9 +235,13 @@ def rate_total(red: ReducedParams, n, absorbing=0.0) -> float:
         return 0.0
     denominator = red.psi * n * n
     load = red.alpha / denominator if denominator else math.inf  # n^2 psi underflowed
-    if load < sys.float_info.min:
+    if load < _TINY:
         return _finite_rate(_first_order_rate(red, n, active), n)
-    return _finite_rate(red.xi * active * float(np.log1p(load)) / LN2, n)
+    ln_load = float(_log1p(load))
+    rate = red.xi * active * ln_load / LN2
+    if math.isfinite(rate):
+        return rate
+    return _finite_rate(red.xi * (active * (ln_load / LN2)), n)  # xi * active alone may overflow
 
 
 def f_series(red: ReducedParams, n: float, theta: float, terms: int) -> float:
@@ -256,7 +266,7 @@ def f_series(red: ReducedParams, n: float, theta: float, terms: int) -> float:
             f"series requires alpha/(n^2 psi) <= 1, got {x:.6g}: "
             "outside the convergence domain"
         )
-    if x < sys.float_info.min:
+    if x < _TINY:
         return _finite_rate(_first_order_rate(red, n, n - theta), n)
     total = 0.0
     power = 1.0

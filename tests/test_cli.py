@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omnidris.cli import main
+from omnidris.optimize import OptimumReport
 
 SCENARIO_YAML = """\
 schema_version: 1
@@ -208,6 +209,24 @@ def test_an_overflowing_rate_is_one_error_line(capsys, tmp_path, argv, fmt):
     assert (code, out) == (1, "")
     assert err.startswith("error: the rate at n = ") and "overflowed" in err
     assert err.count("\n") == 1
+
+
+def test_a_finite_rate_past_an_overflowing_product_is_reported(capsys, tmp_path):
+    # xi * n = 1e453 overflows on the way to a rate of ~1.44e153
+    path = tmp_path / "huge-xi.yaml"
+    text = SCENARIO_YAML.replace("alpha: 5.0", "alpha: 1.0e-10").replace("psi: 5.0", "psi: 1.0")
+    text = text.replace("xi: 5.0", "xi: 1.0e+308").replace("absorbing_count: 5", "absorbing_count: 0")
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "rate", "--scenario", str(path), "--n", "1e145")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["rate_bps"] == pytest.approx(1.4427e153, rel=1e-4)
+
+
+@pytest.mark.parametrize("preset", ["C1", "table1"])
+def test_optimize_json_keys_are_the_report_fields_in_order(capsys, preset):
+    code, out, _ = run(capsys, "optimize", "--scenario", preset, "--format", "json")
+    assert code == 0
+    assert list(json.loads(out)) == ["scenario", *OptimumReport._fields]
 
 
 def test_a_fully_absorbing_panel_prints_no_warning_text(tmp_path):

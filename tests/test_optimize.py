@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -400,8 +399,33 @@ def test_xi_scaling_cannot_move_the_optimum(alpha, psi, theta, active_fraction, 
         warnings.simplefilter("ignore", DegenerateConfigWarning)
         unit, base, scaled = run(1.0), run(xi), run(xi * 2.0**k)
     assert (base.n_star_cubic, base.n_star_exact) == (unit.n_star_cubic, unit.n_star_exact)
-    expected = {**asdict(base), **{f: getattr(base, f) * 2.0**k for f in RATE_FIELDS}}
-    assert asdict(scaled) == expected
+    expected = {**base._asdict(), **{f: getattr(base, f) * 2.0**k for f in RATE_FIELDS}}
+    assert scaled._asdict() == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    alpha=WIDE_ALPHA,
+    psi=HARDWARE_PSI,
+    theta=WIDE_THETA,
+    active_fraction=st.one_of(st.none(), st.floats(min_value=0.01, max_value=1.0)),
+)
+def test_report_rates_are_the_rates_at_the_reported_counts(alpha, psi, theta, active_fraction):
+    red = ReducedParams(alpha, psi, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateConfigWarning)
+        if active_fraction is None:
+            absorbing, report = theta, optimize_fixed_theta(red, theta)
+        else:
+            absorbing = Fraction(1.0 - active_fraction)
+            report = optimize_proportional(red, active_fraction)
+        assert report.f_at_exact == rate_total(red, report.n_star_exact, absorbing)
+        assert report.f_exact_at_cubic == rate_total(red, report.n_star_cubic, absorbing)
+        assert report.selected_rate == rate_total(red, float(report.selected_n), absorbing)
+    assert report.selected_bits == report.selected_n.bit_length() - 1
+    assert report.selected_n in (report.pow2_lower, report.pow2_upper)
+    if active_fraction is not None and report.n_star_cubic >= 1.0:
+        assert report.f_at_cubic == report.f_exact_at_cubic == report.f_at_exact
 
 
 @settings(max_examples=300, deadline=None)

@@ -192,10 +192,23 @@ def test_rate_total_takes_a_subnormal_load_to_first_order():
 
 
 def test_rate_total_rejects_an_overflowing_rate():
-    with pytest.raises(ValueError, match=r"n = 4\.0 overflowed"):
-        rate_total(ReducedParams(5.0, 1.0, 1e308), 4.0, 1.0)
+    with pytest.raises(ValueError, match=r"n = 4\.0 overflowed"):  # 3 log2(1 + 100/16) 1e308
+        rate_total(ReducedParams(100.0, 1.0, 1e308), 4.0, 1.0)
     with pytest.raises(ValueError, match="overflowed"):  # n^2 psi underflows: an infinite load
         rate_total(ReducedParams(1.0, 1.0, 1.0), 1e-200, 0.0)
+
+
+def test_rate_total_keeps_a_finite_rate_whose_partial_product_overflows():
+    # xi * active = 1e453 overflows, though the log1p / ln 2 factor brings the rate to ~1.44e153
+    red, n = ReducedParams(1e-10, 1.0, 1e308), 1e145
+    safe = red.xi * (n * (float(np.log1p(red.alpha / (red.psi * n * n))) / LN2))
+    assert rate_total(red, n, 0.0) == pytest.approx(safe, rel=1e-15)
+    assert 1.4e153 < safe < 1.5e153
+    # first order: alpha/psi = 3.4e308 overflows, the rate is 2/ln 2
+    red, n = ReducedParams(1.7e308, 0.5, 1.0), 1.7e308
+    safe = red.xi * (n / n) * ((red.alpha / n) / red.psi) / LN2
+    assert rate_total(red, n, 0.0) == pytest.approx(safe, rel=1e-15)
+    assert safe == pytest.approx(2.0 / LN2, rel=1e-15)
 
 
 def test_rate_total_takes_one_element_count():
@@ -249,6 +262,49 @@ def test_rate_total_monotonicity_in_reduced_params():
     assert rate_total(ReducedParams(4.0, 3.0, 5.0), n, theta) > base
     assert rate_total(ReducedParams(2.0, 3.0, 9.0), n, theta) > base
     assert rate_total(ReducedParams(2.0, 6.0, 5.0), n, theta) < base
+
+
+# alpha over 1e-6 .. 1e12, the hardware psi values and xi over 1e-3 .. 1e9
+LOG_ALPHA = st.floats(min_value=-6.0, max_value=12.0)
+LOG_XI = st.floats(min_value=-3.0, max_value=9.0)
+HARDWARE_PSI = st.sampled_from([1.0, 4.0, 16.0, 64.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    log_alpha=LOG_ALPHA,
+    factor=st.floats(min_value=1.5, max_value=1e3),
+    psis=st.lists(HARDWARE_PSI, min_size=2, max_size=2, unique=True).map(sorted),
+    log_xi=LOG_XI,
+    log_n=st.floats(min_value=0.0, max_value=4.0),
+    theta_share=st.floats(min_value=0.0, max_value=0.9),
+)
+def test_rate_total_rises_with_alpha_and_falls_with_psi(
+    log_alpha, factor, psis, log_xi, log_n, theta_share
+):
+    alpha, xi, n = 10.0**log_alpha, 10.0**log_xi, 10.0**log_n
+    theta = theta_share * n
+    psi, larger_psi = psis
+    base = rate_total(ReducedParams(alpha, psi, xi), n, theta)
+    assert rate_total(ReducedParams(alpha * factor, psi, xi), n, theta) > base
+    assert rate_total(ReducedParams(alpha, larger_psi, xi), n, theta) < base
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    log_alpha=LOG_ALPHA,
+    psi=HARDWARE_PSI,
+    log_xi=LOG_XI,
+    bits=st.integers(min_value=0, max_value=9),
+    theta_share=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+)
+def test_bits_round_trip_over_wide_ranges(log_alpha, psi, log_xi, bits, theta_share):
+    # an integer absorbing count below the power-of-two panel
+    red = ReducedParams(10.0**log_alpha, psi, 10.0**log_xi)
+    n = 2**bits
+    theta = math.floor(theta_share * n)
+    rate = rate_total(red, float(n), float(theta))
+    assert abs(bits_per_sequence(red, rate, n - theta) - bits) <= 1e-12
 
 
 # --- series form -------------------------------------------------------------------
