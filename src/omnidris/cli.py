@@ -13,7 +13,7 @@ import io
 import json
 import sys
 import warnings
-from dataclasses import asdict, fields
+from operator import attrgetter
 
 from .optimize import optimize
 from .rate import DegenerateConfigWarning, FixedCount, Fraction, rate_total
@@ -29,7 +29,7 @@ from .scenario import (
 __all__ = ["main"]
 
 #: Normalized-table CSV columns: every :class:`NormalizedRow` field but the note.
-_NORMALIZED_COLUMNS = tuple(f.name for f in fields(NormalizedRow) if f.name != "note")
+_NORMALIZED_COLUMNS = tuple(name for name in NormalizedRow._fields if name != "note")
 #: Selection-table CSV columns, as :class:`SelectionRow` fields; ``label`` is headed "row".
 _SELECTION_COLUMNS = (
     "label",
@@ -45,7 +45,11 @@ _SELECTION_COLUMNS = (
     "published_selected_n",
     "pattern_ok",
 )
-_SELECTION_HEADER = ("row",) + _SELECTION_COLUMNS[1:]
+#: Per table: its CSV header and the getter of its CSV columns from a row.
+_TABLE_CSV = {
+    "normalized": (_NORMALIZED_COLUMNS, attrgetter(*_NORMALIZED_COLUMNS)),
+    "selection": (("row",) + _SELECTION_COLUMNS[1:], attrgetter(*_SELECTION_COLUMNS)),
+}
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -60,14 +64,6 @@ def _json_dump(payload) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
-def _csv_table(header: list[str], rows: list[list]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return str(int(value))
@@ -76,26 +72,27 @@ def _fmt(value) -> str:
     return "" if value is None else str(value)
 
 
-def _records_csv(records, columns, header=None) -> str:
-    """One CSV row per record: the named attributes, each through :func:`_fmt`."""
-    rows = [[_fmt(getattr(record, name)) for name in columns] for record in records]
-    return _csv_table(list(header or columns), rows)
+def _csv(header, records) -> str:
+    """A CSV table: the header, then one row per record of values, each through :func:`_fmt`."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(value) for value in record] for record in records)
+    return buffer.getvalue()
 
 
 def _emit_record(payload: dict, args) -> None:
     """Write one flat record as JSON or as a one-row CSV table."""
-    if args.format == "json":
-        _emit(_json_dump(payload), args.out)
-    else:
-        _emit(_csv_table(list(payload), [[_fmt(value) for value in payload.values()]]), args.out)
+    text = _json_dump(payload) if args.format == "json" else _csv(payload, [payload.values()])
+    _emit(text, args.out)
 
 
 def _absorbing_override(args, scenario):
-    if getattr(args, "theta", None) is not None:
+    if args.theta is not None:
         if args.theta < 0:
             raise ScenarioError(f"--theta must be >= 0, got {args.theta}")
         return FixedCount(args.theta)
-    if getattr(args, "absorbing_fraction", None) is not None:
+    if args.absorbing_fraction is not None:
         return Fraction(args.absorbing_fraction)
     return scenario.absorbing
 
@@ -141,45 +138,34 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    chunks_csv = []
-    payload = {}
+    tables = {}
     if args.which in ("both", "normalized"):
-        normalized = reproduce_table2()
-        payload["normalized"] = {
-            "rows": [asdict(row) for row in normalized.rows],
-            "scale_invariance_ok": normalized.scale_invariance_ok,
-            "all_ok": normalized.all_ok(),
-        }
-        chunks_csv.append(_records_csv(normalized.rows, _NORMALIZED_COLUMNS))
+        tables["normalized"] = reproduce_table2()
     if args.which in ("both", "selection"):
-        selection = reproduce_table1()
-        payload["selection"] = {
-            "rows": [asdict(row) for row in selection.rows],
-            "ratio_3n4": selection.ratio_3n4,
-            "ratio_n2": selection.ratio_n2,
-            "ratios_ok": selection.ratios_ok,
-            "all_ok": selection.all_ok(),
-            "note": selection.note,
-        }
-        chunks_csv.append(_records_csv(selection.rows, _SELECTION_COLUMNS, _SELECTION_HEADER))
+        tables["selection"] = reproduce_table1()
     if args.format == "json":
+        payload = {
+            name: {**table._asdict(), "rows": [row._asdict() for row in table.rows]}
+            for name, table in tables.items()
+        }
         _emit(_json_dump(payload), args.out)
     else:
-        _emit("\n".join(chunks_csv), args.out)
+        chunks = []
+        for name, table in tables.items():
+            header, columns = _TABLE_CSV[name]
+            chunks.append(_csv(header, map(columns, table.rows)))
+        _emit("\n".join(chunks), args.out)
     return 0
 
 
 def cmd_presets(args) -> int:
     presets = preset_scenarios()
+    header = ("name", "description")
+    rows = [(name, presets[name].description) for name in sorted(presets)]
     if args.format == "json":
-        payload = [
-            {"name": name, "description": presets[name].description}
-            for name in sorted(presets)
-        ]
-        _emit(_json_dump(payload), args.out)
+        _emit(_json_dump([dict(zip(header, row)) for row in rows]), args.out)
     else:
-        rows = [[name, presets[name].description] for name in sorted(presets)]
-        _emit(_csv_table(["name", "description"], rows), args.out)
+        _emit(_csv(header, rows), args.out)
     return 0
 
 
@@ -201,8 +187,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rate = sub.add_parser("rate", help="evaluate the aggregate rate at one element count")
     p_rate.add_argument("--scenario", required=True, help="preset name or scenario file path")
     p_rate.add_argument("--n", type=float, required=True, help="element count (may be fractional)")
-    p_rate.add_argument("--theta", type=int, default=None, help="override: fixed absorbing count")
-    p_rate.add_argument(
+    override = p_rate.add_mutually_exclusive_group()
+    override.add_argument("--theta", type=int, default=None, help="override: fixed absorbing count")
+    override.add_argument(
         "--absorbing-fraction", type=float, default=None, help="override: absorbing fraction"
     )
     _add_common(p_rate, "json")

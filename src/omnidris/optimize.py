@@ -365,8 +365,8 @@ def optimize_fixed_theta(red: ReducedParams, theta: float) -> OptimumReport:
     the analytic value; if no cubic root qualifies, the exact optimum
     stands in for it (``used_fallback``).
     """
-    if theta < 0:
-        raise ValueError(f"absorbing count must be >= 0, got {theta}")
+    if not 0.0 <= theta < math.inf:  # rejects NaN as well
+        raise ValueError(f"absorbing count theta must be >= 0 and finite, got {theta}")
     exact = _exact_fields(red, theta, *_exact_optimum(red, theta))
     used_fallback = False
     try:

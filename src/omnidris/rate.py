@@ -218,7 +218,8 @@ def rate_total(red: ReducedParams, n, absorbing=0.0) -> float:
     :data:`AbsorbingMode` or a plain count.  No active element gives 0 and a
     :class:`DegenerateConfigWarning`; a load below the normal floats gives
     the first-order term, not a silent 0; a rate beyond the float range
-    raises ``ValueError``, after a second, overflow-safe evaluation order.
+    raises ``ValueError``, after a second, overflow-safe evaluation order
+    (an infinite load then enters as ``log alpha - log psi - 2 log n``).
     numpy's ``log1p`` stays because ``math.log1p`` differs from it in the
     last bits, which would move published sweep and table outputs.
     """
@@ -241,6 +242,8 @@ def rate_total(red: ReducedParams, n, absorbing=0.0) -> float:
     rate = red.xi * active * ln_load / LN2
     if math.isfinite(rate):
         return rate
+    if load == math.inf:  # alpha / (psi n^2) beyond the floats, where log1p(load) = log(load)
+        ln_load = math.log(red.alpha) - math.log(red.psi) - 2.0 * math.log(n)
     return _finite_rate(red.xi * (active * (ln_load / LN2)), n)  # xi * active alone may overflow
 
 
@@ -258,9 +261,10 @@ def f_series(red: ReducedParams, n: float, theta: float, terms: int) -> float:
     """
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
-    if n <= 0:
-        raise ValueError("element count must be positive")
-    x = red.alpha / (red.psi * n * n)
+    if not 0.0 < n < math.inf:  # rejects NaN as well
+        raise ValueError(f"element count must be positive and finite, got {n}")
+    denominator = red.psi * n * n
+    x = red.alpha / denominator if denominator else math.inf  # n^2 psi underflowed
     if x > 1.0:
         raise ValueError(
             f"series requires alpha/(n^2 psi) <= 1, got {x:.6g}: "
@@ -274,7 +278,10 @@ def f_series(red: ReducedParams, n: float, theta: float, terms: int) -> float:
         power *= x
         term = power / j
         total += term if j % 2 == 1 else -term
-    return _finite_rate(red.xi * (n - theta) / LN2 * total, n)
+    rate = red.xi * (n - theta) / LN2 * total
+    if math.isfinite(rate):
+        return rate
+    return _finite_rate(red.xi * ((n - theta) / LN2 * total), n)  # xi * (n - theta) may overflow
 
 
 def bits_per_sequence(red: ReducedParams, rate: float, active: float) -> float:

@@ -17,9 +17,10 @@ Absolute published rates of the selection table are display-only; see
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .optimize import optimize
+from .rate import ReducedParams
 from .scenario import get_preset
 
 __all__ = [
@@ -82,8 +83,7 @@ def _rel_close(value: float, target: float, tol: float = RATE_REL_TOL) -> bool:
     return abs(value - target) <= tol * abs(target)
 
 
-@dataclass(frozen=True)
-class NormalizedRow:
+class NormalizedRow(NamedTuple):
     scenario: str
     meas_n: float
     meas_f: float
@@ -100,19 +100,10 @@ class NormalizedRow:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class NormalizedTableReport:
+class NormalizedTableReport(NamedTuple):
     rows: tuple[NormalizedRow, ...]
     scale_invariance_ok: bool
-
-    def all_ok(self) -> bool:
-        return self.scale_invariance_ok and all(
-            row.meas_n_ok
-            and row.meas_f_ok
-            and row.calc_f_ok
-            and row.calc_n_status in ("pass", "anomaly")
-            for row in self.rows
-        )
+    all_ok: bool  # scale invariance and every row's checks ("anomaly" counts as a pass)
 
 
 def reproduce_table2() -> NormalizedTableReport:
@@ -163,12 +154,16 @@ def reproduce_table2() -> NormalizedTableReport:
 
     c5 = get_preset("C5")
     red = c5.reduced_params()
-    roots = {optimize(replace(red, xi=xi), c5.absorbing).n_star_cubic for xi in (1.0, 3.0, 10.0)}
-    return NormalizedTableReport(rows=tuple(rows), scale_invariance_ok=len(roots) == 1)
+    scaled = (ReducedParams(red.alpha, red.psi, xi) for xi in (1.0, 3.0, 10.0))
+    scale_invariance_ok = len({optimize(r, c5.absorbing).n_star_cubic for r in scaled}) == 1
+    all_ok = scale_invariance_ok and all(
+        row.meas_n_ok and row.meas_f_ok and row.calc_f_ok and row.calc_n_status != "fail"
+        for row in rows
+    )
+    return NormalizedTableReport(tuple(rows), scale_invariance_ok, all_ok)
 
 
-@dataclass(frozen=True)
-class SelectionRow:
+class SelectionRow(NamedTuple):
     label: str
     active_fraction: float
     noise_psd: float
@@ -188,16 +183,13 @@ class SelectionRow:
     pattern_ok: bool
 
 
-@dataclass(frozen=True)
-class SelectionTableReport:
+class SelectionTableReport(NamedTuple):
     rows: tuple[SelectionRow, ...]
     ratio_3n4: float
     ratio_n2: float
     ratios_ok: bool
+    all_ok: bool  # the ratios and every row's pattern
     note: str
-
-    def all_ok(self) -> bool:
-        return self.ratios_ok and all(row.pattern_ok for row in self.rows)
 
 
 def reproduce_table1() -> SelectionTableReport:
@@ -241,10 +233,5 @@ def reproduce_table1() -> SelectionTableReport:
     ratio_3n4 = rows[1].selected_rate_bps / full
     ratio_n2 = rows[2].selected_rate_bps / full
     ratios_ok = abs(ratio_3n4 - 0.75) <= 1e-12 and abs(ratio_n2 - 0.5) <= 1e-12
-    return SelectionTableReport(
-        rows=tuple(rows),
-        ratio_3n4=ratio_3n4,
-        ratio_n2=ratio_n2,
-        ratios_ok=ratios_ok,
-        note=CALIBRATION_NOTE,
-    )
+    all_ok = ratios_ok and all(row.pattern_ok for row in rows)
+    return SelectionTableReport(tuple(rows), ratio_3n4, ratio_n2, ratios_ok, all_ok, CALIBRATION_NOTE)

@@ -15,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omnidris import cli
 from omnidris.cli import main
 from omnidris.optimize import OptimumReport
+from omnidris.scenario import CSV_COLUMNS, preset_scenarios, resolve_scenario, run_sweep, sweep_to_csv
 
 SCENARIO_YAML = """\
 schema_version: 1
@@ -91,6 +93,22 @@ def test_sweep_json_format(capsys):
     assert code == 0
     rows = json.loads(out)
     assert rows[0].keys() == {"n", "theta", "zeta", "rate_bps", "pow2", "selected"}
+
+
+def test_sweep_csv_fast_path_is_the_csv_writer():
+    # every SweepRow field reaches the CSV, formatted as every other table is
+    sample = Path(__file__).resolve().parents[1] / "demos" / "sample_scenario.yaml"
+    for ref in [*sorted(preset_scenarios()), str(sample)]:
+        rows = run_sweep(resolve_scenario(ref))
+        # lines, not one string: pytest's diff of two long strings takes minutes
+        assert sweep_to_csv(rows).split("\n") == cli._csv(CSV_COLUMNS, rows).split("\n"), ref
+
+
+def test_rate_takes_one_absorbing_override(capsys):
+    argv = ("rate", "--scenario", "C0", "--n", "4", "--theta", "1", "--absorbing-fraction", "0.5")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "not allowed with argument" in err
 
 
 def test_rate_degenerate_flag(capsys):
@@ -196,14 +214,15 @@ def test_huge_absorbing_count_is_a_finite_report_or_one_error_line(
 @pytest.mark.parametrize(
     "argv",
     [
-        ("rate", "--scenario", "fig2-top", "--n", "1e-200"),  # n^2 psi underflows to 0
-        ("optimize", "--scenario", "{path}"),  # xi (n - theta) overflows from N = 4 on
+        ("rate", "--scenario", "{path}", "--n", "4"),  # 3 log2(1 + 100/16) 1e308 ~ 8.6e308
+        ("optimize", "--scenario", "{path}"),  # ~9e308 near the optimum
         ("sweep", "--scenario", "{path}"),
     ],
 )
 def test_an_overflowing_rate_is_one_error_line(capsys, tmp_path, argv, fmt):
     path = tmp_path / "huge-xi.yaml"
-    text = SCENARIO_YAML.replace("psi: 5.0", "psi: 1.0").replace("xi: 5.0", "xi: 1.0e+308")
+    text = SCENARIO_YAML.replace("alpha: 5.0", "alpha: 100.0").replace("psi: 5.0", "psi: 1.0")
+    text = text.replace("xi: 5.0", "xi: 1.0e+308")
     path.write_text(text.replace("absorbing_count: 5", "absorbing_count: 1"), encoding="utf-8")
     code, out, err = run(capsys, *(arg.format(path=path) for arg in argv), "--format", fmt)
     assert (code, out) == (1, "")

@@ -12,6 +12,7 @@ from omnidris.rate import (
     FixedCount,
     Fraction,
     ReducedParams,
+    f_series,
     rate_total,
 )
 from omnidris.optimize import (
@@ -598,6 +599,20 @@ def test_optimizers_reject_an_overflowing_load():
         optimize_fixed_theta(red, 0.0)
     with pytest.raises(ValueError, match="overflows"):
         optimize_proportional(red, 0.5)
+
+
+def test_the_two_term_rate_survives_an_overflowing_partial_product():
+    # xi (n - theta) = 2.3e308 overflows on the way to a two-term value of ~1.17e308
+    report = optimize_fixed_theta(ReducedParams(5.0, 1.0, 1e308), 1.0)
+    unit = f_series(ReducedParams(5.0, 1.0, 1.0), report.n_star_cubic, 1.0, 2)
+    assert report.f_at_cubic == 1e308 * unit
+    assert 1.17e308 < report.f_at_cubic < 1.18e308
+
+
+def test_optimize_fixed_theta_rejects_a_non_finite_absorbing_count():
+    for theta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"absorbing count theta .* got {theta}"):
+            optimize_fixed_theta(ReducedParams(5.0, 1.0, 1.0), theta)
 
 
 def test_optimize_proportional_validation():

@@ -194,8 +194,10 @@ def test_rate_total_takes_a_subnormal_load_to_first_order():
 def test_rate_total_rejects_an_overflowing_rate():
     with pytest.raises(ValueError, match=r"n = 4\.0 overflowed"):  # 3 log2(1 + 100/16) 1e308
         rate_total(ReducedParams(100.0, 1.0, 1e308), 4.0, 1.0)
-    with pytest.raises(ValueError, match="overflowed"):  # n^2 psi underflows: an infinite load
-        rate_total(ReducedParams(1.0, 1.0, 1.0), 1e-200, 0.0)
+    # n^2 psi underflows, so the load is infinite, but the rate 1e-200 log2(1 + 1e400) is finite
+    assert rate_total(ReducedParams(1.0, 1.0, 1.0), 1e-200, 0.0) == pytest.approx(
+        1.3287712379549448e-197, rel=1e-15
+    )
 
 
 def test_rate_total_keeps_a_finite_rate_whose_partial_product_overflows():
@@ -353,6 +355,18 @@ def test_f_series_rejects_out_of_domain_load():
         f_series(red, 2.0, 0.0, 5)  # x = 2.5
     with pytest.raises(ValueError):
         f_series(ReducedParams(1.0, 1.0, 1.0), 10.0, 0.0, 0)
+
+
+def test_f_series_takes_an_infinite_load_as_outside_the_domain():
+    # n^2 psi underflows to 0: the load is infinite, not a division by zero
+    with pytest.raises(ValueError, match="outside the convergence domain"):
+        f_series(ReducedParams(1.0, 1.0, 1.0), 1e-200, 0.0, 2)
+
+
+def test_f_series_rejects_non_finite_counts():
+    for value in NON_FINITE:
+        with pytest.raises(ValueError, match="element count must be positive and finite"):
+            f_series(ReducedParams(1.0, 1.0, 1.0), value, 0.0, 2)
 
 
 # --- bit-count inversion -------------------------------------------------------------
