@@ -8,8 +8,6 @@ input with a diagnostic on stderr, 2 usage errors.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 import warnings
@@ -20,6 +18,7 @@ from .rate import DegenerateConfigWarning, FixedCount, Fraction, rate_total
 from .reports import NormalizedRow, reproduce_table1, reproduce_table2
 from .scenario import (
     ScenarioError,
+    _csv,
     preset_scenarios,
     resolve_scenario,
     run_sweep,
@@ -62,23 +61,6 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _json_dump(payload) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return "" if value is None else str(value)
-
-
-def _csv(header, records) -> str:
-    """A CSV table: the header, then one row per record of values, each through :func:`_fmt`."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([_fmt(value) for value in record] for record in records)
-    return buffer.getvalue()
 
 
 def _emit_record(payload: dict, args) -> None:

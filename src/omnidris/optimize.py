@@ -67,9 +67,6 @@ class CubicCoefficients:
     def __call__(self, x: float) -> float:
         return ((self.c3 * x + self.c2) * x + self.c1) * x + self.c0
 
-    def derivative(self, x: float) -> float:
-        return (3.0 * self.c3 * x + 2.0 * self.c2) * x + self.c1
-
 
 class Pow2Selection(NamedTuple):
     n: int
@@ -189,7 +186,7 @@ def solve_cubic(cubic: CubicCoefficients) -> list[float]:
     polished = []
     for u in roots:
         x = u * unit
-        # one Newton step as cubic(x) / cubic.derivative(x); skipped where unstable (double roots)
+        # one Newton step; skipped where unstable (double roots)
         slope = (3.0 * c3 * x + 2.0 * c2) * x + c1
         if slope != 0.0:
             step = (((c3 * x + c2) * x + c1) * x + c0) / slope
@@ -395,7 +392,11 @@ def optimize_proportional(red: ReducedParams, active_fraction: float) -> Optimum
     """
     if not 0.0 < active_fraction <= 1.0:
         raise ValueError(f"active fraction must lie in (0, 1], got {active_fraction}")
-    mode = Fraction(1.0 - active_fraction)
+    return _optimize_share(red, Fraction(1.0 - active_fraction), active_fraction)
+
+
+def _optimize_share(red: ReducedParams, mode: Fraction, active_fraction: float) -> OptimumReport:
+    """:func:`optimize_proportional`, evaluating every rate under ``mode`` itself."""
     n_analytic = math.sqrt(red.alpha / (red.psi * stationarity_constant()))
     below_one = n_analytic < 1.0
     exact = _exact_fields(red, mode, 1.0 if below_one else n_analytic, below_one)
@@ -409,9 +410,9 @@ def optimize_proportional(red: ReducedParams, active_fraction: float) -> Optimum
 def optimize(red: ReducedParams, absorbing: AbsorbingMode) -> OptimumReport:
     """Optimize the element count under either absorbing rule.
 
-    A :class:`~omnidris.rate.Fraction` runs the proportional optimizer on its
-    active share, a :class:`~omnidris.rate.FixedCount` the fixed-count one.
+    A :class:`~omnidris.rate.Fraction` runs the proportional optimizer with its
+    rates under that very rule, a :class:`~omnidris.rate.FixedCount` the fixed-count one.
     """
     if isinstance(absorbing, Fraction):
-        return optimize_proportional(red, 1.0 - absorbing.q)
+        return _optimize_share(red, absorbing, 1.0 - absorbing.q)
     return optimize_fixed_theta(red, float(absorbing.count))

@@ -39,17 +39,20 @@ sweep grid.  Scenario files are YAML with a strict schema::
     sweep:
       n_min: 1.0
       n_max: 50.0
-      step: 0.01                 # positive number, or "powers-of-two"
+      step: 0.01                 # positive number; "powers-of-two", null or absent: 2^k only
     alpha_calibration: 127058.3  # optional, overrides the computed alpha
 
-Unknown keys are rejected with the line/column where they appear.  The
-``reduced``, ``system`` and ``geometry`` keys are the field names of
-:class:`~omnidris.rate.ReducedParams`, :class:`~omnidris.rate.SystemParams`
-and :class:`~omnidris.channel.LinkGeometry`, except that
-``SystemParams.noise_psd`` is written ``noise_psd_w_per_hz``.
+Unknown keys are rejected with the line/column where they appear.  The keys
+of a block are the fields of its record: :class:`~omnidris.rate.ReducedParams`,
+:class:`~omnidris.rate.SystemParams`, :class:`~omnidris.channel.LinkGeometry`,
+the :class:`~omnidris.rate.FixedCount` or :class:`~omnidris.rate.Fraction` that
+``ris.mode`` names, and :class:`SweepSpec`; ``noise_psd``, ``count`` and ``q``
+are written ``noise_psd_w_per_hz``, ``absorbing_count`` and ``absorbing_fraction``.
 """
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
@@ -156,12 +159,15 @@ class Scenario:
 
     def reduced_params(self) -> ReducedParams:
         """Resolve the (alpha, psi, xi) triple this scenario runs with."""
-        if self.reduced is not None:
-            red = self.reduced
-        elif self.geometry is not None:  # a zero gain is rejected even when calibrated
-            red = reduce_params(self.system, channel_dc_gain(self.geometry))
-        else:
-            return reduced_with_alpha(self.system, self.alpha_calibration)
+        try:
+            if self.reduced is not None:
+                red = self.reduced
+            elif self.geometry is not None:  # a zero gain is rejected even when calibrated
+                red = reduce_params(self.system, channel_dc_gain(self.geometry))
+            else:
+                return reduced_with_alpha(self.system, self.alpha_calibration)
+        except (OverflowError, ZeroDivisionError):  # a square or a count beyond the float range
+            raise ScenarioError(f"scenario {self.name!r} leaves the float range") from None
         if self.alpha_calibration is not None:
             red = ReducedParams(self.alpha_calibration, red.psi, red.xi)
         return red
@@ -186,8 +192,12 @@ CSV_COLUMNS = SweepRow._fields
 
 # --- strict YAML schema -----------------------------------------------------
 
-#: The only record field whose YAML key is not the field name itself.
-_YAML_KEYS = {"noise_psd": "noise_psd_w_per_hz"}
+#: The record fields whose YAML key is not the field name itself.
+_YAML_KEYS = {"noise_psd": "noise_psd_w_per_hz", "count": "absorbing_count",
+              "q": "absorbing_fraction"}
+
+#: The absorbing-rule record that each ``ris.mode`` names.
+_ABSORBING = {"fixed": FixedCount, "fraction": Fraction}
 
 
 def _record_schema(cls) -> dict:
@@ -202,8 +212,8 @@ _SCHEMA = {
     "reduced": _record_schema(ReducedParams),
     "system": _record_schema(SystemParams),
     "geometry": _record_schema(LinkGeometry),
-    "ris": {"mode": None, "absorbing_count": None, "absorbing_fraction": None},
-    "sweep": {"n_min": None, "n_max": None, "step": None},
+    "ris": {"mode": None, **_record_schema(FixedCount), **_record_schema(Fraction)},
+    "sweep": _record_schema(SweepSpec),
     "alpha_calibration": None,
 }
 
@@ -236,7 +246,19 @@ def _require(data: dict, key: str, context: str):
     return data[key]
 
 
-def _number(value, context: str) -> float:
+def _read(value, kind: str, context: str):
+    """A YAML value as the record field annotated ``kind`` takes it."""
+    if kind == "int":
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ScenarioError(f"{context} must be an integer, got {value!r}")
+        return value
+    if kind == "float | None":  # the sweep step
+        if value is None or value == "powers-of-two":  # the powers of two, as for an absent step
+            return None
+        if isinstance(value, str):
+            raise ScenarioError(
+                f"{context} must be a positive number or 'powers-of-two', got {value!r}"
+            )
     # YAML 1.1 reads exponent forms like 1.0e6 (no sign) as strings
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ScenarioError(f"{context} must be a number, got {value!r}")
@@ -246,12 +268,6 @@ def _number(value, context: str) -> float:
         raise ScenarioError(f"{context} must be a number, got {value!r}") from None
     except OverflowError:  # an integer beyond the float range
         raise ScenarioError(f"{context} is too large to be a float") from None
-
-
-def _integer(value, context: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{context} must be an integer, got {value!r}")
-    return value
 
 
 def _record(cls, data: dict, block: str):
@@ -264,11 +280,10 @@ def _record(cls, data: dict, block: str):
         return None
     mapping = data[block] or {}
     values = {}
-    for key, field in _SCHEMA[block].items():
+    for key, field in _record_schema(cls).items():
         if key not in mapping and field.default is not MISSING:
             continue  # the field's default stands
-        check = _integer if field.type == "int" else _number
-        values[field.name] = check(_require(mapping, key, block), f"{block}.{key}")
+        values[field.name] = _read(_require(mapping, key, block), field.type, f"{block}.{key}")
     return cls(**values)
 
 
@@ -285,43 +300,21 @@ def scenario_from_dict(data: dict, *, source: str = "scenario") -> Scenario:
         reduced = _record(ReducedParams, data, "reduced")
         system = _record(SystemParams, data, "system")
         geometry = _record(LinkGeometry, data, "geometry")
-
         ris = _require(data, "ris", source) or {}
         mode = _require(ris, "mode", "ris")
-        if mode == "fixed":
-            if "absorbing_fraction" in ris:
-                raise ScenarioError("ris.absorbing_fraction is not valid in fixed mode")
-            absorbing: AbsorbingMode = FixedCount(
-                _integer(_require(ris, "absorbing_count", "ris"), "ris.absorbing_count")
-            )
-        elif mode == "fraction":
-            if "absorbing_count" in ris:
-                raise ScenarioError("ris.absorbing_count is not valid in fraction mode")
-            absorbing = Fraction(
-                _number(_require(ris, "absorbing_fraction", "ris"), "ris.absorbing_fraction")
-            )
-        else:
-            raise ScenarioError(f"ris.mode must be 'fixed' or 'fraction', got {mode!r}")
-
-        sweep_block = _require(data, "sweep", source) or {}
-        step = sweep_block.get("step")
-        if isinstance(step, str):
-            if step != "powers-of-two":
-                raise ScenarioError(
-                    f"sweep.step must be a positive number or 'powers-of-two', got {step!r}"
-                )
-            step = None
-        elif step is not None:
-            step = _number(step, "sweep.step")
-        sweep = SweepSpec(
-            n_min=_number(_require(sweep_block, "n_min", "sweep"), "sweep.n_min"),
-            n_max=_number(_require(sweep_block, "n_max", "sweep"), "sweep.n_max"),
-            step=step,
-        )
+        rule = _ABSORBING.get(mode) if isinstance(mode, str) else None
+        if rule is None:
+            modes = " or ".join(map(repr, _ABSORBING))
+            raise ScenarioError(f"ris.mode must be {modes}, got {mode!r}")
+        for key in ris.keys() & _SCHEMA["ris"].keys() - _record_schema(rule).keys() - {"mode"}:
+            raise ScenarioError(f"ris.{key} is not valid in {mode} mode")  # the other mode's key
+        absorbing = _record(rule, data, "ris")
+        _require(data, "sweep", source)
+        sweep = _record(SweepSpec, data, "sweep")
 
         calibration = data.get("alpha_calibration")
         if calibration is not None:
-            calibration = _number(calibration, "alpha_calibration")
+            calibration = _read(calibration, "float", "alpha_calibration")
 
         return Scenario(
             name=name,
@@ -523,12 +516,23 @@ def run_sweep(scenario: Scenario) -> list[SweepRow]:
     return rows
 
 
+def _fmt(value) -> str:
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return "" if value is None else str(value)
+
+
+def _csv(header, records) -> str:
+    """A CSV table: the header, then one row per record of values, each through :func:`_fmt`."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(value) for value in record] for record in records)
+    return buffer.getvalue()
+
+
 def sweep_to_csv(rows: list[SweepRow]) -> str:
-    """Fixed-column CSV; floats carry 17 significant digits for round-trips."""
-    lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(
-            f"{row.n:.17g},{row.theta:.17g},{row.zeta:.17g},{row.rate_bps:.17g},"
-            f"{int(row.pow2)},{int(row.selected)}"
-        )
-    return "\n".join(lines) + "\n"
+    """The sweep as a CSV table of the :data:`CSV_COLUMNS`; floats carry 17 significant digits."""
+    return _csv(CSV_COLUMNS, rows)

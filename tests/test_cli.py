@@ -270,10 +270,46 @@ POSITIVE_FLOATS = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
 NON_FINITE_TOKEN = re.compile(r"(?i)\b(?:inf|infinity|nan)\b")
 
 
+def _block(name: str, values: dict) -> str:
+    return f"{name}:\n" + "".join(f"  {key}: {value!r}\n" for key, value in values.items())
+
+
 @st.composite
 def fuzzed_scenarios(draw) -> str:
-    """A reduced-block scenario file over the whole positive float range, <= 64 sweep points."""
-    alpha, psi, xi = (draw(POSITIVE_FLOATS) for _ in range(3))
+    """A scenario file over the whole positive float range, <= 64 sweep points.
+
+    The rate parameters come from a ``reduced`` block or from a ``system``
+    block, with or without ``geometry`` and ``alpha_calibration``.
+    """
+    if draw(st.booleans()):
+        source = _block("reduced", {key: draw(POSITIVE_FLOATS) for key in ("alpha", "psi", "xi")})
+    else:
+        source = _block("system", {
+            "bandwidth_hz": draw(POSITIVE_FLOATS),
+            "transmit_power_w": draw(POSITIVE_FLOATS),
+            "num_light_sources": draw(st.integers(1, 10**300)),
+            "num_users": draw(st.integers(1, 10**300)),
+            "oe_conversion": draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
+            "noise_psd_w_per_hz": draw(POSITIVE_FLOATS),
+        })
+        if draw(st.booleans()):
+            angles = st.floats(min_value=0.0, max_value=90.0)
+            gains = st.floats(min_value=0.0, max_value=1.7976931348623157e308)
+            source += _block("geometry", {
+                "lambertian_order": draw(gains),
+                "ris_reflectiveness": draw(st.floats(min_value=0.0, max_value=1.0)),
+                "ris_element_area_m2": draw(POSITIVE_FLOATS),
+                "photodetector_area_m2": draw(POSITIVE_FLOATS),
+                "dist_ls_ris_m": draw(POSITIVE_FLOATS),
+                "dist_ris_user_m": draw(POSITIVE_FLOATS),
+                "irradiance_angle_ls_ris_deg": draw(angles),
+                "irradiance_angle_ris_user_deg": draw(angles),
+                "incidence_angle_ris_deg": draw(angles),
+                "incidence_angle_user_deg": draw(angles),
+                **({"filter_gain": draw(gains)} if draw(st.booleans()) else {}),
+            })
+        if draw(st.booleans()):
+            source += f"alpha_calibration: {draw(POSITIVE_FLOATS)!r}\n"
     if draw(st.booleans()):
         ris = f"mode: fixed\n  absorbing_count: {draw(st.integers(0, 10**300))}"
     else:
@@ -282,14 +318,14 @@ def fuzzed_scenarios(draw) -> str:
     n_min = draw(st.floats(min_value=1.0, max_value=1e300))
     n_max = draw(st.floats(min_value=n_min, max_value=1e300))
     points = draw(st.integers(min_value=1, max_value=64))
-    step = draw(st.one_of(
-        st.just("powers-of-two"), st.just(repr((n_max - n_min) / max(points - 1, 1)))
-    ))
+    step = draw(st.sampled_from((
+        "", "  step:\n", "  step: powers-of-two\n",
+        f"  step: {(n_max - n_min) / max(points - 1, 1)!r}\n",
+    )))
     return (
-        f"schema_version: 1\nname: fuzzed\n"
-        f"reduced:\n  alpha: {alpha!r}\n  psi: {psi!r}\n  xi: {xi!r}\n"
+        f"schema_version: 1\nname: fuzzed\n{source}"
         f"ris:\n  {ris}\n"
-        f"sweep:\n  n_min: {n_min!r}\n  n_max: {n_max!r}\n  step: {step}\n"
+        f"sweep:\n  n_min: {n_min!r}\n  n_max: {n_max!r}\n{step}"
     )
 
 

@@ -1,4 +1,4 @@
-"""``tools/cli_snapshot.py`` records every preset and sample-scenario command once, in-process."""
+"""``tools/cli_snapshot.py`` records every preset and scenario-file command once, in-process."""
 import os
 import subprocess
 import sys
@@ -16,7 +16,7 @@ def test_cli_snapshot_records_every_preset_command(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     files = sorted((tmp_path / "snap").iterdir())
-    assert len(files) == 110
+    assert len(files) == 116
     for path in files:
         assert "\n# exit: 0\n" in path.read_text(encoding="utf-8"), path.name
 

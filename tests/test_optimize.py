@@ -409,23 +409,32 @@ def test_xi_scaling_cannot_move_the_optimum(alpha, psi, theta, active_fraction, 
     alpha=WIDE_ALPHA,
     psi=HARDWARE_PSI,
     theta=WIDE_THETA,
-    active_fraction=st.one_of(st.none(), st.floats(min_value=0.01, max_value=1.0)),
+    rule=st.one_of(
+        st.none(),
+        st.floats(min_value=0.01, max_value=1.0),
+        # a Fraction handed to optimize, where 1 - (1 - q) need not be q
+        st.one_of(
+            st.sampled_from((0.1, 0.15, 0.2, 0.3, 0.7, 0.9)), st.floats(min_value=0.0, max_value=0.99)
+        ).map(Fraction),
+    ),
 )
-def test_report_rates_are_the_rates_at_the_reported_counts(alpha, psi, theta, active_fraction):
+def test_report_rates_are_the_rates_at_the_reported_counts(alpha, psi, theta, rule):
     red = ReducedParams(alpha, psi, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateConfigWarning)
-        if active_fraction is None:
+        if rule is None:
             absorbing, report = theta, optimize_fixed_theta(red, theta)
+        elif isinstance(rule, Fraction):
+            absorbing, report = rule, optimize(red, rule)
         else:
-            absorbing = Fraction(1.0 - active_fraction)
-            report = optimize_proportional(red, active_fraction)
+            absorbing = Fraction(1.0 - rule)
+            report = optimize_proportional(red, rule)
         assert report.f_at_exact == rate_total(red, report.n_star_exact, absorbing)
         assert report.f_exact_at_cubic == rate_total(red, report.n_star_cubic, absorbing)
         assert report.selected_rate == rate_total(red, float(report.selected_n), absorbing)
     assert report.selected_bits == report.selected_n.bit_length() - 1
     assert report.selected_n in (report.pow2_lower, report.pow2_upper)
-    if active_fraction is not None and report.n_star_cubic >= 1.0:
+    if rule is not None and report.n_star_cubic >= 1.0:
         assert report.f_at_cubic == report.f_exact_at_cubic == report.f_at_exact
 
 
@@ -536,10 +545,7 @@ def test_no_hardware_panel_beats_the_selected_one(alpha, psi, absorbing):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateConfigWarning)
         report = optimize(red, absorbing)
-        # the absorbing rule exactly as the optimizer evaluates it
-        fixed = report.active_fraction is None
-        mode = report.theta if fixed else Fraction(1.0 - report.active_fraction)
-        best = max(rate_total(red, float(p), mode) for p in HARDWARE_POWERS_OF_TWO)
+        best = max(rate_total(red, float(p), absorbing) for p in HARDWARE_POWERS_OF_TWO)
     assert report.selected_n in HARDWARE_POWERS_OF_TWO
     assert report.selected_rate == best
 

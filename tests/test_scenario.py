@@ -198,6 +198,106 @@ def test_ris_mode_field_consistency(tmp_path):
         load_scenario(write(tmp_path, unknown))
 
 
+BIG_INT = "1" + "0" * 400
+
+#: (base file, text replaced, replacement, the full ScenarioError text), one fault each.
+READER_DIAGNOSTICS = [
+    (VALID_REDUCED_YAML, "sweep:", "swweep:", "unknown key 'swweep' at line 11, column 1"),
+    (VALID_REDUCED_YAML, "  alpha: 2.0", "  alpha: 2.0\n  gamma: 1.0",
+     "unknown key 'gamma' at line 6, column 3 (under reduced)"),
+    (VALID_REDUCED_YAML, "reduced:\n  alpha: 2.0\n  psi: 1.0\n  xi: 3.0", "reduced: 2.0",
+     "expected a mapping at reduced (line 4, column 10)"),
+    (VALID_REDUCED_YAML, "ris:\n  mode: fixed\n  absorbing_count: 1", "ris: [fixed, 1]",
+     "expected a mapping at ris (line 8, column 6)"),
+    (VALID_REDUCED_YAML, "  psi: 1.0\n", "", "missing required key 'psi' in reduced"),
+    (VALID_REDUCED_YAML, "  mode: fixed\n", "", "missing required key 'mode' in ris"),
+    (VALID_REDUCED_YAML, "  absorbing_count: 1\n", "", "missing required key 'absorbing_count' in ris"),
+    (VALID_SYSTEM_YAML, "  absorbing_fraction: 0.5\n", "",
+     "missing required key 'absorbing_fraction' in ris"),
+    (VALID_REDUCED_YAML, "  n_max: 20.0\n", "", "missing required key 'n_max' in sweep"),
+    (VALID_SYSTEM_YAML, "  num_users: 1\n", "", "missing required key 'num_users' in system"),
+    (VALID_REDUCED_YAML, "mode: fixed", "mode: percent",
+     "ris.mode must be 'fixed' or 'fraction', got 'percent'"),
+    (VALID_REDUCED_YAML, "mode: fixed", "mode: [fixed]",
+     "ris.mode must be 'fixed' or 'fraction', got ['fixed']"),
+    (VALID_REDUCED_YAML, "absorbing_count: 1", "absorbing_fraction: 0.5",
+     "ris.absorbing_fraction is not valid in fixed mode"),
+    (VALID_REDUCED_YAML, "absorbing_count: 1", "absorbing_count: 1\n  absorbing_fraction: 0.5",
+     "ris.absorbing_fraction is not valid in fixed mode"),
+    (VALID_SYSTEM_YAML, "absorbing_fraction: 0.5", "absorbing_count: 1",
+     "ris.absorbing_count is not valid in fraction mode"),
+    (VALID_REDUCED_YAML, "step: 0.5", "step: every-other",
+     "sweep.step must be a positive number or 'powers-of-two', got 'every-other'"),
+    (VALID_REDUCED_YAML, "alpha: 2.0", "alpha: two", "reduced.alpha must be a number, got 'two'"),
+    (VALID_REDUCED_YAML, "alpha: 2.0", "alpha:", "reduced.alpha must be a number, got None"),
+    (VALID_REDUCED_YAML, "n_min: 1.0", "n_min: [1.0]", "sweep.n_min must be a number, got [1.0]"),
+    (VALID_SYSTEM_YAML, "absorbing_fraction: 0.5", "absorbing_fraction: half",
+     "ris.absorbing_fraction must be a number, got 'half'"),
+    (VALID_SYSTEM_YAML, "geometry:\n", "geometry:\n  filter_gain:\n",
+     "geometry.filter_gain must be a number, got None"),
+    (VALID_REDUCED_YAML, "absorbing_count: 1", "absorbing_count: 1.5",
+     "ris.absorbing_count must be an integer, got 1.5"),
+    (VALID_SYSTEM_YAML, "num_users: 1", "num_users: 1.0",
+     "system.num_users must be an integer, got 1.0"),
+    (VALID_REDUCED_YAML, "xi: 3.0", "xi: true", "reduced.xi must be a number, got True"),
+    (VALID_REDUCED_YAML, "step: 0.5", "step: true", "sweep.step must be a number, got True"),
+    (VALID_REDUCED_YAML, "absorbing_count: 1", "absorbing_count: false",
+     "ris.absorbing_count must be an integer, got False"),
+    (VALID_REDUCED_YAML, "psi: 1.0", f"psi: {BIG_INT}", "reduced.psi is too large to be a float"),
+    (VALID_REDUCED_YAML, "step: 0.5", f"step: {BIG_INT}", "sweep.step is too large to be a float"),
+    (VALID_REDUCED_YAML, "absorbing_count: 1", f"absorbing_count: {BIG_INT}",
+     "invalid scenario 'unit-test': absorbing count is too large to be a float"),
+    (VALID_SYSTEM_YAML, "absorbing_fraction: 0.5", "absorbing_fraction: 1.5",
+     "invalid scenario 'room-test': absorbing fraction must lie in [0, 1), got 1.5"),
+    (VALID_REDUCED_YAML, "schema_version: 1", "schema_version: 2",
+     "unsupported schema_version 2 (expected 1)"),
+    (VALID_REDUCED_YAML, "schema_version: 1", "schema_version: '1'",
+     "unsupported schema_version '1' (expected 1)"),
+]
+
+
+@pytest.mark.parametrize(
+    "base, old, new, message", READER_DIAGNOSTICS, ids=[case[-1] for case in READER_DIAGNOSTICS]
+)
+def test_reader_diagnostics_are_pinned(tmp_path, base, old, new, message):
+    assert old in base
+    with pytest.raises(ScenarioError) as caught:
+        load_scenario(write(tmp_path, base.replace(old, new, 1)))
+    assert str(caught.value) == message
+
+
+def test_missing_block_names_the_file(tmp_path):
+    blocks = {
+        "ris": VALID_REDUCED_YAML.replace("ris:\n  mode: fixed\n  absorbing_count: 1\n", ""),
+        "sweep": VALID_REDUCED_YAML[: VALID_REDUCED_YAML.index("sweep:")],
+    }
+    for block, text in blocks.items():
+        path = write(tmp_path, text)
+        with pytest.raises(ScenarioError) as caught:
+            load_scenario(path)
+        assert str(caught.value) == f"missing required key {block!r} in {path}"
+
+
+def test_system_values_beyond_the_float_range_are_one_diagnostic(tmp_path):
+    edits = [
+        ("dist_ris_user_m: 2.03", "dist_ris_user_m: 1.0e+200"),  # its square overflows
+        ("dist_ris_user_m: 2.03", "dist_ris_user_m: 1.0e-200"),  # its square underflows to 0
+        ("transmit_power_w: 10.0", "transmit_power_w: 1.0e+200"),
+        ("num_users: 1", f"num_users: {BIG_INT}"),
+    ]
+    for old, new in edits:
+        scenario = load_scenario(write(tmp_path, VALID_SYSTEM_YAML.replace(old, new)))
+        with pytest.raises(ScenarioError) as caught:
+            scenario.reduced_params()
+        assert str(caught.value) == "scenario 'room-test' leaves the float range", new
+
+
+def test_absent_or_null_step_means_powers_of_two(tmp_path):
+    for step in ("", "  step:\n", "  step: null\n", "  step: powers-of-two\n"):
+        text = VALID_REDUCED_YAML.replace("  step: 0.5\n", step)
+        assert load_scenario(write(tmp_path, text)).sweep == SweepSpec(1.0, 20.0, None)
+
+
 def test_bad_sweep_step_string(tmp_path):
     bad = VALID_REDUCED_YAML.replace("step: 0.5", "step: every-other")
     with pytest.raises(ScenarioError, match="powers-of-two"):

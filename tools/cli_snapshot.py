@@ -3,7 +3,9 @@
     PYTHONPATH=src python3 tools/cli_snapshot.py OUT_DIR
 
 Runs, in CSV and in JSON, ``rate --n 8``, ``optimize`` and ``sweep`` for
-every bundled preset and for the scenario file ``demos/sample_scenario.yaml``,
+every bundled preset and for the scenario files ``demos/sample_scenario.yaml``
+(``system`` block, fraction mode) and ``demos/fixed_count_scenario.yaml``
+(``reduced`` block, fixed mode, powers-of-two sweep),
 ``tables --which both|selection|normalized`` and ``presets``.  Each command
 goes through ``omnidris.cli.main`` in this process, with the warning filters
 reset so that it warns as a fresh process would.  Its exit code, stderr and
@@ -36,6 +38,7 @@ def commands() -> dict[str, list[str]]:
     """File stem -> CLI arguments, for every command in both formats."""
     scenarios = {name: name for name in sorted(preset_scenarios())}
     scenarios["sample-scenario"] = str(ROOT / "demos" / "sample_scenario.yaml")
+    scenarios["fixed-count-scenario"] = str(ROOT / "demos" / "fixed_count_scenario.yaml")
     base = {}
     for stem, ref in scenarios.items():
         base[f"rate-{stem}"] = ["rate", "--scenario", ref, "--n", "8"]
