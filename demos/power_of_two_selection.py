@@ -9,11 +9,11 @@ better one (ties fall to the smaller panel).
 import math
 
 from omnidris import (
+    T_STAR,
     ReducedParams,
     bits_per_sequence,
     optimize_proportional,
     rate_total,
-    stationarity_constant,
 )
 from omnidris.cli import main
 
@@ -21,14 +21,13 @@ main(["tables", "--which", "selection"])
 
 print()
 print("The proportional-mode optimum comes from one universal constant:")
-t_star = stationarity_constant()
-print(f"  t* = {t_star:.12f}  solves ln(1+t) = 2t/(1+t)")
+print(f"  t* = {T_STAR:.12f}  solves ln(1+t) = 2t/(1+t)")
 print("  N* = sqrt(alpha / (psi t*)) -- independent of the active share and")
 print("  of every rate-scale factor.")
 
 print()
 print("Doubling the light sources (psi x4, xi x2) halves N* at the same peak rate:")
-red = ReducedParams(alpha=t_star * 180.0**2, psi=1.0, xi=5e5)
+red = ReducedParams(alpha=T_STAR * 180.0**2, psi=1.0, xi=5e5)
 base = optimize_proportional(red, 1.0)
 doubled = optimize_proportional(ReducedParams(red.alpha, 4.0, 1e6), 1.0)
 print(f"  one source:  N* = {base.n_star_cubic:7.2f}, peak {base.f_at_cubic / 1e6:8.3f} Mbps")

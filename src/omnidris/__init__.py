@@ -14,6 +14,7 @@ here: a package attribute of that name would hide the ``optimize`` module.
 """
 from .channel import LinkGeometry, channel_dc_gain, reference_room_geometry
 from .optimize import (
+    T_STAR,
     CubicCoefficients,
     NoInteriorMaximumError,
     OptimumReport,
@@ -24,7 +25,6 @@ from .optimize import (
     optimize_proportional,
     select_power_of_two,
     solve_cubic,
-    stationarity_constant,
 )
 from .rate import (
     E_OVER_2PI,

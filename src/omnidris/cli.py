@@ -71,8 +71,6 @@ def _emit_record(payload: dict, args) -> None:
 
 def _absorbing_override(args, scenario):
     if args.theta is not None:
-        if args.theta < 0:
-            raise ScenarioError(f"--theta must be >= 0, got {args.theta}")
         return FixedCount(args.theta)
     if args.absorbing_fraction is not None:
         return Fraction(args.absorbing_fraction)

@@ -21,8 +21,6 @@ the two candidates bracketing the exact optimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 from .rate import AbsorbingMode, Fraction, ReducedParams, f_series, rate_total
@@ -36,33 +34,31 @@ __all__ = [
     "solve_cubic",
     "meaningful_root",
     "select_power_of_two",
-    "stationarity_constant",
     "optimize",
     "optimize_fixed_theta",
     "optimize_proportional",
     "HARDWARE_POWERS_OF_TWO",
+    "T_STAR",
 ]
 
 #: Realizable element counts: 1 <= N <= 512 with N = 2^k.
 HARDWARE_POWERS_OF_TWO = tuple(2**k for k in range(10))
+
+#: t*, the root of ln(1 + t) = 2t / (1 + t): the load of every proportional optimum.
+T_STAR = 3.9215536345675055
 
 
 class NoInteriorMaximumError(ValueError):
     """No cubic root lies above the absorbing count with a series maximum."""
 
 
-@dataclass(frozen=True)
-class CubicCoefficients:
+class CubicCoefficients(NamedTuple):
     """Coefficients (c3, c2, c1, c0) of the stationarity cubic."""
 
     c3: float
     c2: float
     c1: float
     c0: float
-
-    def __post_init__(self) -> None:
-        if self.c3 <= 0:
-            raise ValueError(f"leading coefficient must be positive, got {self.c3}")
 
     def __call__(self, x: float) -> float:
         return ((self.c3 * x + self.c2) * x + self.c1) * x + self.c0
@@ -147,8 +143,11 @@ def solve_cubic(cubic: CubicCoefficients) -> list[float]:
     NaN roots.  Scaling by a power of two is exact, so only rounding inside
     ``**`` can tell the roots apart from those of an unscaled solve.  The
     polish runs on the unscaled cubic and is skipped where it overflows.
+    The leading coefficient must be positive.
     """
-    c3, c2, c1, c0 = cubic.c3, cubic.c2, cubic.c1, cubic.c0
+    c3, c2, c1, c0 = cubic
+    if c3 <= 0:
+        raise ValueError(f"leading coefficient must be positive, got {c3}")
     b, c, d = c2 / c3, c1 / c3, c0 / c3
     if not math.isfinite(b + c + d):
         return [math.nan] * 3
@@ -246,34 +245,6 @@ def select_power_of_two(n_star: float, red: ReducedParams, absorbing=0.0) -> Pow
     return Pow2Selection(chosen, chosen_rate, lower, upper, rate_lower, rate_upper, False)
 
 
-@lru_cache(maxsize=1)
-def stationarity_constant() -> float:
-    """Root t* of ln(1 + t) = 2t / (1 + t) on (0, 100].
-
-    t* ~ 3.92155 is the load alpha/(psi n^2) at which any proportionally
-    absorbing panel maximizes its rate; the optimum element count is
-    sqrt(alpha / (psi t*)) independently of the active fraction.
-    Bracketed bisection (the function is negative on (0, t*)) followed by
-    two Newton steps.
-    """
-
-    def g(t: float) -> float:
-        return math.log1p(t) - 2.0 * t / (1.0 + t)
-
-    lo, hi = 1.0, 100.0  # g(1) = ln 2 - 1 < 0, g(100) > 0
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    t = 0.5 * (lo + hi)
-    for _ in range(2):
-        slope = (t - 1.0) / (1.0 + t) ** 2
-        t -= g(t) / slope
-    return t
-
-
 def _exact_optimum(red: ReducedParams, theta: float) -> tuple[float, bool]:
     """Argmax of the exact fixed-count rate on n >= 1, and whether it is n = 1.
 
@@ -306,7 +277,7 @@ def _exact_optimum(red: ReducedParams, theta: float) -> tuple[float, bool]:
             return (2.0 * theta, False) if 2.0 * theta > 1.0 else (1.0, True)
         return lo, True
     hi = math.inf
-    n = max(lo, 2.0 * theta, math.sqrt(red.alpha / (red.psi * stationarity_constant())))
+    n = max(lo, 2.0 * theta, math.sqrt(red.alpha / (red.psi * T_STAR)))
     for _ in range(100):
         x = red.alpha / (red.psi * n * n)
         gap = math.log1p(x) - 2.0 * (1.0 - theta / n) * x / (1.0 + x)  # > 0 iff rising(n)
@@ -397,7 +368,7 @@ def optimize_proportional(red: ReducedParams, active_fraction: float) -> Optimum
 
 def _optimize_share(red: ReducedParams, mode: Fraction, active_fraction: float) -> OptimumReport:
     """:func:`optimize_proportional`, evaluating every rate under ``mode`` itself."""
-    n_analytic = math.sqrt(red.alpha / (red.psi * stationarity_constant()))
+    n_analytic = math.sqrt(red.alpha / (red.psi * T_STAR))
     below_one = n_analytic < 1.0
     exact = _exact_fields(red, mode, 1.0 if below_one else n_analytic, below_one)
     f_analytic = rate_total(red, n_analytic, mode) if below_one else exact[1]

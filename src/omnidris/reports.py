@@ -45,7 +45,11 @@ CALIBRATION_NOTE = (
     "rate prefactor of W*L*M instead of W*L*M/2. Calibrated presets therefore "
     "pin alpha so that the fully active family peaks at N = 180 for noise "
     "PSD 2 W/Hz, and only selection patterns and exact active-fraction "
-    "ratios are asserted, never absolute Mbps."
+    "ratios are asserted, never absolute Mbps. Inverted under the W*L*M "
+    "prefactor, the published selection-table rates imply an alpha within "
+    "0.7% of the calibrated one for the three PSD 2 rows and the PSD 8 row; "
+    "the PSD 5 row implies 1.249 times it (about 5/4: its Mbps are those "
+    "PSD 4 gives), and the PSD 3 row 1.185 times, unexplained."
 )
 
 #: Published normalized-table values: measured (grid) vs calculated (cubic).

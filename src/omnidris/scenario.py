@@ -55,12 +55,11 @@ import csv
 import io
 import math
 from dataclasses import MISSING, dataclass, fields
-from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
 from .channel import LinkGeometry, channel_dc_gain, reference_room_geometry
-from .optimize import HARDWARE_POWERS_OF_TWO, optimize, stationarity_constant
+from .optimize import HARDWARE_POWERS_OF_TWO, T_STAR, optimize
 from .rate import (
     AbsorbingMode,
     FixedCount,
@@ -80,7 +79,6 @@ __all__ = [
     "SweepRow",
     "CSV_COLUMNS",
     "load_scenario",
-    "scenario_from_dict",
     "run_sweep",
     "sweep_to_csv",
     "preset_scenarios",
@@ -287,7 +285,7 @@ def _record(cls, data: dict, block: str):
     return cls(**values)
 
 
-def scenario_from_dict(data: dict, *, source: str = "scenario") -> Scenario:
+def _scenario_from_dict(data: dict, *, source: str = "scenario") -> Scenario:
     """Build and validate a :class:`Scenario` from parsed YAML data."""
     version = _require(data, "schema_version", source)
     if version != 1:
@@ -352,7 +350,7 @@ def load_scenario(path) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError(f"scenario file {path} must contain a mapping")
     _reject_unknown_keys(node, _SCHEMA, "")
-    return scenario_from_dict(data, source=str(path))
+    return _scenario_from_dict(data, source=str(path))
 
 
 # --- presets -----------------------------------------------------------------
@@ -379,7 +377,7 @@ def alpha_calibration_for(noise_psd: float) -> float:
     """
     if noise_psd <= 0:
         raise ScenarioError(f"noise_psd must be positive, got {noise_psd}")
-    return stationarity_constant() * 180.0**2 * (2.0 / noise_psd)
+    return T_STAR * 180.0**2 * (2.0 / noise_psd)
 
 
 def _normalized_preset(name: str) -> Scenario:
@@ -399,6 +397,8 @@ def _normalized_preset(name: str) -> Scenario:
 #: Calibrated presets: name -> (noise PSD in W/Hz, absorbing fraction, description).
 #: The source text and its selection table disagree on the bottom-family
 #: noise set ({3,4,8} vs {3,5,8}); both variants ship, neither is canonical.
+#: The published selection rates imply the calibrated alpha (within 0.7%) for
+#: the PSD 2 rows and PSD 8; the "PSD = 5" row's rates are what PSD 4 gives.
 _CALIBRATED_PRESETS: dict[str, tuple[float, float, str]] = {
     "fig2-top": (
         2.0,
@@ -427,46 +427,49 @@ _CALIBRATED_PRESETS: dict[str, tuple[float, float, str]] = {
 }
 
 
+def _calibrated_preset(name: str) -> Scenario:
+    noise_psd, absorbing_fraction, description = _CALIBRATED_PRESETS[name]
+    return Scenario(
+        name=name,
+        # the reference room's system: 1 MHz, 10 W, one source, one user, rho = 0.5
+        system=SystemParams(1e6, 10.0, 1, 1, 0.5, noise_psd),
+        geometry=reference_room_geometry(),
+        alpha_calibration=alpha_calibration_for(noise_psd),
+        absorbing=Fraction(absorbing_fraction),
+        sweep=SweepSpec(1.0, 512.0, 1.0),
+        description=description + " [alpha calibrated: fully active peak at N = 180]",
+    )
+
+
+#: Every bundled preset, keyed by name.
+_PRESETS: dict[str, Scenario] = {
+    **{name: _normalized_preset(name) for name in NORMALIZED_COMBOS},
+    **{name: _calibrated_preset(name) for name in _CALIBRATED_PRESETS},
+}
+
+
 def preset_scenarios() -> dict[str, Scenario]:
     """All bundled presets, keyed by name (a fresh mapping each call)."""
-    return dict(_build_presets())
-
-
-@lru_cache(maxsize=1)
-def _build_presets() -> dict[str, Scenario]:
-    presets = {name: _normalized_preset(name) for name in NORMALIZED_COMBOS}
-    for name, (noise_psd, absorbing_fraction, description) in _CALIBRATED_PRESETS.items():
-        presets[name] = Scenario(
-            name=name,
-            # the reference room's system: 1 MHz, 10 W, one source, one user, rho = 0.5
-            system=SystemParams(1e6, 10.0, 1, 1, 0.5, noise_psd),
-            geometry=reference_room_geometry(),
-            alpha_calibration=alpha_calibration_for(noise_psd),
-            absorbing=Fraction(absorbing_fraction),
-            sweep=SweepSpec(1.0, 512.0, 1.0),
-            description=description + " [alpha calibrated: fully active peak at N = 180]",
-        )
-    return presets
+    return dict(_PRESETS)
 
 
 def get_preset(name: str) -> Scenario:
-    presets = preset_scenarios()
-    if name not in presets:
+    if name not in _PRESETS:
         raise ScenarioError(
-            f"unknown preset {name!r}; available: {', '.join(sorted(presets))}"
+            f"unknown preset {name!r}; available: {', '.join(sorted(_PRESETS))}"
         )
-    return presets[name]
+    return _PRESETS[name]
 
 
 def resolve_scenario(ref: str) -> Scenario:
     """Resolve a CLI-style scenario reference: preset name or file path."""
-    if ref in preset_scenarios():
-        return get_preset(ref)
+    if ref in _PRESETS:
+        return _PRESETS[ref]
     if Path(ref).exists():
         return load_scenario(ref)
     raise ScenarioError(
         f"{ref!r} is neither a bundled preset nor an existing scenario file; "
-        f"presets: {', '.join(sorted(preset_scenarios()))}"
+        f"presets: {', '.join(sorted(_PRESETS))}"
     )
 
 
@@ -474,11 +477,11 @@ def resolve_scenario(ref: str) -> Scenario:
 
 
 def _grid_values(sweep: SweepSpec) -> list[float]:
+    """The stepped grid: one point when n_min == n_max, none for powers of two only."""
     if sweep.n_max == sweep.n_min:
         return [sweep.n_min]
     if sweep.step is None:
-        values = [float(p) for p in HARDWARE_POWERS_OF_TWO if sweep.n_min <= p <= sweep.n_max]
-        return values or [sweep.n_min]
+        return []
     steps = (sweep.n_max - sweep.n_min) / sweep.step + 1e-9
     if steps >= MAX_SWEEP_POINTS:  # checked before the list is built
         raise ScenarioError(
@@ -508,7 +511,8 @@ def run_sweep(scenario: Scenario) -> list[SweepRow]:
     }
     selected_n = float(optimize(red, absorbing).selected_n)
     rows = []
-    for n in sorted(set(_grid_values(scenario.sweep)) | pow2_in_range):
+    grid = set(_grid_values(scenario.sweep)) | pow2_in_range
+    for n in sorted(grid or {scenario.sweep.n_min}):
         theta = min(absorbing.theta_at(n), n)
         rate = rate_total(red, n, absorbing) if theta < n else 0.0  # unwarned: all absorbing
         pow2 = n in pow2_in_range

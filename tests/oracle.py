@@ -13,6 +13,8 @@ probes of the two-term series), kept as references for the fast ones.
 
 :func:`vector_rate` is the reduced rate over an array of element counts,
 the numpy form that :func:`omnidris.rate.rate_total` is held bit-equal to.
+
+:func:`implied_alpha` inverts a published rate for the alpha that gives it.
 """
 from __future__ import annotations
 
@@ -38,6 +40,16 @@ def vector_rate(red: ReducedParams, ns, absorbing) -> np.ndarray:
     active = values - theta
     rate = red.xi * active * np.log1p(red.alpha / (red.psi * values * values)) / LN2
     return np.where(active > 0.0, rate, 0.0)
+
+
+def implied_alpha(psi: float, xi: float, n: float, active: float, rate_bps: float) -> float:
+    """The alpha at which ``n`` elements, ``active`` of them active, reach ``rate_bps``.
+
+    Inverts ``R = 2 xi zeta log2(1 + alpha/(psi N^2))``, the reduced rate under
+    the W*L*M = 2 xi prefactor that the published peaks match:
+    ``alpha = psi N^2 (2^(R/(2 xi zeta)) - 1)``.
+    """
+    return psi * n * n * (2.0 ** (rate_bps / (2.0 * xi * active)) - 1.0)
 
 
 class BruteForceResult(NamedTuple):

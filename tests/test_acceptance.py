@@ -21,13 +21,13 @@ import pytest
 
 from omnidris.channel import channel_dc_gain, reference_room_geometry
 from omnidris.optimize import (
+    T_STAR,
     build_cubic,
     meaningful_root,
     optimize_fixed_theta,
     optimize_proportional,
     select_power_of_two,
     solve_cubic,
-    stationarity_constant,
 )
 from omnidris.rate import (
     LN2,
@@ -156,8 +156,8 @@ def _independent_tstar() -> float:
 
 def test_criterion_06_proportional_universal_constant():
     independent = _independent_tstar()
-    assert abs(stationarity_constant() - independent) <= 1e-6
-    t_star = stationarity_constant()
+    assert abs(T_STAR - independent) <= 1e-6
+    t_star = T_STAR
 
     rng = np.random.default_rng(20260810)
     checked = 0

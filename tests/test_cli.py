@@ -143,6 +143,12 @@ def test_rate_rejects_an_absorbing_count_beyond_float(capsys):
     assert err == "error: absorbing count is too large to be a float\n"
 
 
+def test_rate_rejects_a_negative_theta_as_the_record_does(capsys):
+    code, out, err = run(capsys, "rate", "--scenario", "C0", "--n", "4", "--theta", "-1")
+    assert (code, out) == (1, "")
+    assert err == "error: absorbing count must be an integer >= 0, got -1\n"
+
+
 def test_tables_reports_all_pass(capsys):
     code, out, _ = run(capsys, "tables", "--format", "json")
     assert code == 0

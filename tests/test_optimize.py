@@ -17,6 +17,7 @@ from omnidris.rate import (
 )
 from omnidris.optimize import (
     HARDWARE_POWERS_OF_TWO,
+    T_STAR,
     CubicCoefficients,
     NoInteriorMaximumError,
     build_cubic,
@@ -27,7 +28,6 @@ from omnidris.optimize import (
     _exact_optimum,
     select_power_of_two,
     solve_cubic,
-    stationarity_constant,
 )
 from omnidris.scenario import NORMALIZED_COMBOS, alpha_calibration_for
 from oracle import bisection_exact_optimum, brute_force_argmax, probe_meaningful_root
@@ -89,7 +89,7 @@ def test_build_cubic_ignores_xi():
 
 def test_cubic_coefficients_require_positive_leading_term():
     with pytest.raises(ValueError):
-        CubicCoefficients(0.0, 1.0, 1.0, 1.0)
+        solve_cubic(CubicCoefficients(0.0, 1.0, 1.0, 1.0))
     with pytest.raises(ValueError):
         build_cubic(ReducedParams(1.0, 1.0, 1.0), -0.5)
 
@@ -276,12 +276,12 @@ def test_select_noise_rows_match_published_pattern():
     base = alpha_calibration_for(2.0)
     # PSD 5 row: optimum ~113.8, the upper candidate 128 wins
     red5 = ReducedParams(base * 2.0 / 5.0, 1.0, xi)
-    n5 = math.sqrt(red5.alpha / stationarity_constant())
+    n5 = math.sqrt(red5.alpha / T_STAR)
     sel5 = select_power_of_two(n5, red5, Fraction(0.5))
     assert (sel5.lower, sel5.upper, sel5.n) == (64, 128, 128)
     # PSD 3 row: optimum ~147, the lower candidate 128 wins
     red3 = ReducedParams(base * 2.0 / 3.0, 1.0, xi)
-    n3 = math.sqrt(red3.alpha / stationarity_constant())
+    n3 = math.sqrt(red3.alpha / T_STAR)
     sel3 = select_power_of_two(n3, red3, Fraction(0.5))
     assert (sel3.lower, sel3.upper, sel3.n) == (128, 256, 128)
 
@@ -334,8 +334,13 @@ def test_stationarity_constant_against_independent_bisection():
         else:
             hi = mid
     independent = 0.5 * (lo + hi)
-    assert stationarity_constant() == pytest.approx(independent, abs=1e-9)
-    assert stationarity_constant() == pytest.approx(3.92155, abs=1e-5)
+    assert T_STAR == pytest.approx(independent, abs=1e-9)
+    assert T_STAR == pytest.approx(3.92155, abs=1e-5)
+    # the sign of g changes within one part in 1e12 either side of T_STAR
+    def g(t):
+        return math.log1p(t) - 2.0 * t / (1.0 + t)
+
+    assert g(T_STAR * (1.0 - 1e-12)) < 0.0 < g(T_STAR * (1.0 + 1e-12))
 
 
 # --- full optimization reports ------------------------------------------------------------
@@ -515,13 +520,33 @@ def test_exact_optimum_agrees_with_the_oracle(alpha, psi, theta):
         assert report.at_boundary and oracle.at_boundary and oracle.n == 1.0
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    ratio=st.floats(min_value=-2.0, max_value=8.0).map(lambda e: 10.0**e),
+    theta=st.one_of(
+        st.integers(min_value=0, max_value=50), st.floats(min_value=0.0, max_value=50.0)
+    ),
+)
+def test_the_exact_slope_changes_sign_at_most_once(ratio, theta):
+    # unimodality: why comparing the two powers of two around the optimum suffices
+    start = max(theta, 1.0) * (1.0 + 1e-9)
+    signs = []
+    for k in range(400):  # log-spaced from just above max(theta, 1) up x1e10
+        n = start * 10.0 ** (10.0 * k / 399)
+        x = ratio / (n * n)  # ratio is alpha/psi
+        grow, shrink = math.log1p(x), 2.0 * (1.0 - theta / n) * x / (1.0 + x)
+        if abs(grow - shrink) > 1e-12 * max(grow, shrink):
+            signs.append(grow > shrink)  # the sign of gap = grow - shrink
+    assert signs == sorted(signs, reverse=True)  # rising, then falling
+
+
 @pytest.mark.parametrize("alpha,selected,at_boundary", [(1000.0, 16, False), (1e7, 512, True)])
 def test_fixed_selection_brackets_the_exact_optimum(alpha, selected, at_boundary):
     # at theta = 0 the exact optimum is sqrt(alpha/(psi t*)), and the cubic
     # root sqrt(1.5 alpha/psi) lies sqrt(1.5 t*) ~ 2.425x beyond it
     red = ReducedParams(alpha, 1.0, 1.0)
     report = optimize_fixed_theta(red, 0.0)
-    t_star = stationarity_constant()
+    t_star = T_STAR
     assert report.n_star_exact == pytest.approx(math.sqrt(alpha / t_star), rel=1e-15)
     ratio = report.n_star_cubic / report.n_star_exact
     assert ratio == pytest.approx(math.sqrt(1.5 * t_star), rel=1e-12)
@@ -568,7 +593,7 @@ def test_optimize_proportional_active_fraction_factors_out():
     # closed form: f(n*) = xi (1 - q) n* log2(1 + t*)
     for report in (full, half):
         closed = red.xi * report.active_fraction * report.n_star_cubic
-        closed *= math.log2(1.0 + stationarity_constant())
+        closed *= math.log2(1.0 + T_STAR)
         assert report.f_at_cubic == pytest.approx(closed, rel=1e-12)
 
 
