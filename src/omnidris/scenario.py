@@ -85,7 +85,6 @@ __all__ = [
     "get_preset",
     "resolve_scenario",
     "alpha_calibration_for",
-    "HARDWARE_POWERS_OF_TWO",
     "MAX_SWEEP_POINTS",
 ]
 
@@ -347,6 +346,12 @@ def load_scenario(path) -> Scenario:
         where = f" (line {mark.line + 1}, column {mark.column + 1})" if mark else ""
         problem = getattr(exc, "problem", None) or str(exc).partition("\n")[0]
         raise ScenarioError(f"cannot parse scenario file: {problem}{where}") from exc
+    except RecursionError as exc:
+        raise ScenarioError("cannot parse scenario file: it is nested too deeply") from exc
+    except ValueError as exc:  # a scalar constructor: !!int abc, 2001-13-45, a 5,000-digit integer
+        raise ScenarioError(f"cannot parse scenario file: {exc}") from exc
+    except (KeyError, AttributeError) as exc:  # PyYAML's !!bool and !!timestamp on a bad value
+        raise ScenarioError("cannot parse scenario file: malformed tagged value") from exc
     if not isinstance(data, dict):
         raise ScenarioError(f"scenario file {path} must contain a mapping")
     _reject_unknown_keys(node, _SCHEMA, "")

@@ -36,6 +36,12 @@ sweep:
   step: 0.1
 """
 
+#: The bundled scenario files: a fraction-mode ``system`` block, a fixed-count ``reduced`` block.
+DEMO_TEXTS = tuple(
+    (Path(__file__).resolve().parents[1] / "demos" / name).read_text(encoding="utf-8")
+    for name in ("sample_scenario.yaml", "fixed_count_scenario.yaml")
+)
+
 
 def _env() -> dict:
     """This process's environment with the checkout's ``src`` first on ``PYTHONPATH``."""
@@ -189,6 +195,34 @@ def test_unreadable_character_is_a_one_line_error(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error: cannot parse scenario file")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "key,value,problem",
+    [
+        ("description", "[" * 1000 + "]" * 1000, "it is nested too deeply"),
+        ("alpha", "!!int abc", "invalid literal for int() with base 10: 'abc'"),
+        ("name", "2001-13-45", "month must be in 1..12"),
+        (
+            "schema_version",
+            "9" * 5000,
+            "Exceeds the limit (4300 digits) for integer string conversion: "
+            "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit",
+        ),
+        ("alpha", "!!bool abc", "malformed tagged value"),
+        ("alpha", "!!timestamp abc", "malformed tagged value"),
+    ],
+)
+def test_a_file_pyyaml_cannot_build_is_one_error_line(capsys, tmp_path, key, value, problem):
+    text, edits = re.subn(
+        rf"(?m)^( *){key}: .*$", lambda m: f"{m[1]}{key}: {value}", DEMO_TEXTS[1], count=1
+    )
+    assert edits == 1
+    path = tmp_path / "unbuildable.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert run(capsys, "optimize", "--scenario", str(path)) == (
+        1, "", f"error: cannot parse scenario file: {problem}\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["optimize", "sweep"])
@@ -352,6 +386,70 @@ def test_fuzzed_scenarios_give_finite_output_or_one_error_line(text, n):
                 if code == 0:
                     assert err.getvalue() == "", argv
                     assert not NON_FINITE_TOKEN.search(out.getvalue()), argv
+                else:
+                    assert (code, out.getvalue()) == (1, ""), argv
+                    assert err.getvalue().startswith("error: "), argv
+                    assert err.getvalue().count("\n") == 1, argv
+
+
+#: Text that means something to YAML, inserted by :func:`mutated_scenarios`.
+YAML_SIGNIFICANT = (
+    ":", "[", "{", "&a", "*a", "!!int", "<<:", "\t", "---", ".nan", "1e999", "9" * 400,
+    "2001-13-45", "\x07",
+)
+
+
+@st.composite
+def mutated_scenarios(draw) -> str:
+    """A bundled scenario file after 1-6 edits: a line duplicated or dropped, or text
+    inserted, deleted or replaced at a random offset."""
+    text = draw(st.sampled_from(DEMO_TEXTS))
+    for _ in range(draw(st.integers(1, 6))):
+        edit = draw(st.sampled_from(("duplicate", "drop", "insert", "delete", "replace")))
+        if edit in ("duplicate", "drop"):
+            lines = text.splitlines(keepends=True)
+            if lines:
+                at = draw(st.integers(0, len(lines) - 1))
+                lines[at:at + 1] = lines[at:at + 1] * (2 if edit == "duplicate" else 0)
+                text = "".join(lines)
+        else:
+            at = draw(st.integers(0, len(text)))
+            end = at if edit == "insert" else draw(st.integers(at, min(len(text), at + 20)))
+            new = "" if edit == "delete" else draw(st.sampled_from(YAML_SIGNIFICANT))
+            text = text[:at] + new + text[end:]
+    return text
+
+
+def _reject_constant(name: str):
+    raise AssertionError(f"non-finite JSON constant {name}")
+
+
+def _numeric_fields(out: str, fmt: str) -> list:
+    """Every numeric field of a report; the scenario name and mode are text, not numbers."""
+    if fmt == "json":
+        return [v for v in json.loads(out, parse_constant=_reject_constant).values()
+                if isinstance(v, (int, float))]
+    return [float(cell) for row in csv.DictReader(io.StringIO(out))
+            for key, cell in row.items() if key not in ("scenario", "mode") and cell != ""]
+
+
+@settings(max_examples=50, deadline=None)  # four CLI calls per example
+@given(text=mutated_scenarios())
+def test_malformed_scenario_files_give_finite_output_or_one_error_line(text):
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "mutated.yaml"
+        path.write_text(text, encoding="utf-8")
+        for argv in (["optimize"], ["rate", "--n", "8"]):
+            for fmt in ("csv", "json"):
+                out, err = io.StringIO(), io.StringIO()
+                with warnings.catch_warnings(record=True) as caught, \
+                        contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    warnings.simplefilter("always")  # what a fresh process would print
+                    code = main([*argv, "--scenario", str(path), "--format", fmt])
+                assert [str(w.message) for w in caught] == [], argv
+                if code == 0:
+                    assert err.getvalue() == "", argv
+                    assert all(math.isfinite(v) for v in _numeric_fields(out.getvalue(), fmt)), argv
                 else:
                     assert (code, out.getvalue()) == (1, ""), argv
                     assert err.getvalue().startswith("error: "), argv

@@ -1,9 +1,10 @@
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from omnidris.channel import channel_dc_gain, reference_room_geometry
@@ -256,6 +257,29 @@ def test_active_fraction_linearity():
         half = rate_total(red, n, Fraction(0.5))
         assert three_quarters == pytest.approx(0.75 * full, rel=1e-12)
         assert half == pytest.approx(0.5 * full, rel=1e-12)
+
+
+# alpha, psi and xi over 1e-300 .. 1e300 and n over 1 .. 1e300: the whole float range
+LOG_SCALE = st.floats(min_value=-300.0, max_value=300.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    log_alpha=LOG_SCALE,
+    log_psi=LOG_SCALE,
+    log_xi=LOG_SCALE,
+    log_n=st.floats(min_value=0.0, max_value=300.0),
+    q=st.sampled_from((0.25, 0.5)),
+)
+def test_active_share_ratios_hold_over_the_float_range(log_alpha, log_psi, log_xi, log_n, q):
+    red = ReducedParams(10.0**log_alpha, 10.0**log_psi, 10.0**log_xi)
+    n = 10.0**log_n
+    try:
+        share, full = rate_total(red, n, Fraction(q)), rate_total(red, n, Fraction(0.0))
+    except ValueError:  # the rate is beyond the float range
+        reject()
+    assume(share >= sys.float_info.min)  # a subnormal rate has fewer than 53 significant bits
+    assert abs(share / full - (1.0 - q)) <= 1e-15 * (1.0 - q)
 
 
 def test_rate_total_monotonicity_in_reduced_params():
