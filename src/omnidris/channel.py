@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .rate import require_positive_finite
+from .rate import _finite, require_positive_finite
 
 __all__ = ["LinkGeometry", "channel_dc_gain", "reference_room_geometry"]
 
@@ -85,14 +85,18 @@ def channel_dc_gain(geom: LinkGeometry) -> float:
     ``th_e``/``ph_u`` the incidence angles at the element and the user, and
     ``T``/``g`` the concentrator and filter gains.  The gain is linear in
     the reflectiveness, both areas and both optical gains, and follows an
-    inverse-square law in each hop distance.
+    inverse-square law in each hop distance.  A gain beyond the float range
+    (a hop distance whose square underflows) raises ``ValueError``.
     """
-    prefactor = (
+    d_le, d_eu = geom.dist_ls_ris_m, geom.dist_ris_user_m
+    hops = 2.0 * math.pi * (d_le * d_le) * (d_eu * d_eu)  # products: ** 2 raises on overflow
+    numerator = (
         geom.ris_reflectiveness
         * geom.ris_element_area_m2
         * geom.photodetector_area_m2
         * (geom.lambertian_order + 1.0)
-    ) / (2.0 * math.pi * geom.dist_ls_ris_m**2 * geom.dist_ris_user_m**2)
+    )
+    prefactor = numerator / hops if hops else math.inf
     # 0**0 == 1, so a zeroth Lambertian order ignores the first hop angle
     lambertian = _cos_deg(geom.irradiance_angle_ls_ris_deg) ** geom.lambertian_order
     cosines = (
@@ -101,7 +105,8 @@ def channel_dc_gain(geom: LinkGeometry) -> float:
         * _cos_deg(geom.incidence_angle_ris_deg)
         * _cos_deg(geom.incidence_angle_user_deg)
     )
-    return prefactor * cosines * geom.concentrator_gain * geom.filter_gain
+    gain = prefactor * cosines * geom.concentrator_gain * geom.filter_gain
+    return _finite(gain, "the channel gain")
 
 
 def reference_room_geometry() -> LinkGeometry:

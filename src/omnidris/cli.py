@@ -51,36 +51,23 @@ _TABLE_CSV = {
 }
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _json_dump(payload) -> str:
+def _json(payload) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
-def _emit_record(payload: dict, args) -> None:
-    """Write one flat record as JSON or as a one-row CSV table."""
-    text = _json_dump(payload) if args.format == "json" else _csv(payload, [payload.values()])
-    _emit(text, args.out)
+def _flat_record(payload: dict, fmt: str) -> str:
+    """One flat record as JSON or as a one-row CSV table."""
+    return _json(payload) if fmt == "json" else _csv(payload, [payload.values()])
 
 
-def _absorbing_override(args, scenario):
-    if args.theta is not None:
-        return FixedCount(args.theta)
-    if args.absorbing_fraction is not None:
-        return Fraction(args.absorbing_fraction)
-    return scenario.absorbing
-
-
-def cmd_rate(args) -> int:
+def cmd_rate(args) -> str:
     scenario = resolve_scenario(args.scenario)
     red = scenario.reduced_params()
-    absorbing = _absorbing_override(args, scenario)
+    absorbing = (
+        FixedCount(args.theta) if args.theta is not None
+        else Fraction(args.absorbing_fraction) if args.absorbing_fraction is not None
+        else scenario.absorbing
+    )
     n = float(args.n)
     theta = min(absorbing.theta_at(n), n)
     zeta = n - theta
@@ -96,64 +83,42 @@ def cmd_rate(args) -> int:
         "psi": red.psi,
         "xi": red.xi,
     }
-    _emit_record(payload, args)
-    return 0
+    return _flat_record(payload, args.format)
 
 
-def cmd_optimize(args) -> int:
+def cmd_optimize(args) -> str:
     scenario = resolve_scenario(args.scenario)
     report = optimize(scenario.reduced_params(), scenario.absorbing)
-    _emit_record({"scenario": scenario.name, **report._asdict()}, args)
-    return 0
+    return _flat_record({"scenario": scenario.name, **report._asdict()}, args.format)
 
 
-def cmd_sweep(args) -> int:
-    scenario = resolve_scenario(args.scenario)
-    rows = run_sweep(scenario)
-    if args.format == "json":
-        _emit(_json_dump([row._asdict() for row in rows]), args.out)
-    else:
-        _emit(sweep_to_csv(rows), args.out)
-    return 0
+def cmd_sweep(args) -> str:
+    rows = run_sweep(resolve_scenario(args.scenario))
+    return _json([row._asdict() for row in rows]) if args.format == "json" else sweep_to_csv(rows)
 
 
-def cmd_tables(args) -> int:
+def cmd_tables(args) -> str:
     tables = {}
     if args.which in ("both", "normalized"):
         tables["normalized"] = reproduce_table2()
     if args.which in ("both", "selection"):
         tables["selection"] = reproduce_table1()
     if args.format == "json":
-        payload = {
+        return _json({
             name: {**table._asdict(), "rows": [row._asdict() for row in table.rows]}
             for name, table in tables.items()
-        }
-        _emit(_json_dump(payload), args.out)
-    else:
-        chunks = []
-        for name, table in tables.items():
-            header, columns = _TABLE_CSV[name]
-            chunks.append(_csv(header, map(columns, table.rows)))
-        _emit("\n".join(chunks), args.out)
-    return 0
+        })
+    chunks = []
+    for name, table in tables.items():
+        header, columns = _TABLE_CSV[name]
+        chunks.append(_csv(header, map(columns, table.rows)))
+    return "\n".join(chunks)
 
 
-def cmd_presets(args) -> int:
+def cmd_presets(args) -> str:
     presets = preset_scenarios()
-    header = ("name", "description")
-    rows = [(name, presets[name].description) for name in sorted(presets)]
-    if args.format == "json":
-        _emit(_json_dump([dict(zip(header, row)) for row in rows]), args.out)
-    else:
-        _emit(_csv(header, rows), args.out)
-    return 0
-
-
-def _add_common(parser: argparse.ArgumentParser, default_format: str) -> None:
-    parser.add_argument(
-        "--format", choices=("csv", "json"), default=default_format, help="output format"
-    )
-    parser.add_argument("--out", metavar="PATH", default=None, help="write output to a file")
+    rows = [{"name": name, "description": presets[name].description} for name in sorted(presets)]
+    return _json(rows) if args.format == "json" else _csv(rows[0], map(dict.values, rows))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -164,38 +129,38 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_rate = sub.add_parser("rate", help="evaluate the aggregate rate at one element count")
-    p_rate.add_argument("--scenario", required=True, help="preset name or scenario file path")
-    p_rate.add_argument("--n", type=float, required=True, help="element count (may be fractional)")
-    override = p_rate.add_mutually_exclusive_group()
-    override.add_argument("--theta", type=int, default=None, help="override: fixed absorbing count")
-    override.add_argument(
-        "--absorbing-fraction", type=float, default=None, help="override: absorbing fraction"
+    def command(name, func, fmt, summary, *own, scenario=True, exclusive=()):
+        """Subcommand ``name``: ``--scenario``, ``own`` and ``exclusive`` ``(flag, settings)``,
+        ``--format`` (default ``fmt``) and ``--out``, in help order; ``func`` runs it."""
+        p = sub.add_parser(name, help=summary)
+        if scenario:
+            p.add_argument("--scenario", required=True, help="preset name or scenario file path")
+        for flag, settings in own:
+            p.add_argument(flag, **settings)
+        if exclusive:
+            group = p.add_mutually_exclusive_group()
+            for flag, settings in exclusive:
+                group.add_argument(flag, **settings)
+        p.add_argument("--format", choices=("csv", "json"), default=fmt, help="output format")
+        p.add_argument("--out", metavar="PATH", default=None, help="write output to a file")
+        p.set_defaults(func=func)
+
+    command(
+        "rate", cmd_rate, "json", "evaluate the aggregate rate at one element count",
+        ("--n", dict(type=float, required=True, help="element count (may be fractional)")),
+        exclusive=[
+            ("--theta", dict(type=int, help="override: fixed absorbing count")),
+            ("--absorbing-fraction", dict(type=float, help="override: absorbing fraction")),
+        ],
     )
-    _add_common(p_rate, "json")
-    p_rate.set_defaults(func=cmd_rate)
-
-    p_opt = sub.add_parser("optimize", help="find the rate-maximizing element count")
-    p_opt.add_argument("--scenario", required=True, help="preset name or scenario file path")
-    _add_common(p_opt, "json")
-    p_opt.set_defaults(func=cmd_optimize)
-
-    p_sweep = sub.add_parser("sweep", help="rate over the scenario's element-count grid")
-    p_sweep.add_argument("--scenario", required=True, help="preset name or scenario file path")
-    _add_common(p_sweep, "csv")
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_tables = sub.add_parser("tables", help="reproduce the published reference tables")
-    p_tables.add_argument(
-        "--which", choices=("both", "selection", "normalized"), default="both"
+    command("optimize", cmd_optimize, "json", "find the rate-maximizing element count")
+    command("sweep", cmd_sweep, "csv", "rate over the scenario's element-count grid")
+    command(
+        "tables", cmd_tables, "csv", "reproduce the published reference tables",
+        ("--which", dict(choices=("both", "selection", "normalized"), default="both")),
+        scenario=False,
     )
-    _add_common(p_tables, "csv")
-    p_tables.set_defaults(func=cmd_tables)
-
-    p_presets = sub.add_parser("presets", help="list bundled scenario presets")
-    _add_common(p_presets, "csv")
-    p_presets.set_defaults(func=cmd_presets)
-
+    command("presets", cmd_presets, "csv", "list bundled scenario presets", scenario=False)
     return parser
 
 
@@ -209,10 +174,16 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             # reports state a degenerate panel in their fields; the warning would repeat it
             warnings.simplefilter("ignore", DegenerateConfigWarning)
-            return args.func(args)
+            text = args.func(args)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
     except (ScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

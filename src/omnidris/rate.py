@@ -42,6 +42,7 @@ __all__ = [
 E_OVER_2PI = math.e / (2.0 * math.pi)
 LN2 = math.log(2.0)
 _TINY = sys.float_info.min
+_FLOAT_MAX = sys.float_info.max
 _log1p = np.log1p
 
 
@@ -55,6 +56,12 @@ def require_positive_finite(owner, fields, error=ValueError) -> None:
         value = getattr(owner, field)
         if not 0.0 < value < math.inf:  # False for NaN as well
             raise error(f"{field} must be positive and finite, got {value}")
+
+
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{what} overflowed the float range")
+    return value
 
 
 @dataclass(frozen=True)
@@ -79,6 +86,8 @@ class SystemParams:
             value = getattr(self, field)
             if not isinstance(value, int) or value < 1:
                 raise ValueError(f"{field} must be a positive integer, got {value!r}")
+            if value > _FLOAT_MAX:  # do not echo hundreds of digits
+                raise ValueError(f"{field} is too large to be a float")
         if not 0.0 < self.oe_conversion <= 1.0:
             raise ValueError(
                 f"oe_conversion must lie in (0, 1], got {self.oe_conversion}"
@@ -94,10 +103,8 @@ class FixedCount:
     def __post_init__(self) -> None:
         if not isinstance(self.count, int) or self.count < 0:
             raise ValueError(f"absorbing count must be an integer >= 0, got {self.count!r}")
-        try:
-            float(self.count)
-        except OverflowError:  # do not echo hundreds of digits
-            raise ValueError("absorbing count is too large to be a float") from None
+        if self.count > _FLOAT_MAX:  # do not echo hundreds of digits
+            raise ValueError("absorbing count is too large to be a float")
 
     def theta_at(self, n):
         return float(self.count)
@@ -144,23 +151,25 @@ def snr_single_link(params: SystemParams, gain: float, num_elements: int) -> flo
 
         snr = rho^2 * (P_t G / (M n L))^2 / (noise_psd / 2).
     """
-    if gain < 0:
-        raise ValueError(f"channel gain must be >= 0, got {gain}")
-    if num_elements < 1:
-        raise ValueError(
-            f"num_elements must be >= 1 (power is divided by it), got {num_elements}"
-        )
+    if not 0.0 <= gain < math.inf:  # rejects NaN as well
+        raise ValueError(f"channel gain must be >= 0 and finite, got {gain}")
+    if not num_elements >= 1:  # rejects NaN as well
+        raise ValueError(f"num_elements must be >= 1 (power is divided by it), got {num_elements}")
+    if num_elements > _FLOAT_MAX:
+        raise ValueError("num_elements is too large to be a float")
     share = params.transmit_power_w * gain / (
-        params.num_users * num_elements * params.num_light_sources
+        float(params.num_users) * num_elements * params.num_light_sources
     )
-    return params.oe_conversion**2 * share**2 / (params.noise_psd / 2.0)
+    rho = params.oe_conversion
+    return _finite(rho * rho * (share * share) / (params.noise_psd / 2.0), "the SNR")
 
 
 def rate_single_link(params: SystemParams, snr: float) -> float:
     """Achievable rate of one link: (W/2) * log2(1 + e/(2 pi) * snr)."""
-    if snr < 0:
-        raise ValueError(f"snr must be >= 0, got {snr}")
-    return params.bandwidth_hz / 2.0 * math.log1p(E_OVER_2PI * snr) / LN2
+    if not 0.0 <= snr < math.inf:  # rejects NaN as well
+        raise ValueError(f"snr must be >= 0 and finite, got {snr}")
+    rate = params.bandwidth_hz / 2.0 * math.log1p(E_OVER_2PI * snr) / LN2
+    return _finite(rate, "the link rate")
 
 
 def reduce_params(params: SystemParams, gain: float) -> ReducedParams:
@@ -169,22 +178,18 @@ def reduce_params(params: SystemParams, gain: float) -> ReducedParams:
     alpha = e/(2 pi) * rho^2 G^2 P_t^2 / (noise_psd / 2), with psi and xi
     from :func:`reduced_with_alpha`.
     """
-    if gain <= 0:
+    if not gain > 0.0:  # rejects NaN as well; an infinite gain gives an infinite alpha
         raise ValueError("channel gain must be positive to form reduced parameters")
-    alpha = (
-        E_OVER_2PI
-        * params.oe_conversion**2
-        * gain**2
-        * params.transmit_power_w**2
-        / (params.noise_psd / 2.0)
-    )
+    rho, power = params.oe_conversion, params.transmit_power_w
+    # products, as x ** 2 raises on overflow: ReducedParams names an alpha of inf or 0
+    alpha = E_OVER_2PI * (rho * rho) * (gain * gain) * (power * power) / (params.noise_psd / 2.0)
     return reduced_with_alpha(params, alpha)
 
 
 def reduced_with_alpha(params: SystemParams, alpha: float) -> ReducedParams:
     """The triple for a given alpha: psi = (M L)^2 and xi = W L M / 2 from ``params``."""
-    links = params.num_users * params.num_light_sources
-    return ReducedParams(alpha=alpha, psi=float(links * links), xi=params.bandwidth_hz * links / 2.0)
+    links = float(params.num_users) * params.num_light_sources
+    return ReducedParams(alpha=alpha, psi=links * links, xi=params.bandwidth_hz * links / 2.0)
 
 
 def _theta_of(absorbing, n):
@@ -194,12 +199,6 @@ def _theta_of(absorbing, n):
     if not theta >= 0:  # rejects NaN as well
         raise ValueError(f"absorbing count must be >= 0, got {theta}")
     return theta
-
-
-def _finite_rate(rate: float, n: float) -> float:
-    if not math.isfinite(rate):
-        raise ValueError(f"the rate at n = {n} overflowed the float range")
-    return rate
 
 
 def _first_order_rate(red: ReducedParams, n: float, active: float) -> float:
@@ -220,8 +219,8 @@ def rate_total(red: ReducedParams, n, absorbing=0.0) -> float:
     the first-order term, not a silent 0; a rate beyond the float range
     raises ``ValueError``, after a second, overflow-safe evaluation order
     (an infinite load then enters as ``log alpha - log psi - 2 log n``).
-    numpy's ``log1p`` stays because ``math.log1p`` differs from it in the
-    last bits, which would move published sweep and table outputs.
+    numpy's ``log1p`` stays: where numpy dispatches it to AVX-512 its last
+    bits differ from ``math.log1p``'s (elsewhere they agree), so outputs are per-CPU.
     """
     n = float(n)
     if not 0.0 < n < math.inf:  # rejects NaN as well
@@ -237,14 +236,14 @@ def rate_total(red: ReducedParams, n, absorbing=0.0) -> float:
     denominator = red.psi * n * n
     load = red.alpha / denominator if denominator else math.inf  # n^2 psi underflowed
     if load < _TINY:
-        return _finite_rate(_first_order_rate(red, n, active), n)
+        return _finite(_first_order_rate(red, n, active), f"the rate at n = {n}")
     ln_load = float(_log1p(load))
     rate = red.xi * active * ln_load / LN2
     if math.isfinite(rate):
         return rate
     if load == math.inf:  # alpha / (psi n^2) beyond the floats, where log1p(load) = log(load)
         ln_load = math.log(red.alpha) - math.log(red.psi) - 2.0 * math.log(n)
-    return _finite_rate(red.xi * (active * (ln_load / LN2)), n)  # xi * active alone may overflow
+    return _finite(red.xi * (active * (ln_load / LN2)), f"the rate at n = {n}")
 
 
 def f_series(red: ReducedParams, n: float, theta: float, terms: int) -> float:
@@ -263,6 +262,8 @@ def f_series(red: ReducedParams, n: float, theta: float, terms: int) -> float:
         raise ValueError(f"terms must be >= 1, got {terms}")
     if not 0.0 < n < math.inf:  # rejects NaN as well
         raise ValueError(f"element count must be positive and finite, got {n}")
+    if not 0.0 <= theta < n:  # rejects NaN as well; the series counts the n - theta active
+        raise ValueError(f"absorbing count must lie in [0, n = {n}), got {theta}")
     denominator = red.psi * n * n
     x = red.alpha / denominator if denominator else math.inf  # n^2 psi underflowed
     if x > 1.0:
@@ -271,7 +272,7 @@ def f_series(red: ReducedParams, n: float, theta: float, terms: int) -> float:
             "outside the convergence domain"
         )
     if x < _TINY:
-        return _finite_rate(_first_order_rate(red, n, n - theta), n)
+        return _finite(_first_order_rate(red, n, n - theta), f"the rate at n = {n}")
     total = 0.0
     power = 1.0
     for j in range(1, terms + 1):
@@ -281,7 +282,7 @@ def f_series(red: ReducedParams, n: float, theta: float, terms: int) -> float:
     rate = red.xi * (n - theta) / LN2 * total
     if math.isfinite(rate):
         return rate
-    return _finite_rate(red.xi * ((n - theta) / LN2 * total), n)  # xi * (n - theta) may overflow
+    return _finite(red.xi * ((n - theta) / LN2 * total), f"the rate at n = {n}")
 
 
 def bits_per_sequence(red: ReducedParams, rate: float, active: float) -> float:
@@ -294,10 +295,10 @@ def bits_per_sequence(red: ReducedParams, rate: float, active: float) -> float:
     Round-trip law: for a power-of-two panel with a fixed absorbing count,
     ``bits_per_sequence(rate_total(n), n - theta) == log2 n``.
     """
-    if active <= 0:
-        raise ValueError(f"active element count must be positive, got {active}")
-    if rate <= 0:
-        raise ValueError(f"rate must be positive, got {rate}")
+    if not 0.0 < active < math.inf:  # rejects NaN as well
+        raise ValueError(f"active element count must be positive and finite, got {active}")
+    if not 0.0 < rate < math.inf:
+        raise ValueError(f"rate must be positive and finite, got {rate}")
     exponent = LN2 * rate / (red.xi * active)
     denominator = red.psi * math.expm1(exponent)
     if denominator <= 0:

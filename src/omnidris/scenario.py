@@ -156,15 +156,12 @@ class Scenario:
 
     def reduced_params(self) -> ReducedParams:
         """Resolve the (alpha, psi, xi) triple this scenario runs with."""
-        try:
-            if self.reduced is not None:
-                red = self.reduced
-            elif self.geometry is not None:  # a zero gain is rejected even when calibrated
-                red = reduce_params(self.system, channel_dc_gain(self.geometry))
-            else:
-                return reduced_with_alpha(self.system, self.alpha_calibration)
-        except (OverflowError, ZeroDivisionError):  # a square or a count beyond the float range
-            raise ScenarioError(f"scenario {self.name!r} leaves the float range") from None
+        if self.reduced is not None:
+            red = self.reduced
+        elif self.geometry is not None:  # a zero gain is rejected even when calibrated
+            red = reduce_params(self.system, channel_dc_gain(self.geometry))
+        else:
+            return reduced_with_alpha(self.system, self.alpha_calibration)
         if self.alpha_calibration is not None:
             red = ReducedParams(self.alpha_calibration, red.psi, red.xi)
         return red
@@ -215,26 +212,39 @@ _SCHEMA = {
 }
 
 
-def _reject_unknown_keys(node, schema: dict, path: str) -> None:
-    import yaml
+def _reject_unknown_keys(node, schema: dict, path: str, chain: frozenset = frozenset()) -> None:
+    """Reject a key that ``schema`` lacks or that one mapping writes twice.
 
-    if not isinstance(node, yaml.MappingNode):
+    Runs before construction expands the ``<<`` merges: a merged mapping is
+    checked where it is merged (unless it merges into itself, the ``chain``),
+    and a key the mapping writes may override a merged one.
+    """
+    from yaml import MappingNode, ScalarNode, SequenceNode
+
+    if not isinstance(node, MappingNode):
         mark = node.start_mark
         raise ScenarioError(
-            f"expected a mapping at {path or 'the top level'} "
-            f"(line {mark.line + 1}, column {mark.column + 1})"
+            f"expected a mapping at {path} (line {mark.line + 1}, column {mark.column + 1})"
         )
+    chain |= {id(node)}
+    written = set()
     for key_node, value_node in node.value:
-        key = key_node.value
-        if key not in schema:
-            mark = key_node.start_mark
-            raise ScenarioError(
-                f"unknown key {key!r} at line {mark.line + 1}, column {mark.column + 1}"
-                + (f" (under {path})" if path else "")
-            )
-        branch = schema[key]
-        if isinstance(branch, dict):
-            _reject_unknown_keys(value_node, branch, f"{path}.{key}" if path else key)
+        if key_node.tag == "tag:yaml.org,2002:merge":  # PyYAML rejects a merge of non-mappings
+            merged = value_node.value if isinstance(value_node, SequenceNode) else [value_node]
+            for source in merged:
+                if isinstance(source, MappingNode) and id(source) not in chain:
+                    _reject_unknown_keys(source, schema, path, chain)
+        elif isinstance(key_node, ScalarNode):  # PyYAML rejects the others as unhashable
+            key, mark = key_node.value, key_node.start_mark
+            under = f" (under {path})" if path else ""
+            where = f"at line {mark.line + 1}, column {mark.column + 1}{under}"
+            if key not in schema:
+                raise ScenarioError(f"unknown key {key!r} {where}")
+            if key in written:
+                raise ScenarioError(f"duplicate key {key!r} {where}")
+            written.add(key)
+            if isinstance(schema[key], dict):
+                _reject_unknown_keys(value_node, schema[key], f"{path}.{key}" if path else key)
 
 
 def _require(data: dict, key: str, context: str):
@@ -338,9 +348,13 @@ def load_scenario(path) -> Scenario:
         loader = yaml.SafeLoader(text)  # one parse pass: its node is both built and key-checked
         try:
             node = loader.get_single_node()
+            if isinstance(node, yaml.MappingNode):  # before construction expands its merges
+                _reject_unknown_keys(node, _SCHEMA, "")
             data = None if node is None else loader.construct_document(node)
         finally:
             loader.dispose()
+    except ScenarioError:  # the key check's own diagnostic
+        raise
     except yaml.YAMLError as exc:  # a ReaderError (bad character) carries no mark
         mark = getattr(exc, "problem_mark", None)
         where = f" (line {mark.line + 1}, column {mark.column + 1})" if mark else ""
@@ -354,7 +368,6 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError("cannot parse scenario file: malformed tagged value") from exc
     if not isinstance(data, dict):
         raise ScenarioError(f"scenario file {path} must contain a mapping")
-    _reject_unknown_keys(node, _SCHEMA, "")
     return _scenario_from_dict(data, source=str(path))
 
 
@@ -495,6 +508,7 @@ def _grid_values(sweep: SweepSpec) -> list[float]:
         )
     count = int(math.floor(steps)) + 1
     values = [sweep.n_min + k * sweep.step for k in range(count)]
+    values[-1] = min(values[-1], sweep.n_max)  # the 1e-9 of slack in steps may overshoot
     if values[-1] < sweep.n_max - 1e-9 * max(1.0, sweep.n_max):
         values.append(sweep.n_max)
     return values

@@ -200,14 +200,18 @@ def test_unreadable_character_is_a_one_line_error(capsys, tmp_path):
 @pytest.mark.parametrize(
     "key,value,problem",
     [
-        ("description", "[" * 1000 + "]" * 1000, "it is nested too deeply"),
+        pytest.param(
+            "description", "[" * 1000 + "]" * 1000, "it is nested too deeply",
+            id="nested-1000-deep",
+        ),
         ("alpha", "!!int abc", "invalid literal for int() with base 10: 'abc'"),
         ("name", "2001-13-45", "month must be in 1..12"),
-        (
+        pytest.param(
             "schema_version",
             "9" * 5000,
             "Exceeds the limit (4300 digits) for integer string conversion: "
             "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit",
+            id="5000-digit-integer",
         ),
         ("alpha", "!!bool abc", "malformed tagged value"),
         ("alpha", "!!timestamp abc", "malformed tagged value"),
@@ -223,6 +227,27 @@ def test_a_file_pyyaml_cannot_build_is_one_error_line(capsys, tmp_path, key, val
     assert run(capsys, "optimize", "--scenario", str(path)) == (
         1, "", f"error: cannot parse scenario file: {problem}\n"
     )
+
+
+@pytest.mark.parametrize(
+    "text,problem",
+    [
+        (
+            DEMO_TEXTS[1].replace("  xi: 1.0\n", "  xi: 1.0\n  alpha: 400.0\n"),
+            "duplicate key 'alpha' at line 13, column 3 (under reduced)",
+        ),
+        (
+            DEMO_TEXTS[1] + "ris:\n  mode: fraction\n  absorbing_fraction: 0.5\n",
+            "duplicate key 'ris' at line 20, column 1",
+        ),
+    ],
+    ids=["alpha-twice", "ris-twice"],
+)
+def test_a_key_written_twice_is_one_error_line(capsys, tmp_path, text, problem):
+    path = tmp_path / "twice.yaml"
+    path.write_text(text, encoding="utf-8")
+    for command in (["optimize"], ["sweep"], ["rate", "--n", "8"]):
+        assert run(capsys, *command, "--scenario", str(path)) == (1, "", f"error: {problem}\n")
 
 
 @pytest.mark.parametrize("command", ["optimize", "sweep"])

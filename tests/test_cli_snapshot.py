@@ -16,7 +16,7 @@ def test_cli_snapshot_records_every_preset_command(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     files = sorted((tmp_path / "snap").iterdir())
-    assert len(files) == 116
+    assert len(files) == 126
     for path in files:
         assert "\n# exit: 0\n" in path.read_text(encoding="utf-8"), path.name
 

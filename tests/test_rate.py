@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import warnings
@@ -467,3 +468,48 @@ def test_system_params_validation():
         for value in NON_FINITE:
             with pytest.raises(ValueError, match=field):
                 system(**{field: value})
+
+
+# --- input and float-range boundaries ------------------------------------------------
+
+
+def test_squares_beyond_the_float_range_raise_value_errors():
+    far = dataclasses.replace(reference_room_geometry(), dist_ris_user_m=1e-200)
+    with pytest.raises(ValueError, match="alpha must be positive and finite, got inf"):
+        reduce_params(system(transmit_power_w=1e200), 1.0)
+    with pytest.raises(ValueError, match="num_light_sources is too large to be a float"):
+        snr_single_link(system(num_light_sources=10**400), 1.0, 1)
+    with pytest.raises(ValueError, match="the channel gain overflowed the float range"):
+        channel_dc_gain(far)
+
+
+_PARAMS = system()
+_RED = ReducedParams(5.0, 5.0, 5.0)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: snr_single_link(_PARAMS, math.nan, 4), "channel gain must be >= 0 and finite"),
+        (lambda: snr_single_link(_PARAMS, math.inf, 4), "channel gain must be >= 0 and finite"),
+        (lambda: snr_single_link(_PARAMS, 1e-7, math.nan), "num_elements must be >= 1"),
+        (lambda: snr_single_link(_PARAMS, 1e-7, 10**400), "num_elements is too large"),
+        (lambda: rate_single_link(_PARAMS, math.nan), "snr must be >= 0 and finite"),
+        (lambda: rate_single_link(_PARAMS, math.inf), "snr must be >= 0 and finite"),
+        (lambda: rate_single_link(system(bandwidth_hz=1e308), 1e300), "link rate overflowed"),
+        (lambda: bits_per_sequence(_RED, math.nan, 4.0), "rate must be positive and finite"),
+        (lambda: bits_per_sequence(_RED, 1.0, math.nan), "active element count must be positive"),
+        (lambda: f_series(_RED, 10.0, math.nan, 2), r"absorbing count must lie in \[0, n"),
+        (lambda: f_series(_RED, 10.0, -5.0, 2), r"absorbing count must lie in \[0, n"),
+        (lambda: f_series(_RED, 10.0, 20.0, 2), r"absorbing count must lie in \[0, n"),
+    ],
+    ids=[
+        "snr-gain-nan", "snr-gain-inf", "snr-elements-nan", "snr-elements-1e400",
+        "link-rate-snr-nan", "link-rate-snr-inf", "link-rate-overflow",
+        "bits-rate-nan", "bits-active-nan", "series-theta-nan", "series-theta-negative",
+        "series-theta-above-n",
+    ],
+)
+def test_non_finite_and_out_of_range_inputs_are_value_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -3,6 +3,8 @@ import textwrap
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import omnidris.scenario
 
@@ -16,6 +18,7 @@ from omnidris.scenario import (
     Scenario,
     ScenarioError,
     SweepSpec,
+    _grid_values,
     alpha_calibration_for,
     get_preset,
     load_scenario,
@@ -279,17 +282,66 @@ def test_missing_block_names_the_file(tmp_path):
 
 
 def test_system_values_beyond_the_float_range_are_one_diagnostic(tmp_path):
-    edits = [
-        ("dist_ris_user_m: 2.03", "dist_ris_user_m: 1.0e+200"),  # its square overflows
-        ("dist_ris_user_m: 2.03", "dist_ris_user_m: 1.0e-200"),  # its square underflows to 0
-        ("transmit_power_w: 10.0", "transmit_power_w: 1.0e+200"),
-        ("num_users: 1", f"num_users: {BIG_INT}"),
+    edits = [  # a square past the float range is inf or 0, which a range check names
+        ("dist_ris_user_m: 2.03", "dist_ris_user_m: 1.0e+200",
+         "channel gain must be positive to form reduced parameters"),  # its square overflows
+        ("dist_ris_user_m: 2.03", "dist_ris_user_m: 1.0e-200",
+         "the channel gain overflowed the float range"),  # its square underflows to 0
+        ("transmit_power_w: 10.0", "transmit_power_w: 1.0e+200",
+         "alpha must be positive and finite, got inf"),
     ]
-    for old, new in edits:
+    for old, new, message in edits:
         scenario = load_scenario(write(tmp_path, VALID_SYSTEM_YAML.replace(old, new)))
-        with pytest.raises(ScenarioError) as caught:
+        with pytest.raises(ValueError) as caught:
             scenario.reduced_params()
-        assert str(caught.value) == "scenario 'room-test' leaves the float range", new
+        assert str(caught.value) == message, new
+    huge_count = VALID_SYSTEM_YAML.replace("num_users: 1", f"num_users: {BIG_INT}")
+    with pytest.raises(ScenarioError) as caught:
+        load_scenario(write(tmp_path, huge_count))  # rejected by SystemParams, at load
+    assert str(caught.value) == "invalid scenario 'room-test': num_users is too large to be a float"
+
+
+def test_a_key_written_twice_in_one_mapping_is_rejected(tmp_path):
+    twice = {  # PyYAML alone keeps the last: alpha 400, or fraction mode in place of fixed
+        VALID_REDUCED_YAML.replace("  xi: 3.0\n", "  xi: 3.0\n  alpha: 400.0\n"):
+            "duplicate key 'alpha' at line 8, column 3 (under reduced)",
+        VALID_REDUCED_YAML + "ris:\n  mode: fraction\n  absorbing_fraction: 0.5\n":
+            "duplicate key 'ris' at line 15, column 1",
+        VALID_REDUCED_YAML.replace("reduced:\n", "reduced:\n  <<: {xi: 1.0, xi: 2.0}\n"):
+            "duplicate key 'xi' at line 5, column 17 (under reduced)",  # inside a merged mapping
+    }
+    for text, message in twice.items():
+        with pytest.raises(ScenarioError) as caught:
+            load_scenario(write(tmp_path, text))
+        assert str(caught.value) == message
+
+
+def test_a_mapping_may_override_a_merged_key(tmp_path):
+    block = "reduced:\n  alpha: 2.0\n  psi: 1.0\n  xi: 3.0\n"
+    assert block in VALID_REDUCED_YAML
+    for merged in (
+        "reduced: {<<: {alpha: 1.0, psi: 1.0, xi: 3.0}, alpha: 2.0}\n",
+        "reduced: &r {<<: *r, alpha: 2.0, psi: 1.0, xi: 3.0}\n",  # merged into itself
+    ):
+        scenario = load_scenario(write(tmp_path, VALID_REDUCED_YAML.replace(block, merged)))
+        assert scenario.reduced == ReducedParams(2.0, 1.0, 3.0)
+
+
+def test_the_stepped_grid_ends_at_n_max():
+    assert _grid_values(SweepSpec(49.559, 91.859, 0.1))[-1] == 91.859  # 91.85900000000001 once
+
+
+@settings(derandomize=True, max_examples=300)
+@given(
+    n_min=st.floats(min_value=1.0, max_value=1e3),
+    span=st.floats(min_value=0.0, max_value=1e3),
+    step=st.floats(min_value=0.1, max_value=1e2),
+)
+def test_the_stepped_grid_lies_in_its_bounds_and_increases(n_min, span, step):
+    sweep = SweepSpec(n_min, n_min + span, step)
+    values = _grid_values(sweep)
+    assert values and all(sweep.n_min <= value <= sweep.n_max for value in values)
+    assert all(a < b for a, b in zip(values, values[1:]))
 
 
 def test_absent_or_null_step_means_powers_of_two(tmp_path):

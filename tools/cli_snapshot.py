@@ -4,8 +4,11 @@
 
 Runs, in CSV and in JSON, ``rate --n 8``, ``optimize`` and ``sweep`` for
 every bundled preset and for the scenario files ``demos/sample_scenario.yaml``
-(``system`` block, fraction mode) and ``demos/fixed_count_scenario.yaml``
-(``reduced`` block, fixed mode, powers-of-two sweep),
+(``system`` block, fraction mode), ``demos/uncalibrated_room.yaml`` (the same
+without ``alpha_calibration``, so alpha comes from the channel gain) and
+``demos/fixed_count_scenario.yaml`` (``reduced`` block, fixed mode,
+powers-of-two sweep); ``rate --n 8`` with ``--theta 2`` on ``C1`` and with
+``--absorbing-fraction 0.25`` on ``fig2-top``;
 ``tables --which both|selection|normalized`` and ``presets``.  Each command
 goes through ``omnidris.cli.main`` in this process, with the warning filters
 reset so that it warns as a fresh process would.  Its exit code, stderr and
@@ -38,12 +41,17 @@ def commands() -> dict[str, list[str]]:
     """File stem -> CLI arguments, for every command in both formats."""
     scenarios = {name: name for name in sorted(preset_scenarios())}
     scenarios["sample-scenario"] = str(ROOT / "demos" / "sample_scenario.yaml")
+    scenarios["uncalibrated-room"] = str(ROOT / "demos" / "uncalibrated_room.yaml")
     scenarios["fixed-count-scenario"] = str(ROOT / "demos" / "fixed_count_scenario.yaml")
     base = {}
     for stem, ref in scenarios.items():
         base[f"rate-{stem}"] = ["rate", "--scenario", ref, "--n", "8"]
         base[f"optimize-{stem}"] = ["optimize", "--scenario", ref]
         base[f"sweep-{stem}"] = ["sweep", "--scenario", ref]
+    base["rate-C1-theta-2"] = ["rate", "--scenario", "C1", "--n", "8", "--theta", "2"]
+    base["rate-fig2-top-fraction-0.25"] = [
+        "rate", "--scenario", "fig2-top", "--n", "8", "--absorbing-fraction", "0.25"
+    ]
     for which in ("both", "selection", "normalized"):
         base[f"tables-{which}"] = ["tables", "--which", which]
     base["presets"] = ["presets"]
