@@ -85,8 +85,9 @@ def channel_dc_gain(geom: LinkGeometry) -> float:
     ``th_e``/``ph_u`` the incidence angles at the element and the user, and
     ``T``/``g`` the concentrator and filter gains.  The gain is linear in
     the reflectiveness, both areas and both optical gains, and follows an
-    inverse-square law in each hop distance.  A gain beyond the float range
-    (a hop distance whose square underflows) raises ``ValueError``.
+    inverse-square law in each hop distance.  A zero factor gives a gain of
+    exactly 0; any other gain beyond the float range (a hop distance whose
+    square underflows) raises ``ValueError``.
     """
     d_le, d_eu = geom.dist_ls_ris_m, geom.dist_ris_user_m
     hops = 2.0 * math.pi * (d_le * d_le) * (d_eu * d_eu)  # products: ** 2 raises on overflow
@@ -96,7 +97,6 @@ def channel_dc_gain(geom: LinkGeometry) -> float:
         * geom.photodetector_area_m2
         * (geom.lambertian_order + 1.0)
     )
-    prefactor = numerator / hops if hops else math.inf
     # 0**0 == 1, so a zeroth Lambertian order ignores the first hop angle
     lambertian = _cos_deg(geom.irradiance_angle_ls_ris_deg) ** geom.lambertian_order
     cosines = (
@@ -105,6 +105,9 @@ def channel_dc_gain(geom: LinkGeometry) -> float:
         * _cos_deg(geom.incidence_angle_ris_deg)
         * _cos_deg(geom.incidence_angle_user_deg)
     )
+    if 0.0 in (numerator, cosines, geom.concentrator_gain, geom.filter_gain):
+        return 0.0  # even where the inverse-square factor alone would overflow
+    prefactor = numerator / hops if hops else math.inf
     gain = prefactor * cosines * geom.concentrator_gain * geom.filter_gain
     return _finite(gain, "the channel gain")
 

@@ -4,8 +4,9 @@ Two regimes:
 
 * fixed absorbing count -- the stationarity condition of the two-term
   series form of f(n) reduces to the cubic
-  ``2 psi n^3 - 4 psi theta n^2 - 3 alpha n + 4 alpha theta = 0``; the
-  meaningful root is located with a direct trigonometric/Cardano solver.
+  ``2 psi n^3 - 4 psi theta n^2 - 3 alpha n + 4 alpha theta = 0``; only
+  its largest root can be a series maximum, and Newton's method descends
+  onto it monotonically from a bound above every root.
 * proportional absorbing share -- the exact stationarity collapses to the
   parameter-free condition ``ln(1 + t) = 2t / (1 + t)``, whose root t*
   puts the optimum at ``n* = sqrt(alpha / (psi t*))`` regardless of the
@@ -31,7 +32,6 @@ __all__ = [
     "Pow2Selection",
     "NoInteriorMaximumError",
     "build_cubic",
-    "solve_cubic",
     "meaningful_root",
     "select_power_of_two",
     "optimize",
@@ -125,95 +125,47 @@ def build_cubic(red: ReducedParams, theta: float) -> CubicCoefficients:
     )
 
 
-def _real_cbrt(x: float) -> float:
-    return math.copysign(abs(x) ** (1.0 / 3.0), x)
+def meaningful_root(cubic: CubicCoefficients, red: ReducedParams, theta: float) -> float:
+    """The largest root of ``cubic = build_cubic(red, theta)``, if it is the usable rate maximum.
 
-
-def solve_cubic(cubic: CubicCoefficients) -> list[float]:
-    """All real roots, ascending, with multiplicity.
-
-    Trigonometric form for the three-real-root case (negative
-    discriminant, the casus irreducibilis), real Cardano branch for the
-    single-real-root case, plus one Newton polish step per root.
+    The two-term series has slope ``-alpha xi / (2 ln2 psi^2 n^5) * cubic(n)``,
+    so a root is a series maximum exactly where the cubic rises through
+    zero.  The root must exceed the absorbing count, be at least 1, have
+    ``cubic'(root) > 0`` and keep the load ``alpha / (psi root^2)`` within
+    the series' convergence domain (<= 1).  Such a root lies right of the
+    inflection point ``2 theta / 3`` and rises there, so it is the largest
+    root; the cubic is convex on that side, so Newton's method started
+    above every root descends onto it monotonically.
 
     The monic cubic ``x^3 + b x^2 + c x + d`` is solved for ``u = x / unit``,
     with ``unit`` the power of two at or below the largest of ``|b|``,
     ``sqrt|c|`` and ``cbrt|d|``, so every scaled coefficient is O(1) and
-    nothing overflows for finite ``b``, ``c``, ``d``; non-finite ones give
-    NaN roots.  Scaling by a power of two is exact, so only rounding inside
-    ``**`` can tell the roots apart from those of an unscaled solve.  The
-    polish runs on the unscaled cubic and is skipped where it overflows.
-    The leading coefficient must be positive.
+    nothing overflows.  Newton starts at Fujiwara's root bound
+    ``2 max(|b|, sqrt|c|, cbrt|d/2|)`` and steps while the iterate falls.
     """
     c3, c2, c1, c0 = cubic
-    if c3 <= 0:
-        raise ValueError(f"leading coefficient must be positive, got {c3}")
     b, c, d = c2 / c3, c1 / c3, c0 / c3
-    if not math.isfinite(b + c + d):
-        return [math.nan] * 3
-    unit = math.ldexp(0.5, math.frexp(max(abs(b), math.sqrt(abs(c)), abs(d) ** (1.0 / 3.0)))[1])
+    size = max(abs(b), math.sqrt(abs(c)), abs(d) ** (1.0 / 3.0))
+    if not 0.0 < size < math.inf:
+        raise NoInteriorMaximumError("no interior maximum: the cubic leaves the float range")
+    unit = math.ldexp(0.5, math.frexp(size)[1])
     b, c, d = b / unit, c / unit / unit, d / unit / unit / unit
-    p = c - b * b / 3.0
-    q = 2.0 * b**3 / 27.0 - b * c / 3.0 + d
-    shift = -b / 3.0
-
-    half_q_sq = (q / 2.0) ** 2
-    third_p_cu = (p / 3.0) ** 3
-    disc = half_q_sq + third_p_cu
-    scale = max(half_q_sq, abs(third_p_cu))
-
-    if scale == 0.0:
-        roots = [shift, shift, shift]
-    elif disc > 1e-14 * scale:
-        s = math.sqrt(disc)
-        u = _real_cbrt(-q / 2.0 + s) + _real_cbrt(-q / 2.0 - s)
-        roots = [u + shift]
-    elif disc < -1e-14 * scale:
-        amplitude = 2.0 * math.sqrt(-p / 3.0)
-        arg = 3.0 * q / (p * amplitude)
-        phase = math.acos(min(1.0, max(-1.0, arg))) / 3.0
-        roots = [
-            amplitude * math.cos(phase - 2.0 * math.pi * k / 3.0) + shift
-            for k in range(3)
-        ]
-    else:
-        # borderline double root: simple root 3q/p, double root -3q/(2p)
-        single = 3.0 * q / p + shift
-        double = -3.0 * q / (2.0 * p) + shift
-        roots = [single, double, double]
-
-    polished = []
-    for u in roots:
-        x = u * unit
-        # one Newton step; skipped where unstable (double roots)
-        slope = (3.0 * c3 * x + 2.0 * c2) * x + c1
-        if slope != 0.0:
-            step = (((c3 * x + c2) * x + c1) * x + c0) / slope
-            if math.isfinite(step) and abs(step) <= 1e-2 * (1.0 + abs(x)):
-                x -= step
-        polished.append(x)
-    return sorted(polished)
-
-
-def meaningful_root(roots: list[float], red: ReducedParams, theta: float) -> float:
-    """Pick the root that is the usable rate maximum.
-
-    The two-term series has slope ``-alpha xi / (2 ln2 psi^2 n^5) * cubic(n)``,
-    so a root is a series maximum exactly where the cubic rises through
-    zero.  The largest root wins that exceeds the absorbing count, is at
-    least 1, has ``cubic'(root) > 0`` and keeps the load
-    ``alpha / (psi root^2)`` within the series' convergence domain (<= 1).
-    """
+    u = 2.0 * max(abs(b), math.sqrt(abs(c)), abs(d / 2.0) ** (1.0 / 3.0))
+    for _ in range(64):  # a simple root takes about 10 steps, a triple one 34
+        below = u - (((u + b) * u + c) * u + d) / ((3.0 * u + 2.0 * b) * u + c)
+        if not below < u:
+            break
+        u = below
+    root = u * unit
     ratio = red.alpha / red.psi
-    for root in reversed(roots):
-        # cubic'(root) / (psi root): the same sign, without overflow
-        if (
-            root > theta
-            and root >= 1.0
-            and 6.0 * root - 8.0 * theta - 3.0 * ratio / root > 0.0
-            and red.alpha / (red.psi * root * root) <= 1.0
-        ):
-            return root
+    # cubic'(root) / (psi root): the same sign, without overflow
+    if (
+        root > theta
+        and root >= 1.0
+        and 6.0 * root - 8.0 * theta - 3.0 * ratio / root > 0.0
+        and red.alpha / (red.psi * root * root) <= 1.0
+    ):
+        return root
     raise NoInteriorMaximumError(
         f"no interior maximum: no root above theta={theta} is a series maximum"
     )
@@ -338,7 +290,7 @@ def optimize_fixed_theta(red: ReducedParams, theta: float) -> OptimumReport:
     exact = _exact_fields(red, theta, *_exact_optimum(red, theta))
     used_fallback = False
     try:
-        n_cubic = meaningful_root(solve_cubic(build_cubic(red, theta)), red, theta)
+        n_cubic = meaningful_root(build_cubic(red, theta), red, theta)
         f_cubic = f_series(red, n_cubic, theta, 2)
         f_exact_cubic = rate_total(red, n_cubic, theta)
     except NoInteriorMaximumError:

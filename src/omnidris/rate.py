@@ -84,7 +84,7 @@ class SystemParams:
         require_positive_finite(self, ("bandwidth_hz", "transmit_power_w", "noise_psd"))
         for field in ("num_light_sources", "num_users"):
             value = getattr(self, field)
-            if not isinstance(value, int) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"{field} must be a positive integer, got {value!r}")
             if value > _FLOAT_MAX:  # do not echo hundreds of digits
                 raise ValueError(f"{field} is too large to be a float")
@@ -101,7 +101,7 @@ class FixedCount:
     count: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.count, int) or self.count < 0:
+        if isinstance(self.count, bool) or not isinstance(self.count, int) or self.count < 0:
             raise ValueError(f"absorbing count must be an integer >= 0, got {self.count!r}")
         if self.count > _FLOAT_MAX:  # do not echo hundreds of digits
             raise ValueError("absorbing count is too large to be a float")

@@ -11,6 +11,10 @@ earlier, slower forms of the optimizer's exact root (plain bisection) and
 cubic root choice (rate-ranked candidates checked by finite-difference
 probes of the two-term series), kept as references for the fast ones.
 
+:func:`solve_cubic` gives every real root of a cubic by Cardano's formula
+or its trigonometric form, the general solver that
+:func:`omnidris.optimize.meaningful_root`'s Newton root is checked against.
+
 :func:`vector_rate` is the reduced rate over an array of element counts,
 the numpy form that :func:`omnidris.rate.rate_total` is held bit-equal to.
 
@@ -23,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from omnidris.optimize import NoInteriorMaximumError
+from omnidris.optimize import CubicCoefficients, NoInteriorMaximumError
 from omnidris.rate import LN2, ReducedParams, f_series, rate_total
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -146,6 +150,76 @@ def bisection_exact_optimum(red: ReducedParams, theta: float) -> tuple[float, bo
             hi = mid
         mid = 0.5 * (lo + hi)
     return lo, False
+
+
+def _real_cbrt(x: float) -> float:
+    return math.copysign(abs(x) ** (1.0 / 3.0), x)
+
+
+def solve_cubic(cubic: CubicCoefficients) -> list[float]:
+    """All real roots, ascending, with multiplicity.
+
+    Trigonometric form for the three-real-root case (negative
+    discriminant, the casus irreducibilis), real Cardano branch for the
+    single-real-root case, plus one Newton polish step per root.
+
+    The monic cubic ``x^3 + b x^2 + c x + d`` is solved for ``u = x / unit``,
+    with ``unit`` the power of two at or below the largest of ``|b|``,
+    ``sqrt|c|`` and ``cbrt|d|``, so every scaled coefficient is O(1) and
+    nothing overflows for finite ``b``, ``c``, ``d``; non-finite ones give
+    NaN roots.  Scaling by a power of two is exact, so only rounding inside
+    ``**`` can tell the roots apart from those of an unscaled solve.  The
+    polish runs on the unscaled cubic and is skipped where it overflows.
+    The leading coefficient must be positive.
+    """
+    c3, c2, c1, c0 = cubic
+    if c3 <= 0:
+        raise ValueError(f"leading coefficient must be positive, got {c3}")
+    b, c, d = c2 / c3, c1 / c3, c0 / c3
+    if not math.isfinite(b + c + d):
+        return [math.nan] * 3
+    unit = math.ldexp(0.5, math.frexp(max(abs(b), math.sqrt(abs(c)), abs(d) ** (1.0 / 3.0)))[1])
+    b, c, d = b / unit, c / unit / unit, d / unit / unit / unit
+    p = c - b * b / 3.0
+    q = 2.0 * b**3 / 27.0 - b * c / 3.0 + d
+    shift = -b / 3.0
+
+    half_q_sq = (q / 2.0) ** 2
+    third_p_cu = (p / 3.0) ** 3
+    disc = half_q_sq + third_p_cu
+    scale = max(half_q_sq, abs(third_p_cu))
+
+    if scale == 0.0:
+        roots = [shift, shift, shift]
+    elif disc > 1e-14 * scale:
+        s = math.sqrt(disc)
+        u = _real_cbrt(-q / 2.0 + s) + _real_cbrt(-q / 2.0 - s)
+        roots = [u + shift]
+    elif disc < -1e-14 * scale:
+        amplitude = 2.0 * math.sqrt(-p / 3.0)
+        arg = 3.0 * q / (p * amplitude)
+        phase = math.acos(min(1.0, max(-1.0, arg))) / 3.0
+        roots = [
+            amplitude * math.cos(phase - 2.0 * math.pi * k / 3.0) + shift
+            for k in range(3)
+        ]
+    else:
+        # borderline double root: simple root 3q/p, double root -3q/(2p)
+        single = 3.0 * q / p + shift
+        double = -3.0 * q / (2.0 * p) + shift
+        roots = [single, double, double]
+
+    polished = []
+    for u in roots:
+        x = u * unit
+        # one Newton step; skipped where unstable (double roots)
+        slope = (3.0 * c3 * x + 2.0 * c2) * x + c1
+        if slope != 0.0:
+            step = (((c3 * x + c2) * x + c1) * x + c0) / slope
+            if math.isfinite(step) and abs(step) <= 1e-2 * (1.0 + abs(x)):
+                x -= step
+        polished.append(x)
+    return sorted(polished)
 
 
 def probe_meaningful_root(roots: list[float], red: ReducedParams, theta: float) -> float:

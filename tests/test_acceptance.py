@@ -27,7 +27,6 @@ from omnidris.optimize import (
     optimize_fixed_theta,
     optimize_proportional,
     select_power_of_two,
-    solve_cubic,
 )
 from omnidris.rate import (
     LN2,
@@ -62,7 +61,7 @@ def test_criterion_01_calculated_table_reproduction():
     results = {}
     for name in CALCULATED_SCENARIOS:
         red, theta = reduced(name)
-        root = meaningful_root(solve_cubic(build_cubic(red, theta)), red, theta)
+        root = meaningful_root(build_cubic(red, theta), red, theta)
         results[name] = (root, f_series(red, root, theta, 2))
     elapsed = time.perf_counter() - start
 
@@ -192,7 +191,7 @@ def test_criterion_07_source_doubling_law():
 def test_criterion_08a_two_term_series_is_stationary_at_the_cubic_root():
     for name in CALCULATED_SCENARIOS:
         red, theta = reduced(name)
-        root = meaningful_root(solve_cubic(build_cubic(red, theta)), red, theta)
+        root = meaningful_root(build_cubic(red, theta), red, theta)
         h = 1e-6 * root
         derivative = (f_series(red, root + h, theta, 2) - f_series(red, root - h, theta, 2)) / (
             2.0 * h

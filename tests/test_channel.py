@@ -65,6 +65,22 @@ def test_right_angle_gives_exact_zero(field):
     assert channel_dc_gain(geometry(**{field: 90.0})) == 0.0
 
 
+@pytest.mark.parametrize(
+    "zero",
+    [
+        {"ris_reflectiveness": 0.0},
+        {"irradiance_angle_ris_user_deg": 90.0},
+        {"concentrator_gain": 0.0},
+        {"filter_gain": 0.0},
+    ],
+)
+def test_a_zero_factor_gives_zero_even_where_the_hops_overflow(zero):
+    # 1e-200 m squares to 0, so 1 / (2 pi d^2 d^2) alone is beyond the float range
+    assert channel_dc_gain(geometry(dist_ris_user_m=1e-200, **zero)) == 0.0
+    with pytest.raises(ValueError, match="overflowed"):
+        channel_dc_gain(geometry(dist_ris_user_m=1e-200))
+
+
 def test_linearity_in_reflectiveness():
     low = channel_dc_gain(geometry(ris_reflectiveness=0.25))
     high = channel_dc_gain(geometry(ris_reflectiveness=0.5))

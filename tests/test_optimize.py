@@ -1,3 +1,4 @@
+import decimal
 import math
 import warnings
 
@@ -27,10 +28,9 @@ from omnidris.optimize import (
     optimize_proportional,
     _exact_optimum,
     select_power_of_two,
-    solve_cubic,
 )
 from omnidris.scenario import NORMALIZED_COMBOS, alpha_calibration_for
-from oracle import bisection_exact_optimum, brute_force_argmax, probe_meaningful_root
+from oracle import bisection_exact_optimum, brute_force_argmax, probe_meaningful_root, solve_cubic
 
 # Largest cubic roots of the normalized benchmark combinations, frozen from
 # a 40-digit polynomial root finder.
@@ -163,27 +163,78 @@ def test_solve_cubic_agrees_with_numpy(c3, c2, c1, c0):
 
 def test_meaningful_root_c0():
     red, theta = reduced("C0")
-    roots = solve_cubic(build_cubic(red, theta))
-    assert meaningful_root(roots, red, theta) == pytest.approx(PRECISE_ROOTS["C0"], rel=1e-9)
+    root = meaningful_root(build_cubic(red, theta), red, theta)
+    assert root == pytest.approx(PRECISE_ROOTS["C0"], rel=1e-9)
 
 
 def test_meaningful_root_c2():
     red, theta = reduced("C2")
-    roots = solve_cubic(build_cubic(red, theta))
-    assert meaningful_root(roots, red, theta) == pytest.approx(20.0250, rel=1e-3)
+    assert meaningful_root(build_cubic(red, theta), red, theta) == pytest.approx(20.0250, rel=1e-3)
 
 
 def test_meaningful_root_zero_theta():
     red = ReducedParams(1.0, 1.0, 1.0)
-    roots = solve_cubic(build_cubic(red, 0.0))
-    assert meaningful_root(roots, red, 0.0) == pytest.approx(math.sqrt(1.5), rel=1e-9)
+    root = meaningful_root(build_cubic(red, 0.0), red, 0.0)
+    assert root == pytest.approx(math.sqrt(1.5), rel=1e-9)
 
 
 def test_meaningful_root_none_qualifies():
     red = ReducedParams(0.01, 1.0, 1.0)  # stationary point at sqrt(0.015) < 1
-    roots = solve_cubic(build_cubic(red, 0.0))
     with pytest.raises(NoInteriorMaximumError):
-        meaningful_root(roots, red, 0.0)
+        meaningful_root(build_cubic(red, 0.0), red, 0.0)
+
+
+@pytest.mark.parametrize("alpha,psi,theta", [(1e300, 1.0, 1e10), (5e-324, 1e10, 0.0)])
+def test_meaningful_root_rejects_a_cubic_beyond_the_float_range(alpha, psi, theta):
+    # 4 alpha theta overflows; or alpha/psi underflows, leaving the monic cubic x^3
+    red = ReducedParams(alpha, psi, 1.0)
+    with pytest.raises(NoInteriorMaximumError):
+        probe_meaningful_root(solve_cubic(build_cubic(red, theta)), red, theta)
+    with pytest.raises(NoInteriorMaximumError):
+        meaningful_root(build_cubic(red, theta), red, theta)
+
+
+def _decimal_root(cubic: CubicCoefficients, start: float) -> decimal.Decimal:
+    """The root near ``start``: Newton's method on the exact coefficients, to 60 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        c3, c2, c1, c0 = (decimal.Decimal(value) for value in cubic)
+        x = decimal.Decimal(start)
+        for _ in range(20):
+            x -= (((c3 * x + c2) * x + c1) * x + c0) / ((3 * c3 * x + 2 * c2) * x + c1)
+        return x
+
+
+@pytest.mark.parametrize("name", sorted(NORMALIZED_COMBOS))
+def test_meaningful_root_is_correctly_rounded(name):
+    red, theta = reduced(name)
+    cubic = build_cubic(red, theta)
+    root = meaningful_root(cubic, red, theta)
+    error = abs(decimal.Decimal(root) - _decimal_root(cubic, root))
+    assert error <= decimal.Decimal(math.ulp(root)) / 2
+
+
+def test_meaningful_root_at_a_huge_absorbing_count():
+    # without the power-of-two unit, Newton would start at its bound 4e200 and overflow
+    red, theta = ReducedParams(5.0, 1.0, 1.0), 1e200
+    cubic = build_cubic(red, theta)
+    root = meaningful_root(cubic, red, theta)
+    reference = solve_cubic(cubic)[-1]
+    assert math.isfinite(root)
+    assert abs(root - reference) <= 2 * math.ulp(reference)
+
+
+def test_meaningful_root_of_a_double_root():
+    # (x - 2)^2 (x + 1): Newton converges only linearly onto the double root 2,
+    # where the series of alpha/psi = 8/3 and theta = 0 peaks
+    cubic = CubicCoefficients(1.0, -3.0, 0.0, 4.0)
+    red = ReducedParams(8.0, 3.0, 1.0)
+    expected = probe_meaningful_root(solve_cubic(cubic), red, 0.0)
+    assert meaningful_root(cubic, red, 0.0) == pytest.approx(expected, rel=1e-7)
+    with pytest.raises(NoInteriorMaximumError):  # the root lies below theta = 3
+        probe_meaningful_root(solve_cubic(cubic), red, 3.0)
+    with pytest.raises(NoInteriorMaximumError):
+        meaningful_root(cubic, red, 3.0)
 
 
 # The ranges of the draws the derivative-sign rule was checked on.
@@ -198,14 +249,14 @@ WIDE_THETA = st.one_of(
 @given(alpha=WIDE_ALPHA, psi=HARDWARE_PSI, theta=WIDE_THETA)
 def test_meaningful_root_matches_the_probe_reference(alpha, psi, theta):
     red = ReducedParams(alpha, psi, 1.0)
-    roots = solve_cubic(build_cubic(red, theta))
+    cubic = build_cubic(red, theta)
     try:
-        expected = probe_meaningful_root(roots, red, theta)
+        expected = probe_meaningful_root(solve_cubic(cubic), red, theta)
     except NoInteriorMaximumError:
         with pytest.raises(NoInteriorMaximumError):
-            meaningful_root(roots, red, theta)
+            meaningful_root(cubic, red, theta)
     else:
-        assert meaningful_root(roots, red, theta).hex() == expected.hex()
+        assert abs(meaningful_root(cubic, red, theta) - expected) <= 2 * math.ulp(expected)
 
 
 @settings(max_examples=300, deadline=None)
@@ -213,17 +264,19 @@ def test_meaningful_root_matches_the_probe_reference(alpha, psi, theta):
     alpha=WIDE_ALPHA,
     psi=HARDWARE_PSI,
     theta=WIDE_THETA,
-    scale_exp=st.integers(min_value=-250, max_value=250),
+    scale_exp=st.integers(min_value=0, max_value=250),
 )
 def test_cubic_roots_follow_the_scaling_law(alpha, psi, theta, scale_exp):
-    # n -> s n with alpha/psi -> s^2 alpha/psi and theta -> s theta maps the cubic onto itself
+    # n -> s n with alpha/psi -> s^2 alpha/psi and theta -> s theta maps the cubic onto itself;
+    # a power of two s scales every step of the root search exactly
     s = 2.0**scale_exp
-    roots = solve_cubic(build_cubic(ReducedParams(alpha, psi, 1.0), theta))
-    scaled = solve_cubic(build_cubic(ReducedParams(s * s * alpha, psi, 1.0), s * theta))
-    largest = max(abs(root) for root in roots)
-    assert len(scaled) == len(roots)
-    for root, scaled_root in zip(roots, scaled):
-        assert abs(scaled_root - s * root) <= 1e-12 * s * largest
+    red = ReducedParams(alpha, psi, 1.0)
+    try:
+        root = meaningful_root(build_cubic(red, theta), red, theta)
+    except NoInteriorMaximumError:
+        return
+    scaled = ReducedParams(s * s * alpha, psi, 1.0)
+    assert meaningful_root(build_cubic(scaled, s * theta), scaled, s * theta) == s * root
 
 
 # --- brute-force oracle ------------------------------------------------------------

@@ -455,6 +455,21 @@ def test_ris_config_validation():
         Fraction(math.nan)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        FixedCount,
+        lambda value: system(num_light_sources=value),
+        lambda value: system(num_users=value),
+    ],
+    ids=["FixedCount.count", "SystemParams.num_light_sources", "SystemParams.num_users"],
+)
+def test_integer_fields_reject_booleans(make):
+    for value in (True, False):
+        with pytest.raises(ValueError, match="integer"):
+            make(value)
+
+
 def test_system_params_validation():
     with pytest.raises(ValueError):
         system(bandwidth_hz=0.0)
