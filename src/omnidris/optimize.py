@@ -4,9 +4,11 @@ Two regimes:
 
 * fixed absorbing count -- the stationarity condition of the two-term
   series form of f(n) reduces to the cubic
-  ``2 psi n^3 - 4 psi theta n^2 - 3 alpha n + 4 alpha theta = 0``; only
-  its largest root can be a series maximum, and Newton's method descends
-  onto it monotonically from a bound above every root.
+  ``2 psi n^3 - 4 psi theta n^2 - 3 alpha n + 4 alpha theta = 0``, which
+  is ``2 psi`` times the monic ``n^3 - 2 theta n^2 - 1.5 rho n + 2 theta rho``
+  with ``rho = alpha / psi``, the form that is solved; only its largest
+  root can be a series maximum, and Newton's method descends onto it
+  monotonically from a bound above every root.
 * proportional absorbing share -- the exact stationarity collapses to the
   parameter-free condition ``ln(1 + t) = 2t / (1 + t)``, whose root t*
   puts the optimum at ``n* = sqrt(alpha / (psi t*))`` regardless of the
@@ -27,11 +29,8 @@ from typing import NamedTuple
 from .rate import AbsorbingMode, Fraction, ReducedParams, f_series, rate_total
 
 __all__ = [
-    "CubicCoefficients",
     "OptimumReport",
     "Pow2Selection",
-    "NoInteriorMaximumError",
-    "build_cubic",
     "meaningful_root",
     "select_power_of_two",
     "optimize",
@@ -46,22 +45,6 @@ HARDWARE_POWERS_OF_TWO = tuple(2**k for k in range(10))
 
 #: t*, the root of ln(1 + t) = 2t / (1 + t): the load of every proportional optimum.
 T_STAR = 3.9215536345675055
-
-
-class NoInteriorMaximumError(ValueError):
-    """No cubic root lies above the absorbing count with a series maximum."""
-
-
-class CubicCoefficients(NamedTuple):
-    """Coefficients (c3, c2, c1, c0) of the stationarity cubic."""
-
-    c3: float
-    c2: float
-    c1: float
-    c0: float
-
-    def __call__(self, x: float) -> float:
-        return ((self.c3 * x + self.c2) * x + self.c1) * x + self.c0
 
 
 class Pow2Selection(NamedTuple):
@@ -107,57 +90,48 @@ class OptimumReport(NamedTuple):
     used_fallback: bool
 
 
-def build_cubic(red: ReducedParams, theta: float) -> CubicCoefficients:
-    """Stationarity cubic of the two-term series at fixed absorbing count.
+def meaningful_root(red: ReducedParams, theta: float) -> float | None:
+    """The stationarity cubic's largest root at ``theta`` if it is the usable maximum, else None.
 
-    The common factor alpha*xi / (2 ln2 psi^2 n^5) of the derivative never
-    vanishes for n > 0 and is discarded; only (2 psi, -4 psi theta,
-    -3 alpha, 4 alpha theta) remain.  xi drops out entirely, which is why
-    rate scaling cannot move the optimum.
+    The two-term series has slope ``-alpha xi / (2 ln2 psi^2 n^5) * cubic(n)``
+    with the paper's cubic ``2 psi n^3 - 4 psi theta n^2 - 3 alpha n + 4 alpha theta``;
+    the factor never vanishes for n > 0, and xi drops out entirely, which is
+    why rate scaling cannot move the optimum.  A root is a series maximum
+    exactly where the cubic rises through zero.  The root must exceed the
+    absorbing count, be at least 1, have ``cubic'(root) > 0`` and keep the
+    load ``alpha / (psi root^2)`` within the series' convergence domain
+    (<= 1).  Such a root lies right of the inflection point ``2 theta / 3``
+    and rises there, so it is the largest root; the cubic is convex on that
+    side, so Newton's method started above every root descends onto it
+    monotonically.
+
+    The paper's cubic is ``2 psi`` times the monic cubic
+    ``x^3 - 2 theta x^2 - 1.5 rho x + 2 theta rho`` with ``rho = alpha / psi``,
+    which is solved for ``u = x / unit``, with ``unit`` the power of two at
+    or below ``max(2 theta, sqrt(1.5 rho))``.  Each coefficient is formed
+    already divided by its power of ``unit``, so every one is O(1) and none
+    overflows: ``cbrt(2 theta rho)``, the third size, stays below the other
+    two by the AM-GM inequality.  Newton starts at Fujiwara's root bound
+    ``2 max(|b|, sqrt|c|, cbrt|d/2|)`` of the scaled ``u^3 + b u^2 + c u + d``
+    and steps while the iterate falls.
     """
-    if theta < 0:
+    if not theta >= 0.0:
         raise ValueError(f"absorbing count must be >= 0, got {theta}")
-    return CubicCoefficients(
-        2.0 * red.psi,
-        -4.0 * red.psi * theta,
-        -3.0 * red.alpha,
-        4.0 * red.alpha * theta,
-    )
-
-
-def meaningful_root(cubic: CubicCoefficients, red: ReducedParams, theta: float) -> float:
-    """The largest root of ``cubic = build_cubic(red, theta)``, if it is the usable rate maximum.
-
-    The two-term series has slope ``-alpha xi / (2 ln2 psi^2 n^5) * cubic(n)``,
-    so a root is a series maximum exactly where the cubic rises through
-    zero.  The root must exceed the absorbing count, be at least 1, have
-    ``cubic'(root) > 0`` and keep the load ``alpha / (psi root^2)`` within
-    the series' convergence domain (<= 1).  Such a root lies right of the
-    inflection point ``2 theta / 3`` and rises there, so it is the largest
-    root; the cubic is convex on that side, so Newton's method started
-    above every root descends onto it monotonically.
-
-    The monic cubic ``x^3 + b x^2 + c x + d`` is solved for ``u = x / unit``,
-    with ``unit`` the power of two at or below the largest of ``|b|``,
-    ``sqrt|c|`` and ``cbrt|d|``, so every scaled coefficient is O(1) and
-    nothing overflows.  Newton starts at Fujiwara's root bound
-    ``2 max(|b|, sqrt|c|, cbrt|d/2|)`` and steps while the iterate falls.
-    """
-    c3, c2, c1, c0 = cubic
-    b, c, d = c2 / c3, c1 / c3, c0 / c3
-    size = max(abs(b), math.sqrt(abs(c)), abs(d) ** (1.0 / 3.0))
+    ratio = red.alpha / red.psi
+    size = max(2.0 * theta, math.sqrt(1.5 * ratio))
     if not 0.0 < size < math.inf:
-        raise NoInteriorMaximumError("no interior maximum: the cubic leaves the float range")
+        return None
     unit = math.ldexp(0.5, math.frexp(size)[1])
-    b, c, d = b / unit, c / unit / unit, d / unit / unit / unit
+    b = -2.0 * theta / unit
+    c = -1.5 * (ratio / unit / unit)
+    d = -b * (ratio / unit / unit)
     u = 2.0 * max(abs(b), math.sqrt(abs(c)), abs(d / 2.0) ** (1.0 / 3.0))
-    for _ in range(64):  # a simple root takes about 10 steps, a triple one 34
+    for _ in range(64):  # a simple root takes about 10 steps
         below = u - (((u + b) * u + c) * u + d) / ((3.0 * u + 2.0 * b) * u + c)
         if not below < u:
             break
         u = below
     root = u * unit
-    ratio = red.alpha / red.psi
     # cubic'(root) / (psi root): the same sign, without overflow
     if (
         root > theta
@@ -166,9 +140,7 @@ def meaningful_root(cubic: CubicCoefficients, red: ReducedParams, theta: float) 
         and red.alpha / (red.psi * root * root) <= 1.0
     ):
         return root
-    raise NoInteriorMaximumError(
-        f"no interior maximum: no root above theta={theta} is a series maximum"
-    )
+    return None
 
 
 def select_power_of_two(n_star: float, red: ReducedParams, absorbing=0.0) -> Pow2Selection:
@@ -288,15 +260,14 @@ def optimize_fixed_theta(red: ReducedParams, theta: float) -> OptimumReport:
     if not 0.0 <= theta < math.inf:  # rejects NaN as well
         raise ValueError(f"absorbing count theta must be >= 0 and finite, got {theta}")
     exact = _exact_fields(red, theta, *_exact_optimum(red, theta))
-    used_fallback = False
-    try:
-        n_cubic = meaningful_root(build_cubic(red, theta), red, theta)
-        f_cubic = f_series(red, n_cubic, theta, 2)
-        f_exact_cubic = rate_total(red, n_cubic, theta)
-    except NoInteriorMaximumError:
-        used_fallback = True
+    n_cubic = meaningful_root(red, theta)
+    used_fallback = n_cubic is None
+    if used_fallback:
         n_cubic = exact[0]
         f_cubic = f_exact_cubic = exact[1]
+    else:
+        f_cubic = f_series(red, n_cubic, theta, 2)
+        f_exact_cubic = rate_total(red, n_cubic, theta)
     return OptimumReport(
         "fixed-count", theta, None, n_cubic, exact[0], f_cubic, exact[1], f_exact_cubic,
         *exact[2:], used_fallback,
@@ -323,7 +294,12 @@ def _optimize_share(red: ReducedParams, mode: Fraction, active_fraction: float) 
     n_analytic = math.sqrt(red.alpha / (red.psi * T_STAR))
     below_one = n_analytic < 1.0
     exact = _exact_fields(red, mode, 1.0 if below_one else n_analytic, below_one)
-    f_analytic = rate_total(red, n_analytic, mode) if below_one else exact[1]
+    if not below_one:
+        f_analytic = exact[1]
+    elif n_analytic > 0.0:
+        f_analytic = rate_total(red, n_analytic, mode)
+    else:
+        f_analytic = 0.0  # alpha / (psi t*) underflows: the rate's limit as n* -> 0
     return OptimumReport(
         "proportional", None, active_fraction, n_analytic, exact[0], f_analytic, exact[1],
         f_analytic, *exact[2:], False,

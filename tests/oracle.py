@@ -11,8 +11,9 @@ earlier, slower forms of the optimizer's exact root (plain bisection) and
 cubic root choice (rate-ranked candidates checked by finite-difference
 probes of the two-term series), kept as references for the fast ones.
 
-:func:`solve_cubic` gives every real root of a cubic by Cardano's formula
-or its trigonometric form, the general solver that
+:func:`build_cubic` gives the paper's stationarity cubic as a plain tuple of
+coefficients, and :func:`solve_cubic` every real root of a cubic by
+Cardano's formula or its trigonometric form: the general solver that
 :func:`omnidris.optimize.meaningful_root`'s Newton root is checked against.
 
 :func:`vector_rate` is the reduced rate over an array of element counts,
@@ -27,7 +28,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from omnidris.optimize import CubicCoefficients, NoInteriorMaximumError
 from omnidris.rate import LN2, ReducedParams, f_series, rate_total
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -152,12 +152,22 @@ def bisection_exact_optimum(red: ReducedParams, theta: float) -> tuple[float, bo
     return lo, False
 
 
+def build_cubic(red: ReducedParams, theta: float) -> tuple[float, float, float, float]:
+    """The paper's stationarity cubic ``2 psi n^3 - 4 psi theta n^2 - 3 alpha n + 4 alpha theta``.
+
+    Its coefficients ``(c3, c2, c1, c0)``, formed unscaled: ``2 psi`` times the
+    monic cubic that :func:`omnidris.optimize.meaningful_root` solves in scaled
+    units, so ``4 alpha theta`` may overflow where that root is finite.
+    """
+    return (2.0 * red.psi, -4.0 * red.psi * theta, -3.0 * red.alpha, 4.0 * red.alpha * theta)
+
+
 def _real_cbrt(x: float) -> float:
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
-def solve_cubic(cubic: CubicCoefficients) -> list[float]:
-    """All real roots, ascending, with multiplicity.
+def solve_cubic(cubic: tuple[float, float, float, float]) -> list[float]:
+    """All real roots of the cubic ``(c3, c2, c1, c0)``, ascending, with multiplicity.
 
     Trigonometric form for the three-real-root case (negative
     discriminant, the casus irreducibilis), real Cardano branch for the
@@ -222,8 +232,8 @@ def solve_cubic(cubic: CubicCoefficients) -> list[float]:
     return sorted(polished)
 
 
-def probe_meaningful_root(roots: list[float], red: ReducedParams, theta: float) -> float:
-    """Pick the root that is the usable rate maximum.
+def probe_meaningful_root(roots: list[float], red: ReducedParams, theta: float) -> float | None:
+    """Pick the root that is the usable rate maximum, or None if none is.
 
     Candidates must exceed the absorbing count and be at least 1; among
     them the one with the largest exact rate wins, provided a central
@@ -245,6 +255,4 @@ def probe_meaningful_root(roots: list[float], red: ReducedParams, theta: float) 
                 return root
         except ValueError:
             continue  # series domain violated near this root; not usable
-    raise NoInteriorMaximumError(
-        f"no interior maximum: no root above theta={theta} is a series maximum"
-    )
+    return None

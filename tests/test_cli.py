@@ -306,6 +306,24 @@ def test_a_finite_rate_past_an_overflowing_product_is_reported(capsys, tmp_path)
     assert json.loads(out)["rate_bps"] == pytest.approx(1.4427e153, rel=1e-4)
 
 
+@pytest.mark.parametrize(
+    "mode", ["mode: fixed\n  absorbing_count: 0", "mode: fraction\n  absorbing_fraction: 0.5"]
+)
+def test_an_underflowing_optimum_is_a_report_at_one_element(capsys, tmp_path, mode):
+    # alpha/psi underflows to 0: in fraction mode n* = sqrt(alpha/(psi t*)) is 0
+    path = tmp_path / "underflow.yaml"
+    text = SCENARIO_YAML.replace("alpha: 5.0", "alpha: 5.0e-324").replace("psi: 5.0", "psi: 1.0e+308")
+    text = text.replace("mode: fixed\n  absorbing_count: 5", mode)
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "optimize", "--scenario", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert (report["selected_n"], report["selected_rate"], report["at_boundary"]) == (1, 0.0, True)
+    code, out, err = run(capsys, "sweep", "--scenario", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    assert {row["rate_bps"] for row in json.loads(out)} == {0.0}
+
+
 @pytest.mark.parametrize("preset", ["C1", "table1"])
 def test_optimize_json_keys_are_the_report_fields_in_order(capsys, preset):
     code, out, _ = run(capsys, "optimize", "--scenario", preset, "--format", "json")

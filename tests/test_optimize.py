@@ -19,9 +19,6 @@ from omnidris.rate import (
 from omnidris.optimize import (
     HARDWARE_POWERS_OF_TWO,
     T_STAR,
-    CubicCoefficients,
-    NoInteriorMaximumError,
-    build_cubic,
     meaningful_root,
     optimize,
     optimize_fixed_theta,
@@ -30,7 +27,13 @@ from omnidris.optimize import (
     select_power_of_two,
 )
 from omnidris.scenario import NORMALIZED_COMBOS, alpha_calibration_for
-from oracle import bisection_exact_optimum, brute_force_argmax, probe_meaningful_root, solve_cubic
+from oracle import (
+    bisection_exact_optimum,
+    brute_force_argmax,
+    build_cubic,
+    probe_meaningful_root,
+    solve_cubic,
+)
 
 # Largest cubic roots of the normalized benchmark combinations, frozen from
 # a 40-digit polynomial root finder.
@@ -64,18 +67,16 @@ def reduced(name: str) -> tuple[ReducedParams, float]:
 
 
 def test_build_cubic_unit_parameters():
-    cubic = build_cubic(ReducedParams(1.0, 1.0, 1.0), 1.0)
-    assert (cubic.c3, cubic.c2, cubic.c1, cubic.c0) == (2.0, -4.0, -3.0, 4.0)
+    assert build_cubic(ReducedParams(1.0, 1.0, 1.0), 1.0) == (2.0, -4.0, -3.0, 4.0)
 
 
 def test_build_cubic_substitution():
-    cubic = build_cubic(ReducedParams(5.0, 5.0, 1.0), 5.0)
-    assert (cubic.c3, cubic.c2, cubic.c1, cubic.c0) == (10.0, -100.0, -15.0, 100.0)
+    assert build_cubic(ReducedParams(5.0, 5.0, 1.0), 5.0) == (10.0, -100.0, -15.0, 100.0)
 
 
 def test_build_cubic_zero_theta_factorable():
     cubic = build_cubic(ReducedParams(1.0, 1.0, 1.0), 0.0)
-    assert (cubic.c3, cubic.c2, cubic.c1, cubic.c0) == (2.0, 0.0, -3.0, 0.0)
+    assert cubic == (2.0, 0.0, -3.0, 0.0)
     roots = solve_cubic(cubic)
     expected = math.sqrt(1.5)
     assert roots == pytest.approx([-expected, 0.0, expected], abs=1e-12)
@@ -89,9 +90,10 @@ def test_build_cubic_ignores_xi():
 
 def test_cubic_coefficients_require_positive_leading_term():
     with pytest.raises(ValueError):
-        solve_cubic(CubicCoefficients(0.0, 1.0, 1.0, 1.0))
-    with pytest.raises(ValueError):
-        build_cubic(ReducedParams(1.0, 1.0, 1.0), -0.5)
+        solve_cubic((0.0, 1.0, 1.0, 1.0))
+    for theta in (-0.5, math.nan):
+        with pytest.raises(ValueError):
+            meaningful_root(ReducedParams(1.0, 1.0, 1.0), theta)
 
 
 # --- root solving -----------------------------------------------------------------
@@ -109,35 +111,35 @@ def test_solve_cubic_matches_published_roots(name, published):
 
 
 def test_solve_cubic_simple_factorable():
-    roots = solve_cubic(CubicCoefficients(1.0, 0.0, -1.0, 0.0))
+    roots = solve_cubic((1.0, 0.0, -1.0, 0.0))
     assert roots == pytest.approx([-1.0, 0.0, 1.0], abs=1e-12)
 
 
 def test_solve_cubic_single_real_root():
     # x^3 + x + 1: one real root near -0.6823278
-    roots = solve_cubic(CubicCoefficients(1.0, 0.0, 1.0, 1.0))
+    roots = solve_cubic((1.0, 0.0, 1.0, 1.0))
     assert len(roots) == 1
     assert roots[0] == pytest.approx(-0.6823278038280193, rel=1e-12)
 
 
 def test_solve_cubic_double_root_multiplicity():
     # (x - 1)^2 (x + 2) = x^3 - 3x + 2
-    roots = solve_cubic(CubicCoefficients(1.0, 0.0, -3.0, 2.0))
+    roots = solve_cubic((1.0, 0.0, -3.0, 2.0))
     assert roots == pytest.approx([-2.0, 1.0, 1.0], abs=1e-7)
 
 
 def test_solve_cubic_triple_root():
     # (x - 1)^3 = x^3 - 3x^2 + 3x - 1
-    roots = solve_cubic(CubicCoefficients(1.0, -3.0, 3.0, -1.0))
+    roots = solve_cubic((1.0, -3.0, 3.0, -1.0))
     assert roots == pytest.approx([1.0, 1.0, 1.0], abs=1e-5)
 
 
 def test_solve_cubic_residuals_are_tiny():
     for name in NORMALIZED_COMBOS:
         red, theta = reduced(name)
-        cubic = build_cubic(red, theta)
-        root = solve_cubic(cubic)[-1]
-        assert abs(cubic(root)) <= 1e-8 * (cubic.c3 * root**3)
+        c3, c2, c1, c0 = build_cubic(red, theta)
+        root = solve_cubic((c3, c2, c1, c0))[-1]
+        assert abs(((c3 * root + c2) * root + c1) * root + c0) <= 1e-8 * (c3 * root**3)
 
 
 @given(
@@ -148,7 +150,7 @@ def test_solve_cubic_residuals_are_tiny():
 )
 @settings(derandomize=True, max_examples=300)
 def test_solve_cubic_agrees_with_numpy(c3, c2, c1, c0):
-    ours = solve_cubic(CubicCoefficients(c3, c2, c1, c0))
+    ours = solve_cubic((c3, c2, c1, c0))
     reference = np.roots([c3, c2, c1, c0])
     real_reference = sorted(
         float(r.real) for r in reference if abs(r.imag) <= 1e-7 * max(1.0, abs(r))
@@ -163,42 +165,42 @@ def test_solve_cubic_agrees_with_numpy(c3, c2, c1, c0):
 
 def test_meaningful_root_c0():
     red, theta = reduced("C0")
-    root = meaningful_root(build_cubic(red, theta), red, theta)
-    assert root == pytest.approx(PRECISE_ROOTS["C0"], rel=1e-9)
+    assert meaningful_root(red, theta) == pytest.approx(PRECISE_ROOTS["C0"], rel=1e-9)
 
 
 def test_meaningful_root_c2():
     red, theta = reduced("C2")
-    assert meaningful_root(build_cubic(red, theta), red, theta) == pytest.approx(20.0250, rel=1e-3)
+    assert meaningful_root(red, theta) == pytest.approx(20.0250, rel=1e-3)
 
 
 def test_meaningful_root_zero_theta():
-    red = ReducedParams(1.0, 1.0, 1.0)
-    root = meaningful_root(build_cubic(red, 0.0), red, 0.0)
+    root = meaningful_root(ReducedParams(1.0, 1.0, 1.0), 0.0)
     assert root == pytest.approx(math.sqrt(1.5), rel=1e-9)
 
 
 def test_meaningful_root_none_qualifies():
     red = ReducedParams(0.01, 1.0, 1.0)  # stationary point at sqrt(0.015) < 1
-    with pytest.raises(NoInteriorMaximumError):
-        meaningful_root(build_cubic(red, 0.0), red, 0.0)
+    assert meaningful_root(red, 0.0) is None
 
 
-@pytest.mark.parametrize("alpha,psi,theta", [(1e300, 1.0, 1e10), (5e-324, 1e10, 0.0)])
+@pytest.mark.parametrize("alpha,psi,theta", [(5e-324, 1e10, 0.0)])
 def test_meaningful_root_rejects_a_cubic_beyond_the_float_range(alpha, psi, theta):
-    # 4 alpha theta overflows; or alpha/psi underflows, leaving the monic cubic x^3
+    # alpha/psi underflows, leaving the monic cubic x^3
     red = ReducedParams(alpha, psi, 1.0)
-    with pytest.raises(NoInteriorMaximumError):
-        probe_meaningful_root(solve_cubic(build_cubic(red, theta)), red, theta)
-    with pytest.raises(NoInteriorMaximumError):
-        meaningful_root(build_cubic(red, theta), red, theta)
+    assert probe_meaningful_root(solve_cubic(build_cubic(red, theta)), red, theta) is None
+    assert meaningful_root(red, theta) is None
 
 
-def _decimal_root(cubic: CubicCoefficients, start: float) -> decimal.Decimal:
-    """The root near ``start``: Newton's method on the exact coefficients, to 60 digits."""
+def _decimal_root(red: ReducedParams, theta: float, start: float) -> decimal.Decimal:
+    """The paper's cubic's root near ``start``: Newton's method to 60 digits.
+
+    The coefficients are formed from the exact parameters in decimal, so
+    none of them rounds or overflows as :func:`oracle.build_cubic`'s may.
+    """
     with decimal.localcontext() as ctx:
         ctx.prec = 60
-        c3, c2, c1, c0 = (decimal.Decimal(value) for value in cubic)
+        alpha, psi, theta = (decimal.Decimal(value) for value in (red.alpha, red.psi, theta))
+        c3, c2, c1, c0 = 2 * psi, -4 * psi * theta, -3 * alpha, 4 * alpha * theta
         x = decimal.Decimal(start)
         for _ in range(20):
             x -= (((c3 * x + c2) * x + c1) * x + c0) / ((3 * c3 * x + 2 * c2) * x + c1)
@@ -208,37 +210,35 @@ def _decimal_root(cubic: CubicCoefficients, start: float) -> decimal.Decimal:
 @pytest.mark.parametrize("name", sorted(NORMALIZED_COMBOS))
 def test_meaningful_root_is_correctly_rounded(name):
     red, theta = reduced(name)
-    cubic = build_cubic(red, theta)
-    root = meaningful_root(cubic, red, theta)
-    error = abs(decimal.Decimal(root) - _decimal_root(cubic, root))
+    root = meaningful_root(red, theta)
+    error = abs(decimal.Decimal(root) - _decimal_root(red, theta, root))
     assert error <= decimal.Decimal(math.ulp(root)) / 2
+
+
+def test_the_cubic_root_stands_where_4_alpha_theta_overflows():
+    # the paper's coefficient 4 alpha theta = 4e310 leaves the float range; its root does not
+    red = ReducedParams(1e300, 1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateConfigWarning)  # every panel <= 512 absorbs
+        report = optimize(red, FixedCount(10**10))
+    assert not report.used_fallback
+    root = report.n_star_cubic
+    error = abs(decimal.Decimal(root) - _decimal_root(red, 1e10, root))
+    assert error <= 2 * decimal.Decimal(math.ulp(root))
 
 
 def test_meaningful_root_at_a_huge_absorbing_count():
     # without the power-of-two unit, Newton would start at its bound 4e200 and overflow
     red, theta = ReducedParams(5.0, 1.0, 1.0), 1e200
-    cubic = build_cubic(red, theta)
-    root = meaningful_root(cubic, red, theta)
-    reference = solve_cubic(cubic)[-1]
+    root = meaningful_root(red, theta)
+    reference = solve_cubic(build_cubic(red, theta))[-1]
     assert math.isfinite(root)
     assert abs(root - reference) <= 2 * math.ulp(reference)
 
 
-def test_meaningful_root_of_a_double_root():
-    # (x - 2)^2 (x + 1): Newton converges only linearly onto the double root 2,
-    # where the series of alpha/psi = 8/3 and theta = 0 peaks
-    cubic = CubicCoefficients(1.0, -3.0, 0.0, 4.0)
-    red = ReducedParams(8.0, 3.0, 1.0)
-    expected = probe_meaningful_root(solve_cubic(cubic), red, 0.0)
-    assert meaningful_root(cubic, red, 0.0) == pytest.approx(expected, rel=1e-7)
-    with pytest.raises(NoInteriorMaximumError):  # the root lies below theta = 3
-        probe_meaningful_root(solve_cubic(cubic), red, 3.0)
-    with pytest.raises(NoInteriorMaximumError):
-        meaningful_root(cubic, red, 3.0)
-
-
 # The ranges of the draws the derivative-sign rule was checked on.
 WIDE_ALPHA = st.floats(min_value=-2.0, max_value=8.0).map(lambda e: 10.0**e)
+WIDE_PSI = st.floats(min_value=1.0, max_value=1e3)
 HARDWARE_PSI = st.sampled_from([1.0, 4.0, 16.0, 64.0])
 WIDE_THETA = st.one_of(
     st.integers(min_value=0, max_value=50).map(float), st.floats(min_value=0.0, max_value=50.0)
@@ -246,17 +246,16 @@ WIDE_THETA = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(alpha=WIDE_ALPHA, psi=HARDWARE_PSI, theta=WIDE_THETA)
+@given(alpha=WIDE_ALPHA, psi=WIDE_PSI, theta=WIDE_THETA)
 def test_meaningful_root_matches_the_probe_reference(alpha, psi, theta):
+    # the reference rounds the paper's coefficients, the monic form takes alpha/psi whole
     red = ReducedParams(alpha, psi, 1.0)
-    cubic = build_cubic(red, theta)
-    try:
-        expected = probe_meaningful_root(solve_cubic(cubic), red, theta)
-    except NoInteriorMaximumError:
-        with pytest.raises(NoInteriorMaximumError):
-            meaningful_root(cubic, red, theta)
+    expected = probe_meaningful_root(solve_cubic(build_cubic(red, theta)), red, theta)
+    root = meaningful_root(red, theta)
+    if expected is None:
+        assert root is None
     else:
-        assert abs(meaningful_root(cubic, red, theta) - expected) <= 2 * math.ulp(expected)
+        assert abs(root - expected) <= 2 * math.ulp(expected)
 
 
 @settings(max_examples=300, deadline=None)
@@ -270,13 +269,10 @@ def test_cubic_roots_follow_the_scaling_law(alpha, psi, theta, scale_exp):
     # n -> s n with alpha/psi -> s^2 alpha/psi and theta -> s theta maps the cubic onto itself;
     # a power of two s scales every step of the root search exactly
     s = 2.0**scale_exp
-    red = ReducedParams(alpha, psi, 1.0)
-    try:
-        root = meaningful_root(build_cubic(red, theta), red, theta)
-    except NoInteriorMaximumError:
+    root = meaningful_root(ReducedParams(alpha, psi, 1.0), theta)
+    if root is None:
         return
-    scaled = ReducedParams(s * s * alpha, psi, 1.0)
-    assert meaningful_root(build_cubic(scaled, s * theta), scaled, s * theta) == s * root
+    assert meaningful_root(ReducedParams(s * s * alpha, psi, 1.0), s * theta) == s * root
 
 
 # --- brute-force oracle ------------------------------------------------------------
@@ -697,6 +693,16 @@ def test_optimize_fixed_theta_rejects_a_non_finite_absorbing_count():
     for theta in (math.nan, math.inf):
         with pytest.raises(ValueError, match=f"absorbing count theta .* got {theta}"):
             optimize_fixed_theta(ReducedParams(5.0, 1.0, 1.0), theta)
+
+
+def test_optimize_proportional_survives_an_underflowing_optimum():
+    # alpha/(psi t*) underflows, so n* = 0; the rate there is its limit 0, not an error
+    red = ReducedParams(5e-324, 1e308, 1.0)
+    report = optimize(red, Fraction(0.5))
+    assert report == optimize_proportional(red, 0.5)
+    assert (report.n_star_cubic, report.f_at_cubic, report.f_exact_at_cubic) == (0.0, 0.0, 0.0)
+    assert (report.n_star_exact, report.selected_n, report.at_boundary) == (1.0, 1, True)
+    assert not report.used_fallback
 
 
 def test_optimize_proportional_validation():
