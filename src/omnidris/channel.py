@@ -20,9 +20,7 @@ __all__ = ["LinkGeometry", "channel_dc_gain", "reference_room_geometry"]
 
 def _cos_deg(angle_deg: float) -> float:
     # cos(radians(90)) leaves ~6e-17; the gain is defined as exactly 0 there
-    if angle_deg == 90.0:
-        return 0.0
-    return math.cos(math.radians(angle_deg))
+    return 0.0 if angle_deg == 90.0 else math.cos(math.radians(angle_deg))
 
 
 @dataclass(frozen=True)
@@ -61,12 +59,8 @@ class LinkGeometry:
             self,
             ("ris_element_area_m2", "photodetector_area_m2", "dist_ls_ris_m", "dist_ris_user_m"),
         )
-        for field in (
-            "irradiance_angle_ls_ris_deg",
-            "irradiance_angle_ris_user_deg",
-            "incidence_angle_ris_deg",
-            "incidence_angle_user_deg",
-        ):
+        for field in ("irradiance_angle_ls_ris_deg", "irradiance_angle_ris_user_deg",
+                      "incidence_angle_ris_deg", "incidence_angle_user_deg"):
             value = getattr(self, field)
             if not 0.0 <= value <= 90.0:
                 raise ValueError(f"{field} must be within [0, 90] degrees, got {value}")
@@ -98,9 +92,8 @@ def channel_dc_gain(geom: LinkGeometry) -> float:
         * (geom.lambertian_order + 1.0)
     )
     # 0**0 == 1, so a zeroth Lambertian order ignores the first hop angle
-    lambertian = _cos_deg(geom.irradiance_angle_ls_ris_deg) ** geom.lambertian_order
     cosines = (
-        lambertian
+        _cos_deg(geom.irradiance_angle_ls_ris_deg) ** geom.lambertian_order
         * _cos_deg(geom.irradiance_angle_ris_user_deg)
         * _cos_deg(geom.incidence_angle_ris_deg)
         * _cos_deg(geom.incidence_angle_user_deg)

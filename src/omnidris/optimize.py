@@ -42,6 +42,8 @@ __all__ = [
 
 #: Realizable element counts: 1 <= N <= 512 with N = 2^k.
 HARDWARE_POWERS_OF_TWO = tuple(2**k for k in range(10))
+_LARGEST = HARDWARE_POWERS_OF_TWO[-1]
+_new = tuple.__new__  # a record from its finished field tuple, skipping the NamedTuple's __new__
 
 #: t*, the root of ln(1 + t) = 2t / (1 + t): the load of every proportional optimum.
 T_STAR = 3.9215536345675055
@@ -132,11 +134,13 @@ def meaningful_root(red: ReducedParams, theta: float) -> float | None:
             break
         u = below
     root = u * unit
+    triple = 3.0 * ratio  # divided by root first where it overflows: ratio > ~6e307
+    pull = triple / root if triple < math.inf else 3.0 * (ratio / root)
     # cubic'(root) / (psi root): the same sign, without overflow
     if (
         root > theta
         and root >= 1.0
-        and 6.0 * root - 8.0 * theta - 3.0 * ratio / root > 0.0
+        and 6.0 * root - 8.0 * theta - pull > 0.0
         and red.alpha / (red.psi * root * root) <= 1.0
     ):
         return root
@@ -155,18 +159,14 @@ def select_power_of_two(n_star: float, red: ReducedParams, absorbing=0.0) -> Pow
         raise ValueError(f"n_star must be positive and finite, got {n_star}")
     if n_star < 1.0:
         rate_one = rate_total(red, 1.0, absorbing)
-        return Pow2Selection(1, rate_one, 1, 1, rate_one, rate_one, True)
-
+        return _new(Pow2Selection, (1, rate_one, 1, 1, rate_one, rate_one, True))
     lower = 1 << (int(n_star).bit_length() - 1)
     upper = lower if lower == n_star else 2 * lower
-
     rate_lower = rate_total(red, float(lower), absorbing)
     rate_upper = rate_lower if upper == lower else rate_total(red, float(upper), absorbing)
     if rate_upper > rate_lower:
-        chosen, chosen_rate = upper, rate_upper
-    else:
-        chosen, chosen_rate = lower, rate_lower
-    return Pow2Selection(chosen, chosen_rate, lower, upper, rate_lower, rate_upper, False)
+        return _new(Pow2Selection, (upper, rate_upper, lower, upper, rate_lower, rate_upper, False))
+    return _new(Pow2Selection, (lower, rate_lower, lower, upper, rate_lower, rate_upper, False))
 
 
 def _exact_optimum(red: ReducedParams, theta: float) -> tuple[float, bool]:
@@ -189,22 +189,28 @@ def _exact_optimum(red: ReducedParams, theta: float) -> tuple[float, bool]:
     floats; the last float where the rate still rises is returned.
     """
 
+    alpha, psi, log1p, inf = red.alpha, red.psi, math.log1p, math.inf
+
     def rising(n: float) -> bool:
-        x = red.alpha / (red.psi * n * n)
-        return math.log1p(x) > 2.0 * (1.0 - theta / n) * x / (1.0 + x)
+        x = alpha / (psi * n * n)
+        pull = 2.0 * (1.0 - theta / n) * x  # divided first where it overflows: x > ~9e307
+        pull = pull / (1.0 + x) if pull < inf else 2.0 * (1.0 - theta / n) * (x / (1.0 + x))
+        return log1p(x) > pull
 
     lo = max(theta, 1.0)
     if not rising(lo):
-        if red.alpha / (red.psi * lo * lo) == 0.0:
+        if alpha / (psi * lo * lo) == 0.0:
             # the load underflows: as x -> 0 the stationarity ln(1+x) = 2(1 - theta/n) x/(1+x)
             # puts the root at n = 2 theta
             return (2.0 * theta, False) if 2.0 * theta > 1.0 else (1.0, True)
         return lo, True
-    hi = math.inf
-    n = max(lo, 2.0 * theta, math.sqrt(red.alpha / (red.psi * T_STAR)))
+    hi = inf
+    n = max(lo, 2.0 * theta, math.sqrt(alpha / (psi * T_STAR)))
     for _ in range(100):
-        x = red.alpha / (red.psi * n * n)
-        gap = math.log1p(x) - 2.0 * (1.0 - theta / n) * x / (1.0 + x)  # > 0 iff rising(n)
+        x = alpha / (psi * n * n)
+        pull = 2.0 * (1.0 - theta / n) * x  # as in rising(n)
+        pull = pull / (1.0 + x) if pull < inf else 2.0 * (1.0 - theta / n) * (x / (1.0 + x))
+        gap = log1p(x) - pull  # > 0 iff rising(n)
         if gap > 0.0:
             lo = n
         else:
@@ -216,7 +222,7 @@ def _exact_optimum(red: ReducedParams, theta: float) -> tuple[float, bool]:
             break  # n is within a few ULPs of the root
         n -= step
         if not lo < n < hi:  # also for a NaN step
-            n = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
+            n = 2.0 * lo if hi == inf else 0.5 * (lo + hi)
     width = 2.0**-50 * n  # 4 to 8 ULPs
     while not hi - lo <= 2.0 * width:
         for probe in (n - width, n + width):
@@ -236,18 +242,12 @@ def _exact_optimum(red: ReducedParams, theta: float) -> tuple[float, bool]:
     return lo, False
 
 
-def _exact_fields(red: ReducedParams, absorbing, n_exact: float, at_one: bool) -> tuple:
-    """The fields ``n_star_exact`` to ``at_boundary`` of an :class:`OptimumReport`, in order."""
+def _select_at(red: ReducedParams, absorbing, n_exact: float) -> tuple:
+    """The power-of-two selection around ``n_exact`` (clamped to 512) and the rate at it."""
     if not math.isfinite(red.alpha / red.psi):
         raise ValueError(f"alpha/psi overflows ({red.alpha}/{red.psi}): no finite optimum")
-    largest = HARDWARE_POWERS_OF_TWO[-1]
-    n, rate, lower, upper, rate_lower, rate_upper, _ = select_power_of_two(
-        min(n_exact, largest), red, absorbing
-    )
-    return (
-        n_exact, rate_total(red, n_exact, absorbing), lower, upper, rate_lower, rate_upper,
-        n, rate, n.bit_length() - 1, at_one or n_exact > largest,
-    )
+    selection = select_power_of_two(min(n_exact, _LARGEST), red, absorbing)
+    return selection, rate_total(red, n_exact, absorbing)
 
 
 def optimize_fixed_theta(red: ReducedParams, theta: float) -> OptimumReport:
@@ -259,19 +259,19 @@ def optimize_fixed_theta(red: ReducedParams, theta: float) -> OptimumReport:
     """
     if not 0.0 <= theta < math.inf:  # rejects NaN as well
         raise ValueError(f"absorbing count theta must be >= 0 and finite, got {theta}")
-    exact = _exact_fields(red, theta, *_exact_optimum(red, theta))
+    n_exact, at_one = _exact_optimum(red, theta)
+    (n, rate, lower, upper, rate_lower, rate_upper, _), f_exact = _select_at(red, theta, n_exact)
     n_cubic = meaningful_root(red, theta)
     used_fallback = n_cubic is None
     if used_fallback:
-        n_cubic = exact[0]
-        f_cubic = f_exact_cubic = exact[1]
+        n_cubic, f_cubic, f_exact_cubic = n_exact, f_exact, f_exact
     else:
         f_cubic = f_series(red, n_cubic, theta, 2)
         f_exact_cubic = rate_total(red, n_cubic, theta)
-    return OptimumReport(
-        "fixed-count", theta, None, n_cubic, exact[0], f_cubic, exact[1], f_exact_cubic,
-        *exact[2:], used_fallback,
-    )
+    return _new(OptimumReport, (
+        "fixed-count", theta, None, n_cubic, n_exact, f_cubic, f_exact, f_exact_cubic, lower,
+        upper, rate_lower, rate_upper, n, rate, n.bit_length() - 1,
+        at_one or n_exact > _LARGEST, used_fallback))
 
 
 def optimize_proportional(red: ReducedParams, active_fraction: float) -> OptimumReport:
@@ -293,17 +293,18 @@ def _optimize_share(red: ReducedParams, mode: Fraction, active_fraction: float) 
     """:func:`optimize_proportional`, evaluating every rate under ``mode`` itself."""
     n_analytic = math.sqrt(red.alpha / (red.psi * T_STAR))
     below_one = n_analytic < 1.0
-    exact = _exact_fields(red, mode, 1.0 if below_one else n_analytic, below_one)
+    n_exact = 1.0 if below_one else n_analytic
+    (n, rate, lower, upper, rate_lower, rate_upper, _), f_exact = _select_at(red, mode, n_exact)
     if not below_one:
-        f_analytic = exact[1]
+        f_analytic = f_exact
     elif n_analytic > 0.0:
         f_analytic = rate_total(red, n_analytic, mode)
     else:
         f_analytic = 0.0  # alpha / (psi t*) underflows: the rate's limit as n* -> 0
-    return OptimumReport(
-        "proportional", None, active_fraction, n_analytic, exact[0], f_analytic, exact[1],
-        f_analytic, *exact[2:], False,
-    )
+    return _new(OptimumReport, (
+        "proportional", None, active_fraction, n_analytic, n_exact, f_analytic, f_exact,
+        f_analytic, lower, upper, rate_lower, rate_upper, n, rate, n.bit_length() - 1,
+        below_one or n_exact > _LARGEST, False))
 
 
 def optimize(red: ReducedParams, absorbing: AbsorbingMode) -> OptimumReport:

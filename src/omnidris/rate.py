@@ -43,7 +43,9 @@ E_OVER_2PI = math.e / (2.0 * math.pi)
 LN2 = math.log(2.0)
 _TINY = sys.float_info.min
 _FLOAT_MAX = sys.float_info.max
+_INF = math.inf
 _log1p = np.log1p
+_isfinite = math.isfinite
 
 
 class DegenerateConfigWarning(UserWarning):
@@ -140,7 +142,8 @@ class ReducedParams:
     xi: float
 
     def __post_init__(self) -> None:
-        require_positive_finite(self, ("alpha", "psi", "xi"))
+        if not (0.0 < self.alpha < _INF and 0.0 < self.psi < _INF and 0.0 < self.xi < _INF):
+            require_positive_finite(self, ("alpha", "psi", "xi"))  # names the bad field
 
 
 def snr_single_link(params: SystemParams, gain: float, num_elements: int) -> float:
@@ -173,32 +176,26 @@ def rate_single_link(params: SystemParams, snr: float) -> float:
 
 
 def reduce_params(params: SystemParams, gain: float) -> ReducedParams:
-    """Collapse system parameters and a channel gain into (alpha, psi, xi).
+    """(alpha, psi, xi) of system parameters and a gain, alpha from :func:`_physical_alpha`."""
+    return reduced_with_alpha(params, _physical_alpha(params, gain))
 
-    alpha = e/(2 pi) * rho^2 G^2 P_t^2 / (noise_psd / 2), with psi and xi
-    from :func:`reduced_with_alpha`.
-    """
+
+def _physical_alpha(params: SystemParams, gain: float) -> float:
+    """alpha = e/(2 pi) * rho^2 G^2 P_t^2 / (noise_psd / 2), checked as ReducedParams checks it."""
     if not gain > 0.0:  # rejects NaN as well; an infinite gain gives an infinite alpha
         raise ValueError("channel gain must be positive to form reduced parameters")
     rho, power = params.oe_conversion, params.transmit_power_w
-    # products, as x ** 2 raises on overflow: ReducedParams names an alpha of inf or 0
+    # products, as x ** 2 raises on overflow: the range check names an alpha of inf or 0
     alpha = E_OVER_2PI * (rho * rho) * (gain * gain) * (power * power) / (params.noise_psd / 2.0)
-    return reduced_with_alpha(params, alpha)
+    if not 0.0 < alpha < _INF:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    return alpha
 
 
 def reduced_with_alpha(params: SystemParams, alpha: float) -> ReducedParams:
     """The triple for a given alpha: psi = (M L)^2 and xi = W L M / 2 from ``params``."""
     links = float(params.num_users) * params.num_light_sources
-    return ReducedParams(alpha=alpha, psi=links * links, xi=params.bandwidth_hz * links / 2.0)
-
-
-def _theta_of(absorbing, n):
-    if isinstance(absorbing, (FixedCount, Fraction)):
-        return absorbing.theta_at(n)
-    theta = float(absorbing)
-    if not theta >= 0:  # rejects NaN as well
-        raise ValueError(f"absorbing count must be >= 0, got {theta}")
-    return theta
+    return ReducedParams(alpha, links * links, params.bandwidth_hz * links / 2.0)
 
 
 def _first_order_rate(red: ReducedParams, n: float, active: float) -> float:
@@ -214,7 +211,9 @@ def rate_total(red: ReducedParams, n, absorbing=0.0) -> float:
 
     ``n`` is a positive finite count (a continuum: the integer restriction
     enters only at hardware selection); ``absorbing`` is an
-    :data:`AbsorbingMode` or a plain count.  No active element gives 0 and a
+    :data:`AbsorbingMode` or a plain count, read inline: a :class:`Fraction`
+    gives ``q n``, a float ``>= 0`` itself, a :class:`FixedCount` its count
+    and any other count its ``float()``.  No active element gives 0 and a
     :class:`DegenerateConfigWarning`; a load below the normal floats gives
     the first-order term, not a silent 0; a rate beyond the float range
     raises ``ValueError``, after a second, overflow-safe evaluation order
@@ -223,25 +222,31 @@ def rate_total(red: ReducedParams, n, absorbing=0.0) -> float:
     bits differ from ``math.log1p``'s (elsewhere they agree), so outputs are per-CPU.
     """
     n = float(n)
-    if not 0.0 < n < math.inf:  # rejects NaN as well
+    if not 0.0 < n < _INF:  # rejects NaN as well
         raise ValueError(f"element count must be positive and finite, got {n}")
-    active = n - _theta_of(absorbing, n)
+    kind = type(absorbing)  # the optimizers' two rules first, without a call
+    if kind is Fraction:
+        theta = absorbing.q * n
+    elif kind is float and absorbing >= 0.0:
+        theta = absorbing
+    elif isinstance(absorbing, (FixedCount, Fraction)):
+        theta = absorbing.theta_at(n)
+    elif not (theta := float(absorbing)) >= 0:  # rejects NaN as well
+        raise ValueError(f"absorbing count must be >= 0, got {theta}")
+    active = n - theta
     if active <= 0.0:
-        warnings.warn(
-            "no active elements (absorbing count >= element count); rate is 0",
-            DegenerateConfigWarning,
-            stacklevel=2,
-        )
+        warnings.warn("no active elements (absorbing count >= element count); rate is 0",
+                      DegenerateConfigWarning, stacklevel=2)
         return 0.0
     denominator = red.psi * n * n
-    load = red.alpha / denominator if denominator else math.inf  # n^2 psi underflowed
+    load = red.alpha / denominator if denominator else _INF  # n^2 psi underflowed
     if load < _TINY:
         return _finite(_first_order_rate(red, n, active), f"the rate at n = {n}")
     ln_load = float(_log1p(load))
     rate = red.xi * active * ln_load / LN2
-    if math.isfinite(rate):
+    if _isfinite(rate):
         return rate
-    if load == math.inf:  # alpha / (psi n^2) beyond the floats, where log1p(load) = log(load)
+    if load == _INF:  # alpha / (psi n^2) beyond the floats, where log1p(load) = log(load)
         ln_load = math.log(red.alpha) - math.log(red.psi) - 2.0 * math.log(n)
     return _finite(red.xi * (active * (ln_load / LN2)), f"the rate at n = {n}")
 

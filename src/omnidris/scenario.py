@@ -66,8 +66,8 @@ from .rate import (
     Fraction,
     ReducedParams,
     SystemParams,
+    _physical_alpha,
     rate_total,
-    reduce_params,
     reduced_with_alpha,
     require_positive_finite,
 )
@@ -155,16 +155,15 @@ class Scenario:
             require_positive_finite(self, ("alpha_calibration",), ScenarioError)
 
     def reduced_params(self) -> ReducedParams:
-        """Resolve the (alpha, psi, xi) triple this scenario runs with."""
+        """Resolve the (alpha, psi, xi) triple this scenario runs with, as one record."""
+        alpha = self.alpha_calibration
         if self.reduced is not None:
             red = self.reduced
-        elif self.geometry is not None:  # a zero gain is rejected even when calibrated
-            red = reduce_params(self.system, channel_dc_gain(self.geometry))
-        else:
-            return reduced_with_alpha(self.system, self.alpha_calibration)
-        if self.alpha_calibration is not None:
-            red = ReducedParams(self.alpha_calibration, red.psi, red.xi)
-        return red
+            return red if alpha is None else ReducedParams(alpha, red.psi, red.xi)
+        if self.geometry is not None:  # a zero gain or alpha past the floats raises
+            physical = _physical_alpha(self.system, channel_dc_gain(self.geometry))
+            alpha = physical if alpha is None else alpha
+        return reduced_with_alpha(self.system, alpha)
 
 
 class SweepRow(NamedTuple):

@@ -33,6 +33,7 @@ from oracle import (
     build_cubic,
     probe_meaningful_root,
     solve_cubic,
+    vector_rate,
 )
 
 # Largest cubic roots of the normalized benchmark combinations, frozen from
@@ -234,6 +235,14 @@ def test_meaningful_root_at_a_huge_absorbing_count():
     reference = solve_cubic(build_cubic(red, theta))[-1]
     assert math.isfinite(root)
     assert abs(root - reference) <= 2 * math.ulp(reference)
+
+
+def test_the_cubic_root_stands_where_3_alpha_over_psi_overflows():
+    # the derivative check's 3 alpha/psi = 3e308 leaves the float range; 3 (ratio/root) does not
+    red = ReducedParams(1e308, 1.0, 1.0)
+    expected = math.sqrt(1.5e308)
+    assert abs(meaningful_root(red, 0.0) - expected) <= 2 * math.ulp(expected)
+    assert not optimize_fixed_theta(red, 0.0).used_fallback
 
 
 # The ranges of the draws the derivative-sign rule was checked on.
@@ -456,6 +465,44 @@ def test_xi_scaling_cannot_move_the_optimum(alpha, psi, theta, active_fraction, 
     assert (base.n_star_cubic, base.n_star_exact) == (unit.n_star_cubic, unit.n_star_exact)
     expected = {**base._asdict(), **{f: getattr(base, f) * 2.0**k for f in RATE_FIELDS}}
     assert scaled._asdict() == expected
+
+
+def test_exact_optimum_survives_an_overflowing_slope_term():
+    # at one element the load is 1e308, and 2 (1 - theta/n) x overflows unless divided first
+    report = optimize_fixed_theta(ReducedParams(1e308, 1.0, 1.0), 0.0)
+    assert report.n_star_exact == pytest.approx(math.sqrt(1e308 / T_STAR), rel=1e-12)
+
+
+# Every kind of absorbing rule rate_total takes: the two records and four plain counts.
+ANY_RULE = st.one_of(
+    st.integers(min_value=0, max_value=20).map(FixedCount),
+    st.floats(min_value=0.0, max_value=0.99).map(Fraction),
+    st.floats(min_value=0.0, max_value=20.0),
+    st.integers(min_value=0, max_value=20),
+    st.booleans(),
+    st.floats(min_value=0.0, max_value=20.0).map(np.float64),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha=WIDE_ALPHA, psi=HARDWARE_PSI, rule=ANY_RULE, n=st.floats(min_value=1.0, max_value=1e4))
+def test_every_rule_kind_gives_the_rate_and_selection_of_its_count(alpha, psi, rule, n):
+    red = ReducedParams(alpha, psi, 1.0)
+    record = isinstance(rule, (FixedCount, Fraction))
+    theta = rule.theta_at(n) if record else float(rule)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateConfigWarning)
+        expected = float(vector_rate(red, [n], rule)[0]).hex()
+        assert rate_total(red, n, rule).hex() == expected
+        assert rate_total(red, n, theta).hex() == expected
+        report = optimize(red, rule) if record else optimize_fixed_theta(red, theta)
+        selection = select_power_of_two(min(report.n_star_exact, 512), red, rule)
+    fields = ("pow2_lower", "pow2_upper", "rate_pow2_lower", "rate_pow2_upper", "selected_n",
+              "selected_rate", "selected_bits")
+    assert repr(tuple(getattr(report, field) for field in fields)) == repr((
+        selection.lower, selection.upper, selection.rate_lower, selection.rate_upper,
+        selection.n, selection.rate, selection.n.bit_length() - 1,
+    ))
 
 
 @settings(max_examples=100, deadline=None)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import omnidris.scenario
 
-from omnidris.rate import FixedCount, Fraction, ReducedParams
+from omnidris.rate import FixedCount, Fraction, ReducedParams, reduced_with_alpha
 from omnidris.scenario import (
     _SCHEMA,
     CSV_COLUMNS,
@@ -190,6 +190,28 @@ def test_system_without_geometry_needs_calibration(tmp_path):
     calibrated = without_geometry + "alpha_calibration: 127058.34\n"
     scenario = load_scenario(write(tmp_path, calibrated, "cal.yaml"))
     assert scenario.reduced_params().alpha == 127058.34
+
+
+def test_a_calibrated_system_builds_the_calibrated_triple(tmp_path):
+    # the physical alpha is checked, then dropped: the triple is reduced_with_alpha's
+    geometry = load_scenario(write(tmp_path, VALID_SYSTEM_YAML + "alpha_calibration: 127058.34\n"))
+    start, end = VALID_SYSTEM_YAML.index("geometry:"), VALID_SYSTEM_YAML.index("ris:")
+    system_only = VALID_SYSTEM_YAML[:start] + VALID_SYSTEM_YAML[end:] + "alpha_calibration: 9.5\n"
+    for scenario in (geometry, load_scenario(write(tmp_path, system_only, "system.yaml"))):
+        expected = reduced_with_alpha(scenario.system, scenario.alpha_calibration)
+        assert scenario.reduced_params() == expected
+    edits = [  # the same messages as when the physical triple was built first
+        ("ris_reflectiveness: 0.5", "ris_reflectiveness: 0",
+         "channel gain must be positive to form reduced parameters"),
+        ("transmit_power_w: 10.0", "transmit_power_w: 1.0e+200",
+         "alpha must be positive and finite, got inf"),
+    ]
+    for old, new, message in edits:
+        text = VALID_SYSTEM_YAML.replace(old, new) + "alpha_calibration: 127058.34\n"
+        scenario = load_scenario(write(tmp_path, text))
+        with pytest.raises(ValueError) as caught:
+            scenario.reduced_params()
+        assert str(caught.value) == message, new
 
 
 def test_ris_mode_field_consistency(tmp_path):
