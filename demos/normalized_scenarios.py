@@ -12,8 +12,9 @@ computed side by side:
 The report compares both against the published values, including the one
 anomalous entry (C5's calculated N) that is property-checked instead.
 """
-from omnidris import ReducedParams, optimize_fixed_theta
+from omnidris import FixedCount, ReducedParams
 from omnidris.cli import main
+from omnidris.optimize import optimize
 from omnidris.scenario import NORMALIZED_COMBOS
 
 main(["tables", "--which", "normalized"])
@@ -24,7 +25,7 @@ print("move its maximum.  C5 is C0 with xi = 3, so its optimum must sit at the")
 print("C0 root, not the C3 one:")
 for name in ("C0", "C5", "C3"):
     alpha, theta, xi, psi = NORMALIZED_COMBOS[name]
-    report = optimize_fixed_theta(ReducedParams(alpha, psi, xi), theta)
+    report = optimize(ReducedParams(alpha, psi, xi), FixedCount(int(theta)))
     print(
         f"  {name}: cubic root {report.n_star_cubic:8.4f}, "
         f"series rate {report.f_at_cubic:7.4f}, exact argmax {report.n_star_exact:8.4f}"
@@ -35,6 +36,6 @@ print("Approximation honesty: the cubic comes from a two-term series, so its")
 print("root sits slightly off the exact argmax, which is never beaten:")
 for name, combo in NORMALIZED_COMBOS.items():
     alpha, theta, xi, psi = combo
-    report = optimize_fixed_theta(ReducedParams(alpha, psi, xi), theta)
+    report = optimize(ReducedParams(alpha, psi, xi), FixedCount(int(theta)))
     gap = (report.f_at_exact - report.f_exact_at_cubic) / report.f_at_exact
     print(f"  {name}: exact-rate gap at the cubic root {gap:9.2e}")

@@ -10,12 +10,13 @@ import math
 
 from omnidris import (
     T_STAR,
+    Fraction,
     ReducedParams,
     bits_per_sequence,
-    optimize_proportional,
     rate_total,
 )
 from omnidris.cli import main
+from omnidris.optimize import optimize
 
 main(["tables", "--which", "selection"])
 
@@ -28,8 +29,8 @@ print("  of every rate-scale factor.")
 print()
 print("Doubling the light sources (psi x4, xi x2) halves N* at the same peak rate:")
 red = ReducedParams(alpha=T_STAR * 180.0**2, psi=1.0, xi=5e5)
-base = optimize_proportional(red, 1.0)
-doubled = optimize_proportional(ReducedParams(red.alpha, 4.0, 1e6), 1.0)
+base = optimize(red, Fraction(0.0))
+doubled = optimize(ReducedParams(red.alpha, 4.0, 1e6), Fraction(0.0))
 print(f"  one source:  N* = {base.n_star_cubic:7.2f}, peak {base.f_at_cubic / 1e6:8.3f} Mbps")
 print(f"  two sources: N* = {doubled.n_star_cubic:7.2f}, peak {doubled.f_at_cubic / 1e6:8.3f} Mbps")
 

@@ -50,13 +50,15 @@ T_STAR = 3.9215536345675055
 
 
 class Pow2Selection(NamedTuple):
-    n: int
-    rate: float
-    lower: int
-    upper: int
-    rate_lower: float
-    rate_upper: float
-    degenerate: bool
+    """The seven selection fields of :class:`OptimumReport`, in its order."""
+
+    pow2_lower: int
+    pow2_upper: int
+    rate_pow2_lower: float
+    rate_pow2_upper: float
+    selected_n: int
+    selected_rate: float
+    selected_bits: int
 
 
 class OptimumReport(NamedTuple):
@@ -68,9 +70,12 @@ class OptimumReport(NamedTuple):
     ``f_at_cubic`` follows the two-term-series convention of the
     published "calculated" column, while ``f_exact_at_cubic`` is the
     exact rate at the same point; in proportional mode the stationarity
-    is exact and the two coincide.  The panel is selected around
-    ``n_star_exact``, clamped to 512 elements; ``at_boundary`` is set when
-    the exact optimum lies at one element or beyond 512.
+    is exact and the two coincide.  ``used_fallback`` is set where the
+    cubic's largest root is below one element and ``n_star_exact`` stands
+    in for it.  The panel is selected around ``n_star_exact``, clamped to
+    512 elements, into the seven :class:`Pow2Selection` fields
+    ``pow2_lower`` .. ``selected_bits``; ``at_boundary`` is set when the
+    exact optimum lies at one element or beyond 512.
     """
 
     mode: str
@@ -93,19 +98,21 @@ class OptimumReport(NamedTuple):
 
 
 def meaningful_root(red: ReducedParams, theta: float) -> float | None:
-    """The stationarity cubic's largest root at ``theta`` if it is the usable maximum, else None.
+    """The stationarity cubic's largest root at ``theta`` if it is at least 1, else None.
 
     The two-term series has slope ``-alpha xi / (2 ln2 psi^2 n^5) * cubic(n)``
     with the paper's cubic ``2 psi n^3 - 4 psi theta n^2 - 3 alpha n + 4 alpha theta``;
     the factor never vanishes for n > 0, and xi drops out entirely, which is
     why rate scaling cannot move the optimum.  A root is a series maximum
-    exactly where the cubic rises through zero.  The root must exceed the
-    absorbing count, be at least 1, have ``cubic'(root) > 0`` and keep the
-    load ``alpha / (psi root^2)`` within the series' convergence domain
-    (<= 1).  Such a root lies right of the inflection point ``2 theta / 3``
-    and rises there, so it is the largest root; the cubic is convex on that
-    side, so Newton's method started above every root descends onto it
-    monotonically.
+    exactly where the cubic rises through zero.  The monic form p (below) has
+    ``p(2 theta) = p(sqrt(1.5 rho)) = -theta rho <= 0``, so its largest root
+    r is at least ``max(2 theta, sqrt(1.5 rho))``: the cubic rises there,
+    and the load ``alpha / (psi r^2)`` is at most 2/3, inside the series'
+    convergence domain.  So r is the usable maximum wherever it is at least
+    one element; None means it is below one, or beyond the float range.
+    It lies right of the inflection point ``2 theta / 3``, where the cubic
+    is convex, so Newton's method started above every root descends onto
+    it monotonically.
 
     The paper's cubic is ``2 psi`` times the monic cubic
     ``x^3 - 2 theta x^2 - 1.5 rho x + 2 theta rho`` with ``rho = alpha / psi``,
@@ -120,7 +127,9 @@ def meaningful_root(red: ReducedParams, theta: float) -> float | None:
     if not theta >= 0.0:
         raise ValueError(f"absorbing count must be >= 0, got {theta}")
     ratio = red.alpha / red.psi
-    size = max(2.0 * theta, math.sqrt(1.5 * ratio))
+    triple = 1.5 * ratio  # rooted factor by factor only where it overflows: ratio > ~1.2e308
+    sqrt_triple = math.sqrt(triple) if triple < math.inf else math.sqrt(1.5) * math.sqrt(ratio)
+    size = max(2.0 * theta, sqrt_triple)
     if not 0.0 < size < math.inf:
         return None
     unit = math.ldexp(0.5, math.frexp(size)[1])
@@ -134,17 +143,7 @@ def meaningful_root(red: ReducedParams, theta: float) -> float | None:
             break
         u = below
     root = u * unit
-    triple = 3.0 * ratio  # divided by root first where it overflows: ratio > ~6e307
-    pull = triple / root if triple < math.inf else 3.0 * (ratio / root)
-    # cubic'(root) / (psi root): the same sign, without overflow
-    if (
-        root > theta
-        and root >= 1.0
-        and 6.0 * root - 8.0 * theta - pull > 0.0
-        and red.alpha / (red.psi * root * root) <= 1.0
-    ):
-        return root
-    return None
+    return root if root >= 1.0 else None
 
 
 def select_power_of_two(n_star: float, red: ReducedParams, absorbing=0.0) -> Pow2Selection:
@@ -153,20 +152,19 @@ def select_power_of_two(n_star: float, red: ReducedParams, absorbing=0.0) -> Pow
     Evaluates the exact rate at 2^floor(log2 n*) and 2^ceil(log2 n*)
     (absorbing count re-derived per candidate in proportional mode) and
     keeps the better one; ties go to the smaller panel.  An optimum below
-    one element degenerates to a single element.
+    one element degenerates to a single element, both candidates 1.
     """
     if not math.isfinite(n_star) or n_star <= 0:
         raise ValueError(f"n_star must be positive and finite, got {n_star}")
     if n_star < 1.0:
         rate_one = rate_total(red, 1.0, absorbing)
-        return _new(Pow2Selection, (1, rate_one, 1, 1, rate_one, rate_one, True))
+        return _new(Pow2Selection, (1, 1, rate_one, rate_one, 1, rate_one, 0))
     lower = 1 << (int(n_star).bit_length() - 1)
     upper = lower if lower == n_star else 2 * lower
     rate_lower = rate_total(red, float(lower), absorbing)
     rate_upper = rate_lower if upper == lower else rate_total(red, float(upper), absorbing)
-    if rate_upper > rate_lower:
-        return _new(Pow2Selection, (upper, rate_upper, lower, upper, rate_lower, rate_upper, False))
-    return _new(Pow2Selection, (lower, rate_lower, lower, upper, rate_lower, rate_upper, False))
+    n, rate = (upper, rate_upper) if rate_upper > rate_lower else (lower, rate_lower)
+    return _new(Pow2Selection, (lower, upper, rate_lower, rate_upper, n, rate, n.bit_length() - 1))
 
 
 def _exact_optimum(red: ReducedParams, theta: float) -> tuple[float, bool]:
@@ -181,25 +179,26 @@ def _exact_optimum(red: ReducedParams, theta: float) -> tuple[float, bool]:
     the theta = 0 optimum ``sqrt(alpha/(psi t*))`` and ``2 theta``, both at
     or below the root: g grows with theta, and ``g(2 theta) =
     ln(1 + x) - x/(1 + x) > 0``.  Every iterate narrows a bracket of points
-    where ``rising`` holds (``lo``) and fails (``hi``); a step that leaves
-    the bracket bisects it instead, or doubles ``lo`` while no ``hi`` is
+    where g is positive (``lo``) and not (``hi``); a step that leaves the
+    bracket bisects it instead, or doubles ``lo`` while no ``hi`` is
     known.  Once a step is a few ULPs, probes that far either side of the
     iterate (widened fourfold until they straddle the sign change) close
-    the bracket, and it is bisected with ``rising`` down to adjacent
+    the bracket, and it is bisected on the sign of g down to adjacent
     floats; the last float where the rate still rises is returned.
     """
 
     alpha, psi, log1p, inf = red.alpha, red.psi, math.log1p, math.inf
 
-    def rising(n: float) -> bool:
+    def gap(n: float) -> tuple[float, float]:  # the load x at n, and g(n)
         x = alpha / (psi * n * n)
         pull = 2.0 * (1.0 - theta / n) * x  # divided first where it overflows: x > ~9e307
         pull = pull / (1.0 + x) if pull < inf else 2.0 * (1.0 - theta / n) * (x / (1.0 + x))
-        return log1p(x) > pull
+        return x, log1p(x) - pull
 
     lo = max(theta, 1.0)
-    if not rising(lo):
-        if alpha / (psi * lo * lo) == 0.0:
+    x, g = gap(lo)
+    if not g > 0.0:
+        if x == 0.0:
             # the load underflows: as x -> 0 the stationarity ln(1+x) = 2(1 - theta/n) x/(1+x)
             # puts the root at n = 2 theta
             return (2.0 * theta, False) if 2.0 * theta > 1.0 else (1.0, True)
@@ -207,17 +206,14 @@ def _exact_optimum(red: ReducedParams, theta: float) -> tuple[float, bool]:
     hi = inf
     n = max(lo, 2.0 * theta, math.sqrt(alpha / (psi * T_STAR)))
     for _ in range(100):
-        x = alpha / (psi * n * n)
-        pull = 2.0 * (1.0 - theta / n) * x  # as in rising(n)
-        pull = pull / (1.0 + x) if pull < inf else 2.0 * (1.0 - theta / n) * (x / (1.0 + x))
-        gap = log1p(x) - pull  # > 0 iff rising(n)
-        if gap > 0.0:
+        x, g = gap(n)
+        if g > 0.0:
             lo = n
         else:
             hi = n
         # dg/dn = 2x (1 - x - (theta/n)(3 + x)) / (n (1 + x)^2), negative at the root
         slope = 2.0 * x * (1.0 - x - theta / n * (3.0 + x)) / (n * (1.0 + x) * (1.0 + x))
-        step = gap / slope if slope < 0.0 else math.nan
+        step = g / slope if slope < 0.0 else math.nan
         if abs(step) <= 2.0**-50 * n:
             break  # n is within a few ULPs of the root
         n -= step
@@ -227,14 +223,14 @@ def _exact_optimum(red: ReducedParams, theta: float) -> tuple[float, bool]:
     while not hi - lo <= 2.0 * width:
         for probe in (n - width, n + width):
             if lo < probe < hi:
-                if rising(probe):
+                if gap(probe)[1] > 0.0:
                     lo = probe
                 else:
                     hi = probe
         width *= 4.0
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
-        if rising(mid):
+        if gap(mid)[1] > 0.0:
             lo = mid
         else:
             hi = mid
@@ -254,13 +250,14 @@ def optimize_fixed_theta(red: ReducedParams, theta: float) -> OptimumReport:
     """Optimize the element count with a fixed absorbing count.
 
     Solves the exact stationarity for ``n_star_exact`` and the cubic for
-    the analytic value; if no cubic root qualifies, the exact optimum
-    stands in for it (``used_fallback``).
+    the analytic value, its largest root; where that root is below one
+    element (or beyond the float range), the exact optimum stands in for
+    it (``used_fallback``).
     """
     if not 0.0 <= theta < math.inf:  # rejects NaN as well
         raise ValueError(f"absorbing count theta must be >= 0 and finite, got {theta}")
     n_exact, at_one = _exact_optimum(red, theta)
-    (n, rate, lower, upper, rate_lower, rate_upper, _), f_exact = _select_at(red, theta, n_exact)
+    selection, f_exact = _select_at(red, theta, n_exact)
     n_cubic = meaningful_root(red, theta)
     used_fallback = n_cubic is None
     if used_fallback:
@@ -269,8 +266,7 @@ def optimize_fixed_theta(red: ReducedParams, theta: float) -> OptimumReport:
         f_cubic = f_series(red, n_cubic, theta, 2)
         f_exact_cubic = rate_total(red, n_cubic, theta)
     return _new(OptimumReport, (
-        "fixed-count", theta, None, n_cubic, n_exact, f_cubic, f_exact, f_exact_cubic, lower,
-        upper, rate_lower, rate_upper, n, rate, n.bit_length() - 1,
+        "fixed-count", theta, None, n_cubic, n_exact, f_cubic, f_exact, f_exact_cubic, *selection,
         at_one or n_exact > _LARGEST, used_fallback))
 
 
@@ -294,7 +290,7 @@ def _optimize_share(red: ReducedParams, mode: Fraction, active_fraction: float) 
     n_analytic = math.sqrt(red.alpha / (red.psi * T_STAR))
     below_one = n_analytic < 1.0
     n_exact = 1.0 if below_one else n_analytic
-    (n, rate, lower, upper, rate_lower, rate_upper, _), f_exact = _select_at(red, mode, n_exact)
+    selection, f_exact = _select_at(red, mode, n_exact)
     if not below_one:
         f_analytic = f_exact
     elif n_analytic > 0.0:
@@ -303,8 +299,7 @@ def _optimize_share(red: ReducedParams, mode: Fraction, active_fraction: float) 
         f_analytic = 0.0  # alpha / (psi t*) underflows: the rate's limit as n* -> 0
     return _new(OptimumReport, (
         "proportional", None, active_fraction, n_analytic, n_exact, f_analytic, f_exact,
-        f_analytic, lower, upper, rate_lower, rate_upper, n, rate, n.bit_length() - 1,
-        below_one or n_exact > _LARGEST, False))
+        f_analytic, *selection, below_one or n_exact > _LARGEST, False))
 
 
 def optimize(red: ReducedParams, absorbing: AbsorbingMode) -> OptimumReport:

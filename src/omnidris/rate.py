@@ -71,8 +71,9 @@ class SystemParams:
     """Transmitter/receiver-side system parameters.
 
     ``noise_psd`` is the resultant noise PSD at the user in W/Hz; the noise
-    variance entering the SNR is ``noise_psd / 2`` exactly, with no
-    bandwidth multiplication.
+    variance entering the SNR and alpha is ``noise_psd / 2`` exactly, with no
+    bandwidth multiplication, so a ``noise_psd`` whose half underflows to 0
+    (only 5e-324) is rejected.
     """
 
     bandwidth_hz: float
@@ -84,6 +85,8 @@ class SystemParams:
 
     def __post_init__(self) -> None:
         require_positive_finite(self, ("bandwidth_hz", "transmit_power_w", "noise_psd"))
+        if self.noise_psd / 2.0 == 0.0:  # the noise variance: the SNR and alpha divide by it
+            raise ValueError(f"noise_psd / 2 underflows to 0: got {self.noise_psd}")
         for field in ("num_light_sources", "num_users"):
             value = getattr(self, field)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:

@@ -136,8 +136,8 @@ def test_criterion_05_power_of_two_selection_pattern():
     red = ReducedParams(1.0, 1.0, 1.0)
     with pytest.warns(Warning):
         tie = select_power_of_two(2.5, red, 5.0)
-    assert tie.rate_lower == tie.rate_upper
-    assert tie.n == tie.lower == 2
+    assert tie.rate_pow2_lower == tie.rate_pow2_upper
+    assert tie.selected_n == tie.pow2_lower == 2
     print("criterion 5: PASS (selections 128/128/128, 128@psd3, 64@psd8; ties pick smaller N)")
 
 

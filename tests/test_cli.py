@@ -324,6 +324,15 @@ def test_an_underflowing_optimum_is_a_report_at_one_element(capsys, tmp_path, mo
     assert {row["rate_bps"] for row in json.loads(out)} == {0.0}
 
 
+def test_a_noise_psd_whose_half_underflows_is_one_error_line(capsys, tmp_path):
+    path = tmp_path / "tiny-noise.yaml"
+    text = DEMO_TEXTS[0].replace("noise_psd_w_per_hz: 2.0", "noise_psd_w_per_hz: 5.0e-324")
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "optimize", "--scenario", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "noise_psd" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("preset", ["C1", "table1"])
 def test_optimize_json_keys_are_the_report_fields_in_order(capsys, preset):
     code, out, _ = run(capsys, "optimize", "--scenario", preset, "--format", "json")

@@ -1,4 +1,5 @@
-"""``tools/cli_snapshot.py`` records every preset and scenario-file command once, in-process."""
+"""``tools/cli_snapshot.py`` records every preset and scenario-file command and every demo once,
+in-process."""
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ def test_cli_snapshot_records_every_preset_command(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     files = sorted((tmp_path / "snap").iterdir())
-    assert len(files) == 126
+    assert len(files) == 130
     for path in files:
         assert "\n# exit: 0\n" in path.read_text(encoding="utf-8"), path.name
 
@@ -24,6 +25,9 @@ def test_cli_snapshot_records_every_preset_command(tmp_path):
     assert sample.startswith(
         "# argv: optimize --scenario demos/sample_scenario.yaml --format json\n"
     )
+
+    demo = (tmp_path / "snap" / "demo-normalized_scenarios.txt").read_text(encoding="utf-8")
+    assert demo.startswith("# argv: python3 demos/normalized_scenarios.py\n")
 
     recorded = (tmp_path / "snap" / "tables-both-json.txt").read_text(encoding="utf-8")
     fresh = subprocess.run(

@@ -19,6 +19,8 @@ from omnidris.rate import (
 from omnidris.optimize import (
     HARDWARE_POWERS_OF_TWO,
     T_STAR,
+    OptimumReport,
+    Pow2Selection,
     meaningful_root,
     optimize,
     optimize_fixed_theta,
@@ -245,6 +247,15 @@ def test_the_cubic_root_stands_where_3_alpha_over_psi_overflows():
     assert not optimize_fixed_theta(red, 0.0).used_fallback
 
 
+def test_the_cubic_root_stands_where_1_5_alpha_over_psi_overflows():
+    # the root's size sqrt(1.5 alpha/psi) is taken factor by factor where 1.5 alpha/psi overflows
+    report = optimize_fixed_theta(ReducedParams(1.7e308, 1.0, 1.0), 0.0)
+    expected = math.sqrt(1.5) * math.sqrt(1.7e308)
+    assert not report.used_fallback
+    assert abs(report.n_star_cubic - expected) <= 2 * math.ulp(expected)
+    assert report.n_star_exact == 6.584084274651698e153
+
+
 # The ranges of the draws the derivative-sign rule was checked on.
 WIDE_ALPHA = st.floats(min_value=-2.0, max_value=8.0).map(lambda e: 10.0**e)
 WIDE_PSI = st.floats(min_value=1.0, max_value=1e3)
@@ -282,6 +293,35 @@ def test_cubic_roots_follow_the_scaling_law(alpha, psi, theta, scale_exp):
     if root is None:
         return
     assert meaningful_root(ReducedParams(s * s * alpha, psi, 1.0), s * theta) == s * root
+
+
+EPS = 2.0**-52
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    alpha=st.floats(min_value=-300.0, max_value=307.0).map(lambda e: 10.0**e),
+    psi=st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e),
+    theta=st.one_of(
+        st.just(0.0),
+        st.integers(min_value=1, max_value=100).map(float),
+        st.floats(min_value=0.0, max_value=200.0).map(lambda e: float(math.floor(10.0**e))),
+    ),
+)
+def test_the_largest_root_rises_inside_the_series_domain(alpha, psi, theta):
+    # p(2 theta) = p(sqrt(1.5 rho)) = -theta rho <= 0 puts the largest root r above both, so r
+    # exceeds theta, the cubic rises through it and its load is at most 2/3: r >= 1 is all to check
+    ratio = alpha / psi
+    assume(ratio < math.inf)
+    root = meaningful_root(ReducedParams(alpha, psi, 1.0), theta)
+    if root is None:
+        assert solve_cubic(build_cubic(ReducedParams(alpha, psi, 1.0), theta))[-1] < 1.0
+        return
+    assert root >= 2.0 * theta
+    assert root >= math.sqrt(1.5) * math.sqrt(ratio) * (1.0 - 4.0 * EPS)
+    assert alpha / (psi * root * root) <= (2.0 / 3.0) * (1.0 + 4.0 * EPS)
+    # the paper's cubic'(root) / (psi root)
+    assert 6.0 * root - 8.0 * theta - 3.0 * (ratio / root) > 0.0
 
 
 # --- brute-force oracle ------------------------------------------------------------
@@ -325,8 +365,8 @@ def test_brute_force_validation():
 def test_select_exact_power_of_two_passes_through():
     red = ReducedParams(100.0, 1.0, 1.0)
     selection = select_power_of_two(8.0, red, 0.0)
-    assert selection.n == 8
-    assert selection.lower == selection.upper == 8
+    assert selection.selected_n == 8
+    assert selection.pow2_lower == selection.pow2_upper == 8
 
 
 def test_select_noise_rows_match_published_pattern():
@@ -336,12 +376,16 @@ def test_select_noise_rows_match_published_pattern():
     red5 = ReducedParams(base * 2.0 / 5.0, 1.0, xi)
     n5 = math.sqrt(red5.alpha / T_STAR)
     sel5 = select_power_of_two(n5, red5, Fraction(0.5))
-    assert (sel5.lower, sel5.upper, sel5.n) == (64, 128, 128)
+    assert (sel5.pow2_lower, sel5.pow2_upper, sel5.selected_n) == (64, 128, 128)
     # PSD 3 row: optimum ~147, the lower candidate 128 wins
     red3 = ReducedParams(base * 2.0 / 3.0, 1.0, xi)
     n3 = math.sqrt(red3.alpha / T_STAR)
     sel3 = select_power_of_two(n3, red3, Fraction(0.5))
-    assert (sel3.lower, sel3.upper, sel3.n) == (128, 256, 128)
+    assert (sel3.pow2_lower, sel3.pow2_upper, sel3.selected_n) == (128, 256, 128)
+
+
+def test_the_selection_fields_are_the_reports():
+    assert Pow2Selection._fields == OptimumReport._fields[8:15]
 
 
 def test_select_tie_prefers_smaller_panel():
@@ -349,15 +393,15 @@ def test_select_tie_prefers_smaller_panel():
     red = ReducedParams(1.0, 1.0, 1.0)
     with pytest.warns(Warning):
         selection = select_power_of_two(2.5, red, 5.0)
-    assert selection.rate_lower == selection.rate_upper == 0.0
-    assert selection.n == selection.lower == 2
+    assert selection.rate_pow2_lower == selection.rate_pow2_upper == 0.0
+    assert selection.selected_n == selection.pow2_lower == 2
 
 
 def test_select_below_one_degenerates():
     red = ReducedParams(1.0, 1.0, 1.0)
     selection = select_power_of_two(0.4, red, 0.0)
-    assert selection.degenerate
-    assert selection.n == 1
+    assert selection.pow2_lower == selection.pow2_upper == 1
+    assert selection.selected_n == 1
     with pytest.raises(ValueError):
         select_power_of_two(float("nan"), red, 0.0)
 
@@ -371,7 +415,7 @@ def test_select_below_one_degenerates():
 )
 def test_select_brackets_with_powers_of_two(n_star):
     selection = select_power_of_two(n_star, ReducedParams(1.0, 1.0, 1.0), 0.0)
-    lower, upper = selection.lower, selection.upper
+    lower, upper = selection.pow2_lower, selection.pow2_upper
     assert lower <= n_star < 2 * lower
     assert lower & (lower - 1) == 0 and upper & (upper - 1) == 0
     is_pow2 = n_star.is_integer() and int(n_star) & (int(n_star) - 1) == 0
@@ -500,8 +544,9 @@ def test_every_rule_kind_gives_the_rate_and_selection_of_its_count(alpha, psi, r
     fields = ("pow2_lower", "pow2_upper", "rate_pow2_lower", "rate_pow2_upper", "selected_n",
               "selected_rate", "selected_bits")
     assert repr(tuple(getattr(report, field) for field in fields)) == repr((
-        selection.lower, selection.upper, selection.rate_lower, selection.rate_upper,
-        selection.n, selection.rate, selection.n.bit_length() - 1,
+        selection.pow2_lower, selection.pow2_upper, selection.rate_pow2_lower,
+        selection.rate_pow2_upper, selection.selected_n, selection.selected_rate,
+        selection.selected_n.bit_length() - 1,
     ))
 
 

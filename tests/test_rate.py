@@ -479,6 +479,11 @@ def test_system_params_validation():
         system(oe_conversion=1.5)
     with pytest.raises(ValueError):
         system(noise_psd=-2.0)
+    # the noise variance noise_psd / 2 divides the SNR and alpha, so its half must not underflow
+    with pytest.raises(ValueError, match="noise_psd"):
+        system(noise_psd=5e-324)
+    smallest = system(noise_psd=1e-323, transmit_power_w=1e-150)
+    assert 0.0 < snr_single_link(smallest, 1.0, 1) < math.inf
     for field in ("bandwidth_hz", "transmit_power_w", "oe_conversion", "noise_psd"):
         for value in NON_FINITE:
             with pytest.raises(ValueError, match=field):

@@ -13,7 +13,9 @@ powers-of-two sweep); ``rate --n 8`` with ``--theta 2`` on ``C1`` and with
 goes through ``omnidris.cli.main`` in this process, with the warning filters
 reset so that it warns as a fresh process would.  Its exit code, stderr and
 stdout go to ``OUT_DIR/<command>.txt``; the ``# argv:`` line gives the
-scenario file relative to the checkout.
+scenario file relative to the checkout.  Then each ``demos/*.py`` script runs
+in this process too, as ``__main__`` through ``runpy``, into
+``OUT_DIR/demo-<stem>.txt``.
 
 omnidris is imported from ``PYTHONPATH``, so the same script snapshots any
 checkout; ``diff -r`` between the snapshots of two commits shows every byte
@@ -25,6 +27,7 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import runpy
 import sys
 import warnings
 from pathlib import Path
@@ -62,10 +65,25 @@ def commands() -> dict[str, list[str]]:
 
 def run(argv: list[str]) -> str:
     """One command's exit code, stderr and stdout as the text of its snapshot file."""
+    return _recorded(argv, lambda: cli.main(argv))
+
+
+def run_demo(path: Path) -> str:
+    """One demo script's exit code, stderr and stdout, run as ``python3 demos/<name>.py`` would."""
+
+    def script() -> int:
+        runpy.run_path(str(path), run_name="__main__")
+        return 0
+
+    return _recorded(["python3", str(path)], script)
+
+
+def _recorded(argv: list[str], call) -> str:
+    """The exit code ``call()`` returns, and its stderr and stdout, under an ``# argv:`` line."""
     out, err = io.StringIO(), io.StringIO()
     # entering catch_warnings clears the shown-once records of every module
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        code = call()
     shown = " ".join(argv).replace(f"{ROOT}{os.sep}", "")
     return (
         f"# argv: {shown}\n# exit: {code}\n"
@@ -82,7 +100,13 @@ def main(args: list[str]) -> int:
     snapshot = commands()
     for stem, argv in snapshot.items():
         (out_dir / f"{stem}.txt").write_text(run(argv), encoding="utf-8")
-    print(f"{len(snapshot)} commands from {Path(omnidris.__file__).parent} -> {out_dir}")
+    demos = sorted((ROOT / "demos").glob("*.py"))
+    for path in demos:
+        (out_dir / f"demo-{path.stem}.txt").write_text(run_demo(path), encoding="utf-8")
+    print(
+        f"{len(snapshot)} commands and {len(demos)} demos from {Path(omnidris.__file__).parent}"
+        f" -> {out_dir}"
+    )
     return 0
 
 
