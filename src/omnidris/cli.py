@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from operator import attrgetter
@@ -18,6 +19,7 @@ from .rate import DegenerateConfigWarning, FixedCount, Fraction, rate_total
 from .reports import NormalizedRow, reproduce_table1, reproduce_table2
 from .scenario import (
     ScenarioError,
+    SweepRow,
     _csv,
     preset_scenarios,
     resolve_scenario,
@@ -53,6 +55,29 @@ _TABLE_CSV = {
 
 def _json(payload) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+#: One sweep row as :func:`_json` indents it in the row list: a ``%s`` per :class:`SweepRow` field.
+_SWEEP_ROW_JSON = (
+    "  {\n" + ",\n".join(f"    {json.dumps(name)}: %s" for name in SweepRow._fields) + "\n  }"
+)
+
+
+def _json_value(value) -> str:
+    """A bool, int or float as ``json`` writes its runtime type; a non-finite one raises."""
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
+def _sweep_json(rows) -> str:
+    """``_json([row._asdict() for row in rows])``, written row by row without the dicts."""
+    body = ",\n".join([_SWEEP_ROW_JSON % tuple(map(_json_value, row)) for row in rows])
+    return f"[\n{body}\n]\n" if rows else "[]\n"
 
 
 def _flat_record(payload: dict, fmt: str) -> str:
@@ -94,7 +119,7 @@ def cmd_optimize(args) -> str:
 
 def cmd_sweep(args) -> str:
     rows = run_sweep(resolve_scenario(args.scenario))
-    return _json([row._asdict() for row in rows]) if args.format == "json" else sweep_to_csv(rows)
+    return _sweep_json(rows) if args.format == "json" else sweep_to_csv(rows)
 
 
 def cmd_tables(args) -> str:

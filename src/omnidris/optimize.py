@@ -188,6 +188,11 @@ def _exact_optimum(red: ReducedParams, theta: float) -> tuple[float, bool]:
     """
 
     alpha, psi, log1p, inf = red.alpha, red.psi, math.log1p, math.inf
+    if 2.0 * theta == inf:  # g(2 theta) > 0, so the optimum lies above 2 theta
+        raise ValueError(
+            f"absorbing count {theta} puts the exact optimum, near 2 x {theta}, "
+            "beyond the float range"
+        )
 
     def gap(n: float) -> tuple[float, float]:  # the load x at n, and g(n)
         x = alpha / (psi * n * n)

@@ -238,20 +238,23 @@ def probe_meaningful_root(roots: list[float], red: ReducedParams, theta: float) 
     Candidates must exceed the absorbing count and be at least 1; among
     them the one with the largest exact rate wins, provided a central
     finite-difference probe (step 1e-6 * n) of the two-term series shows a
-    derivative sign change from + to - across it.
+    derivative sign change from + to - across it.  The probe compares the
+    two series values rather than dividing their difference by 2h, which
+    underflows to 0 for a root as large as 2e200.
     """
     candidates = [root for root in roots if root > theta and root >= 1.0]
     candidates.sort(key=lambda root: rate_total(red, root, theta), reverse=True)
     for root in candidates:
         h = 1e-6 * root
 
-        def probe(x: float) -> float:
-            return (
-                f_series(red, x + h, theta, 2) - f_series(red, x - h, theta, 2)
-            ) / (2.0 * h)
+        def rises(x: float) -> bool:
+            return f_series(red, x + h, theta, 2) > f_series(red, x - h, theta, 2)
+
+        def falls(x: float) -> bool:
+            return f_series(red, x + h, theta, 2) < f_series(red, x - h, theta, 2)
 
         try:
-            if probe(root - h) > 0.0 > probe(root + h):
+            if rises(root - h) and falls(root + h):
                 return root
         except ValueError:
             continue  # series domain violated near this root; not usable

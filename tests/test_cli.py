@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -11,6 +12,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,15 @@ from hypothesis import strategies as st
 from omnidris import cli
 from omnidris.cli import main
 from omnidris.optimize import OptimumReport
-from omnidris.scenario import CSV_COLUMNS, preset_scenarios, resolve_scenario, run_sweep, sweep_to_csv
+from omnidris.scenario import (
+    CSV_COLUMNS,
+    SweepRow,
+    SweepSpec,
+    preset_scenarios,
+    resolve_scenario,
+    run_sweep,
+    sweep_to_csv,
+)
 
 SCENARIO_YAML = """\
 schema_version: 1
@@ -108,6 +118,39 @@ def test_sweep_csv_fast_path_is_the_csv_writer():
         rows = run_sweep(resolve_scenario(ref))
         # lines, not one string: pytest's diff of two long strings takes minutes
         assert sweep_to_csv(rows).split("\n") == cli._csv(CSV_COLUMNS, rows).split("\n"), ref
+
+
+def _assert_sweep_json_is_json_dumps(rows, label):
+    # lines, not one string: pytest's diff of two long strings takes minutes
+    expected = cli._json([row._asdict() for row in rows])
+    assert cli._sweep_json(rows).split("\n") == expected.split("\n"), label
+
+
+def test_sweep_json_is_json_dumps_of_the_rows():
+    # the row-by-row writer gives json.dumps' bytes for every runtime type a SweepRow holds
+    demos = Path(__file__).resolve().parents[1] / "demos"
+    for ref in [*sorted(preset_scenarios()), *map(str, sorted(demos.glob("*.yaml")))]:
+        _assert_sweep_json_is_json_dumps(run_sweep(resolve_scenario(ref)), ref)
+    c0 = resolve_scenario("C0")
+    pow2 = run_sweep(dataclasses.replace(c0, sweep=SweepSpec(1.0, 100.0)))
+    assert all(row.pow2 for row in pow2)
+    _assert_sweep_json_is_json_dumps(pow2, "powers of two")
+    ints = run_sweep(dataclasses.replace(c0, sweep=SweepSpec(1, 8, 1)))
+    assert type(ints[2].n) is int
+    _assert_sweep_json_is_json_dumps(ints, "int bounds")
+    # a numpy scalar is a float whose own repr is not float.__repr__
+    scalar = ints[2]._replace(rate_bps=np.float64(1.0) / 3.0)
+    assert repr(scalar.rate_bps) != float.__repr__(scalar.rate_bps)
+    _assert_sweep_json_is_json_dumps([scalar], "numpy.float64")
+    _assert_sweep_json_is_json_dumps([], "no rows")
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_sweep_json_rejects_a_non_finite_value(value):
+    row = SweepRow(4.0, 1.0, 3.0, value, True, False)
+    for write in (cli._sweep_json, lambda rows: cli._json([r._asdict() for r in rows])):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write([row])
 
 
 def test_rate_takes_one_absorbing_override(capsys):
@@ -273,6 +316,19 @@ def test_huge_absorbing_count_is_a_finite_report_or_one_error_line(
     else:
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["optimize", "sweep"])
+def test_an_optimum_beyond_the_float_range_is_one_error_line(capsys, tmp_path, command):
+    # a 309-digit count is the float 1e308, and the optimum lies above 2e308
+    path = tmp_path / "huge.yaml"
+    path.write_text(
+        SCENARIO_YAML.replace("absorbing_count: 5", f"absorbing_count: {10**308}"), encoding="utf-8"
+    )
+    assert run(capsys, command, "--scenario", str(path)) == (
+        1, "", "error: absorbing count 1e+308 puts the exact optimum, near 2 x 1e+308, "
+        "beyond the float range\n"
+    )
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from omnidris.rate import (
@@ -267,6 +267,7 @@ WIDE_THETA = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(alpha=WIDE_ALPHA, psi=WIDE_PSI, theta=WIDE_THETA)
+@example(alpha=5.0, psi=1.0, theta=1e200)  # the root 2e200, past an underflowing difference quotient
 def test_meaningful_root_matches_the_probe_reference(alpha, psi, theta):
     # the reference rounds the paper's coefficients, the monic form takes alpha/psi whole
     red = ReducedParams(alpha, psi, 1.0)
@@ -606,6 +607,14 @@ def test_exact_optimum_survives_an_underflowing_load():
     first_order = 0.5 * (5.0 / 2e200) / LN2
     assert first_order == 1.8033688011112042e-200
     assert report.f_at_exact == report.f_exact_at_cubic == report.f_at_cubic == first_order
+
+
+def test_an_optimum_beyond_the_float_range_names_the_absorbing_count():
+    # 2 theta overflows, and g(2 theta) > 0 puts the exact optimum above it
+    problem = "absorbing count 1e+308 puts the exact optimum, near 2 x 1e+308, beyond the float range"
+    with pytest.raises(ValueError) as raised:
+        optimize(ReducedParams(5.0, 1.0, 1.0), FixedCount(10**308))
+    assert str(raised.value) == problem
 
 
 @settings(max_examples=100, deadline=None)
