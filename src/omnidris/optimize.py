@@ -15,8 +15,9 @@ Two regimes:
   active fraction or the rate scale.
 
 The exact-rate optimum is the root of the exact stationarity: in fixed
-mode a safeguarded Newton iteration brackets it and a bisection takes the
-bracket to the last float; in proportional mode it is
+mode, Newton's method solves it as one law in the load ``x = alpha/(psi n^2)``
+and ``c = theta sqrt(psi/alpha)``, and ``sqrt(alpha/(psi x*))`` is stepped to
+the last float where the rate still rises; in proportional mode (c = 0) it is
 ``sqrt(alpha / (psi t*))`` itself.  Hardware realizations are the
 powers of two 1 <= N <= 512; the selection rule compares the exact rate at
 the two candidates bracketing the exact optimum.
@@ -154,8 +155,8 @@ def select_power_of_two(n_star: float, red: ReducedParams, absorbing=0.0) -> Pow
     keeps the better one; ties go to the smaller panel.  An optimum below
     one element degenerates to a single element, both candidates 1.
     """
-    if not math.isfinite(n_star) or n_star <= 0:
-        raise ValueError(f"n_star must be positive and finite, got {n_star}")
+    if not 0.0 < n_star <= 2.0**1023:  # 2**1024, the power of two above, is not a float
+        raise ValueError(f"n_star must be positive and at most 2**1023, got {n_star}")
     if n_star < 1.0:
         rate_one = rate_total(red, 1.0, absorbing)
         return _new(Pow2Selection, (1, 1, rate_one, rate_one, 1, rate_one, 0))
@@ -167,6 +168,29 @@ def select_power_of_two(n_star: float, red: ReducedParams, absorbing=0.0) -> Pow
     return _new(Pow2Selection, (lower, upper, rate_lower, rate_upper, n, rate, n.bit_length() - 1))
 
 
+def _optimal_load(c: float) -> float:
+    """x*(c), the load ``alpha/(psi n^2)`` at the exact fixed-count optimum, for ``c <= 2^30``.
+
+    With ``c = theta sqrt(psi/alpha)`` the exact stationarity reads
+    ``F(x) = (1 + x) ln(1 + x)/(2x) + c sqrt(x) = 1``.  F rises from
+    ``F(0+) = 1/2`` and is concave, so Newton's method started right of the
+    root, at ``min(t*, 1/(4c^2))`` where ``F >= 1``, lands left of it in one
+    step and then rises onto it; it stops where an iterate no longer rises.
+    """
+    log1p, sqrt = math.log1p, math.sqrt
+    x = T_STAR if 4.0 * T_STAR * c * c <= 1.0 else 0.25 / (c * c)
+    falling = True  # the first step, from the right of the root to its left
+    while True:
+        log, root = log1p(x), sqrt(x)
+        # F'(x) = (x - ln(1 + x))/(2x^2) + c/(2 sqrt(x)): where the first term cancels (small x),
+        # c sqrt(x) is near 1/2 and the second, near 1/(4x), outweighs it by 1/x
+        after = x + (1.0 - (1.0 + x) * log / (2.0 * x) - c * root) / (
+            (x - log) / (2.0 * x * x) + 0.5 * c / root)
+        if not (falling or after > x):
+            return x
+        x, falling = after, False
+
+
 def _exact_optimum(red: ReducedParams, theta: float) -> tuple[float, bool]:
     """Argmax of the exact fixed-count rate on n >= 1, and whether it is n = 1.
 
@@ -175,78 +199,52 @@ def _exact_optimum(red: ReducedParams, theta: float) -> tuple[float, bool]:
     negative for large n.  Only when theta < 1 can the slope be
     non-positive at one element already; n = 1 is then the optimum.
 
-    Otherwise a safeguarded Newton iteration on g starts from the larger of
-    the theta = 0 optimum ``sqrt(alpha/(psi t*))`` and ``2 theta``, both at
-    or below the root: g grows with theta, and ``g(2 theta) =
-    ln(1 + x) - x/(1 + x) > 0``.  Every iterate narrows a bracket of points
-    where g is positive (``lo``) and not (``hi``); a step that leaves the
-    bracket bisects it instead, or doubles ``lo`` while no ``hi`` is
-    known.  Once a step is a few ULPs, probes that far either side of the
-    iterate (widened fourfold until they straddle the sign change) close
-    the bracket, and it is bisected on the sign of g down to adjacent
-    floats; the last float where the rate still rises is returned.
+    Otherwise the search starts at ``sqrt(alpha/psi) / sqrt(x*)``, with x* from
+    :func:`_optimal_load`, and steps to adjacent floats on the sign of g to
+    the last float where the rate still rises.  Where ``c > 2^30`` the load
+    ``1/(4c^2)`` at 2 theta is below 2^-62, so ``n* = 2 theta (1 + x*/2 + ...)``
+    rounds to 2 theta, the start instead; where ``c > 2^510`` that load is
+    below the normal floats, g's sign is rounding noise, and 2 theta is returned.
     """
-
     alpha, psi, log1p, inf = red.alpha, red.psi, math.log1p, math.inf
     if 2.0 * theta == inf:  # g(2 theta) > 0, so the optimum lies above 2 theta
-        raise ValueError(
-            f"absorbing count {theta} puts the exact optimum, near 2 x {theta}, "
-            "beyond the float range"
-        )
+        raise ValueError(f"absorbing count {theta} puts the exact optimum, near 2 x {theta}, "
+                         "beyond the float range")
+    ratio = _load_ratio(red)
+    full_precision = psi >= 2.2250738585072014e-308  # a subnormal psi leaves psi n few bits
 
-    def gap(n: float) -> tuple[float, float]:  # the load x at n, and g(n)
-        x = alpha / (psi * n * n)
+    def rising(n: float) -> bool:  # g(n) > 0
+        d = psi * n * n  # the load in rate_total's order, where psi n n keeps its precision
+        x = alpha / d if d < inf and full_precision else ratio / n / n
         pull = 2.0 * (1.0 - theta / n) * x  # divided first where it overflows: x > ~9e307
         pull = pull / (1.0 + x) if pull < inf else 2.0 * (1.0 - theta / n) * (x / (1.0 + x))
-        return x, log1p(x) - pull
+        return log1p(x) > pull
 
     lo = max(theta, 1.0)
-    x, g = gap(lo)
-    if not g > 0.0:
-        if x == 0.0:
-            # the load underflows: as x -> 0 the stationarity ln(1+x) = 2(1 - theta/n) x/(1+x)
-            # puts the root at n = 2 theta
-            return (2.0 * theta, False) if 2.0 * theta > 1.0 else (1.0, True)
-        return lo, True
-    hi = inf
-    n = max(lo, 2.0 * theta, math.sqrt(alpha / (psi * T_STAR)))
-    for _ in range(100):
-        x, g = gap(n)
-        if g > 0.0:
-            lo = n
-        else:
-            hi = n
-        # dg/dn = 2x (1 - x - (theta/n)(3 + x)) / (n (1 + x)^2), negative at the root
-        slope = 2.0 * x * (1.0 - x - theta / n * (3.0 + x)) / (n * (1.0 + x) * (1.0 + x))
-        step = g / slope if slope < 0.0 else math.nan
-        if abs(step) <= 2.0**-50 * n:
-            break  # n is within a few ULPs of the root
-        n -= step
-        if not lo < n < hi:  # also for a NaN step
-            n = 2.0 * lo if hi == inf else 0.5 * (lo + hi)
-    width = 2.0**-50 * n  # 4 to 8 ULPs
-    while not hi - lo <= 2.0 * width:
-        for probe in (n - width, n + width):
-            if lo < probe < hi:
-                if gap(probe)[1] > 0.0:
-                    lo = probe
-                else:
-                    hi = probe
-        width *= 4.0
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        if gap(mid)[1] > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    return lo, False
+    if not rising(lo):  # where the load underflows, g's root as x -> 0 is n = 2 theta
+        return (2.0 * theta, False) if ratio / lo / lo == 0.0 and 2.0 * theta > 1.0 else (lo, True)
+    c = theta * math.sqrt(psi / alpha)
+    if c > 2.0**510:  # also where c overflows
+        return 2.0 * theta, False
+    n = 2.0 * theta if c > 2.0**30 else max(math.sqrt(ratio) / math.sqrt(_optimal_load(c)), lo)
+    if rising(n):
+        while rising(up := math.nextafter(n, inf)):
+            n = up
+    else:  # down to lo at the latest, where g > 0
+        while not rising(n := math.nextafter(n, 0.0)):
+            pass
+    return n, False
+
+
+def _load_ratio(red: ReducedParams) -> float:
+    """``alpha/psi``, the load at one element; ValueError where it overflows."""
+    if (ratio := red.alpha / red.psi) < math.inf:
+        return ratio
+    raise ValueError(f"alpha/psi overflows ({red.alpha}/{red.psi}): no finite optimum")
 
 
 def _select_at(red: ReducedParams, absorbing, n_exact: float) -> tuple:
     """The power-of-two selection around ``n_exact`` (clamped to 512) and the rate at it."""
-    if not math.isfinite(red.alpha / red.psi):
-        raise ValueError(f"alpha/psi overflows ({red.alpha}/{red.psi}): no finite optimum")
     selection = select_power_of_two(min(n_exact, _LARGEST), red, absorbing)
     return selection, rate_total(red, n_exact, absorbing)
 
@@ -292,6 +290,7 @@ def optimize_proportional(red: ReducedParams, active_fraction: float) -> Optimum
 
 def _optimize_share(red: ReducedParams, mode: Fraction, active_fraction: float) -> OptimumReport:
     """:func:`optimize_proportional`, evaluating every rate under ``mode`` itself."""
+    _load_ratio(red)
     n_analytic = math.sqrt(red.alpha / (red.psi * T_STAR))
     below_one = n_analytic < 1.0
     n_exact = 1.0 if below_one else n_analytic

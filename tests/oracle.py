@@ -7,9 +7,11 @@ that :mod:`omnidris.optimize` solves, so the tests compare the
 optimizers against it.
 
 :func:`bisection_exact_optimum` and :func:`probe_meaningful_root` are the
-earlier, slower forms of the optimizer's exact root (plain bisection) and
-cubic root choice (rate-ranked candidates checked by finite-difference
-probes of the two-term series), kept as references for the fast ones.
+earlier, slower forms of the optimizer's exact root (plain bisection on the
+slope's sign, :func:`rising`) and cubic root choice (rate-ranked candidates
+checked by finite-difference probes of the two-term series), kept as
+references for the fast ones.  :func:`load_law` is the same stationarity as
+one function of the load, the law that the exact root is solved in.
 
 :func:`build_cubic` gives the paper's stationarity cubic as a plain tuple of
 coefficients, and :func:`solve_cubic` every real root of a cubic by
@@ -122,34 +124,47 @@ def brute_force_argmax(
     return BruteForceResult(refined, rate_total(red, refined, absorbing), False)
 
 
-def bisection_exact_optimum(red: ReducedParams, theta: float) -> tuple[float, bool]:
-    """Argmax of the exact fixed-count rate on n >= 1, and whether it is n = 1.
+def rising(red: ReducedParams, theta: float, n: float) -> bool:
+    """Whether the exact fixed-count rate rises at ``n``.
 
     The rate's slope has the sign of ``ln(1 + x) - 2 (1 - theta/n) x/(1 + x)``
     with ``x = alpha/(psi n^2)``: positive just above max(theta, 1) and
-    negative for large n.  The bracket doubles ``hi`` until the sign turns,
-    then bisects to the last float.  Only when theta < 1 can the slope be
+    negative for large n.
+    """
+    x = red.alpha / (red.psi * n * n)
+    return math.log1p(x) > 2.0 * (1.0 - theta / n) * x / (1.0 + x)
+
+
+def bisection_exact_optimum(red: ReducedParams, theta: float) -> tuple[float, bool]:
+    """Argmax of the exact fixed-count rate on n >= 1, and whether it is n = 1.
+
+    The bracket doubles ``hi`` until :func:`rising` turns false, then
+    bisects to the last float.  Only when theta < 1 can the slope be
     non-positive at one element already; n = 1 is then the optimum.
     """
-
-    def rising(n: float) -> bool:
-        x = red.alpha / (red.psi * n * n)
-        return math.log1p(x) > 2.0 * (1.0 - theta / n) * x / (1.0 + x)
-
     lo = max(theta, 1.0)
-    if not rising(lo):
+    if not rising(red, theta, lo):
         return lo, True
     hi = 2.0 * lo
-    while rising(hi):
+    while rising(red, theta, hi):
         lo, hi = hi, 2.0 * hi
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
-        if rising(mid):
+        if rising(red, theta, mid):
             lo = mid
         else:
             hi = mid
         mid = 0.5 * (lo + hi)
     return lo, False
+
+
+def load_law(c: float, x: float) -> float:
+    """``F(x) = (1 + x) ln(1 + x)/(2x) + c sqrt(x)``, the exact fixed-count stationarity in the load.
+
+    With ``x = alpha/(psi n^2)`` and ``c = theta sqrt(psi/alpha)``, :func:`rising`
+    holds exactly where ``F(x) > 1``: the optimum's load solves ``F = 1``.
+    """
+    return (1.0 + x) * math.log1p(x) / (2.0 * x) + c * math.sqrt(x)
 
 
 def build_cubic(red: ReducedParams, theta: float) -> tuple[float, float, float, float]:

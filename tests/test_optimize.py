@@ -26,6 +26,7 @@ from omnidris.optimize import (
     optimize_fixed_theta,
     optimize_proportional,
     _exact_optimum,
+    _optimal_load,
     select_power_of_two,
 )
 from omnidris.scenario import NORMALIZED_COMBOS, alpha_calibration_for
@@ -33,7 +34,9 @@ from oracle import (
     bisection_exact_optimum,
     brute_force_argmax,
     build_cubic,
+    load_law,
     probe_meaningful_root,
+    rising,
     solve_cubic,
     vector_rate,
 )
@@ -398,6 +401,14 @@ def test_select_tie_prefers_smaller_panel():
     assert selection.selected_n == selection.pow2_lower == 2
 
 
+def test_select_rejects_an_optimum_above_the_largest_float_power_of_two():
+    # 2**1024, the power of two above 1.5e308, is not a float
+    red = ReducedParams(1.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match=r"n_star must be positive and at most 2\*\*1023, got 1.5e\+308"):
+        select_power_of_two(1.5e308, red, 0.0)
+    assert select_power_of_two(2.0**1023, red, 0.0).pow2_upper == 2**1023
+
+
 def test_select_below_one_degenerates():
     red = ReducedParams(1.0, 1.0, 1.0)
     selection = select_power_of_two(0.4, red, 0.0)
@@ -594,6 +605,62 @@ def test_exact_optimum_matches_the_bisection_reference(alpha, psi, theta):
     reference, reference_at_one = bisection_exact_optimum(red, theta)
     assert at_one == reference_at_one
     assert abs(n_exact - reference) <= 1e-15 * reference
+    if not at_one:  # the contract: the last float where the rate still rises
+        assert rising(red, theta, n_exact)
+        assert not rising(red, theta, math.nextafter(n_exact, math.inf))
+
+
+def test_the_load_law_at_c_0_is_t_star():
+    # F(x) = 1 at c = 0 is ln(1 + x) = 2x/(1 + x), the proportional optimum's law
+    assert _optimal_load(0.0) == T_STAR
+    assert load_law(0.0, T_STAR) == 1.0
+    assert load_law(0.0, 1e-300) == 0.5  # F(0+) = 1/2
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    c=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=50.0)),
+    x=st.floats(min_value=-5.0, max_value=0.6).map(lambda e: 10.0**e),
+)
+def test_the_load_law_rises_is_concave_and_is_solved(c, x):
+    # three points a quarter apart: the gaps dwarf rounding, so the chords show F's shape
+    left, mid, right = (load_law(c, x * r) for r in (0.75, 1.0, 1.25))
+    assert left < mid < right
+    assert left + right < 2.0 * mid
+    root = _optimal_load(c)
+    # at most the start min(t*, 1/(4c^2)): F(x) = 1 with (1 + x) ln(1 + x)/(2x) > 1/2
+    assert 0.0 < root <= T_STAR and c * math.sqrt(root) <= 0.5
+    assert abs(load_law(c, root) - 1.0) <= 4.0 * EPS
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha=WIDE_ALPHA, psi=HARDWARE_PSI)
+def test_no_absorbing_count_is_the_proportional_optimum(alpha, psi):
+    # FixedCount(0) and Fraction(0) both leave every element active: c = 0 and the load is t*
+    fixed = optimize(ReducedParams(alpha, psi, 1.0), FixedCount(0)).n_star_exact
+    share = optimize(ReducedParams(alpha, psi, 1.0), Fraction(0.0)).n_star_exact
+    assert abs(fixed - share) <= 4 * math.ulp(share)
+
+
+@pytest.mark.parametrize("alpha,psi,theta,expected", [
+    # psi n^2 overflows near the optimum, 2 theta (1 + x*/2) with x* ~ 1e-273
+    (1e36, 1e306, 12.0, 24.0),
+    # psi is subnormal, so psi n^2 loses bits: theta = 0 puts the optimum at sqrt((alpha/psi)/t*)
+    (1e-310, 1e-320, 0.0, math.sqrt(1e-310 / 1e-320 / T_STAR)),
+])
+def test_exact_optimum_holds_where_psi_n2_is_not_a_normal_float(alpha, psi, theta, expected):
+    n_exact, at_one = _exact_optimum(ReducedParams(alpha, psi, 1.0), theta)
+    assert not at_one
+    assert abs(n_exact - expected) <= 4 * math.ulp(expected)
+
+
+def test_exact_optimum_scales_to_the_edge_of_the_float_range():
+    # c = theta sqrt(psi/alpha) ~ 0.77 puts the optimum at ~2.3e154, where psi n^2 overflows;
+    # scaling alpha by 4^-100 and theta by 2^-100 keeps c and scales n* by 2^-100
+    edge, at_one = _exact_optimum(ReducedParams(1.7e308, 1.0, 1.0), 1e154)
+    inside, _ = _exact_optimum(ReducedParams(1.7e308 * 2.0**-200, 1.0, 1.0), 1e154 * 2.0**-100)
+    assert not at_one
+    assert abs(edge - inside * 2.0**100) <= 4 * math.ulp(edge)
 
 
 def test_exact_optimum_survives_an_underflowing_load():
