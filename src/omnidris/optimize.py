@@ -8,7 +8,7 @@ Two regimes:
   is ``2 psi`` times the monic ``n^3 - 2 theta n^2 - 1.5 rho n + 2 theta rho``
   with ``rho = alpha / psi``, the form that is solved; only its largest
   root can be a series maximum, and Newton's method descends onto it
-  monotonically from a bound above every root.
+  monotonically from ``2 theta + sqrt(1.5 rho)``, above every root.
 * proportional absorbing share -- the exact stationarity collapses to the
   parameter-free condition ``ln(1 + t) = 2t / (1 + t)``, whose root t*
   puts the optimum at ``n* = sqrt(alpha / (psi t*))`` regardless of the
@@ -21,13 +21,19 @@ the last float where the rate still rises; in proportional mode (c = 0) it is
 ``sqrt(alpha / (psi t*))`` itself.  Hardware realizations are the
 powers of two 1 <= N <= 512; the selection rule compares the exact rate at
 the two candidates bracketing the exact optimum.
+
+Inside, both absorbing rules are one count ``theta + q n``: a fixed count is
+``(theta, 0.0)`` and a fraction ``(0.0, q)``, with the same bits as the rule
+itself, as ``theta + 0.0 n == theta`` and ``0.0 + q n == q n``.  Where n
+exceeds that count, the rates come from the rate kernel directly; elsewhere
+from :func:`~omnidris.rate.rate_total`, which warns.
 """
 from __future__ import annotations
 
 import math
 from typing import NamedTuple
 
-from .rate import AbsorbingMode, Fraction, ReducedParams, f_series, rate_total
+from .rate import AbsorbingMode, FixedCount, Fraction, ReducedParams, _rate, f_series, rate_total
 
 __all__ = [
     "OptimumReport",
@@ -121,9 +127,11 @@ def meaningful_root(red: ReducedParams, theta: float) -> float | None:
     or below ``max(2 theta, sqrt(1.5 rho))``.  Each coefficient is formed
     already divided by its power of ``unit``, so every one is O(1) and none
     overflows: ``cbrt(2 theta rho)``, the third size, stays below the other
-    two by the AM-GM inequality.  Newton starts at Fujiwara's root bound
-    ``2 max(|b|, sqrt|c|, cbrt|d/2|)`` of the scaled ``u^3 + b u^2 + c u + d``
-    and steps while the iterate falls.
+    two by the AM-GM inequality.  Newton starts at
+    ``x0 = 2 theta + sqrt(1.5 rho)`` and steps while the iterate falls.  The
+    cubic is ``p(x) = (x - 2 theta)(x^2 - 1.5 rho) - theta rho``, so
+    ``p(x0) = theta (4 theta sqrt(1.5 rho) + 5 rho) >= 0``, and both factors
+    are >= 0 and rise from x0 on: no root lies above x0.
     """
     if not theta >= 0.0:
         raise ValueError(f"absorbing count must be >= 0, got {theta}")
@@ -137,8 +145,8 @@ def meaningful_root(red: ReducedParams, theta: float) -> float | None:
     b = -2.0 * theta / unit
     c = -1.5 * (ratio / unit / unit)
     d = -b * (ratio / unit / unit)
-    u = 2.0 * max(abs(b), math.sqrt(abs(c)), abs(d / 2.0) ** (1.0 / 3.0))
-    for _ in range(64):  # a simple root takes about 10 steps
+    u = sqrt_triple / unit - b  # (2 theta + sqrt(1.5 rho)) / unit, at or above the largest root
+    for _ in range(64):  # a simple root takes about 5 steps
         below = u - (((u + b) * u + c) * u + d) / ((3.0 * u + 2.0 * b) * u + c)
         if not below < u:
             break
@@ -157,15 +165,27 @@ def select_power_of_two(n_star: float, red: ReducedParams, absorbing=0.0) -> Pow
     """
     if not 0.0 < n_star <= 2.0**1023:  # 2**1024, the power of two above, is not a float
         raise ValueError(f"n_star must be positive and at most 2**1023, got {n_star}")
-    if n_star < 1.0:
-        rate_one = rate_total(red, 1.0, absorbing)
-        return _new(Pow2Selection, (1, 1, rate_one, rate_one, 1, rate_one, 0))
-    lower = 1 << (int(n_star).bit_length() - 1)
-    upper = lower if lower == n_star else 2 * lower
-    rate_lower = rate_total(red, float(lower), absorbing)
-    rate_upper = rate_lower if upper == lower else rate_total(red, float(upper), absorbing)
+    if isinstance(absorbing, Fraction):
+        return _new(Pow2Selection, _select(red, 0.0, absorbing.q, n_star))
+    theta = float(absorbing.count if isinstance(absorbing, FixedCount) else absorbing)
+    if not theta >= 0.0:  # rejects NaN as well
+        raise ValueError(f"absorbing count must be >= 0, got {theta}")
+    return _new(Pow2Selection, _select(red, theta, 0.0, n_star))
+
+
+def _select(red: ReducedParams, theta: float, q: float, n_star: float) -> tuple:
+    """:func:`select_power_of_two`'s seven fields under the absorbing count ``theta + q n``."""
+    lower = 1 << max(int(n_star).bit_length() - 1, 0)
+    upper = lower if lower >= n_star else 2 * lower
+    rate_lower = _rate_at(red, float(lower), theta + q * lower)
+    rate_upper = rate_lower if upper == lower else _rate_at(red, float(upper), theta + q * upper)
     n, rate = (upper, rate_upper) if rate_upper > rate_lower else (lower, rate_lower)
-    return _new(Pow2Selection, (lower, upper, rate_lower, rate_upper, n, rate, n.bit_length() - 1))
+    return lower, upper, rate_lower, rate_upper, n, rate, n.bit_length() - 1
+
+
+def _rate_at(red: ReducedParams, n: float, theta: float) -> float:
+    """The rate at float n under the float count theta: rate_total's warning and 0 at n <= theta."""
+    return _rate(red, n, n - theta) if n > theta else rate_total(red, n, theta)
 
 
 def _optimal_load(c: float) -> float:
@@ -175,10 +195,11 @@ def _optimal_load(c: float) -> float:
     ``F(x) = (1 + x) ln(1 + x)/(2x) + c sqrt(x) = 1``.  F rises from
     ``F(0+) = 1/2`` and is concave, so Newton's method started right of the
     root, at ``min(t*, 1/(4c^2))`` where ``F >= 1``, lands left of it in one
-    step and then rises onto it; it stops where an iterate no longer rises.
+    step and then rises onto it; it stops where an iterate no longer rises,
+    and returns at most the start.
     """
     log1p, sqrt = math.log1p, math.sqrt
-    x = T_STAR if 4.0 * T_STAR * c * c <= 1.0 else 0.25 / (c * c)
+    x = start = T_STAR if 4.0 * T_STAR * c * c <= 1.0 else 0.25 / (c * c)
     falling = True  # the first step, from the right of the root to its left
     while True:
         log, root = log1p(x), sqrt(x)
@@ -187,7 +208,7 @@ def _optimal_load(c: float) -> float:
         after = x + (1.0 - (1.0 + x) * log / (2.0 * x) - c * root) / (
             (x - log) / (2.0 * x * x) + 0.5 * c / root)
         if not (falling or after > x):
-            return x
+            return min(x, start)  # rounding can step right from a start on the root (tiny c)
         x, falling = after, False
 
 
@@ -243,12 +264,6 @@ def _load_ratio(red: ReducedParams) -> float:
     raise ValueError(f"alpha/psi overflows ({red.alpha}/{red.psi}): no finite optimum")
 
 
-def _select_at(red: ReducedParams, absorbing, n_exact: float) -> tuple:
-    """The power-of-two selection around ``n_exact`` (clamped to 512) and the rate at it."""
-    selection = select_power_of_two(min(n_exact, _LARGEST), red, absorbing)
-    return selection, rate_total(red, n_exact, absorbing)
-
-
 def optimize_fixed_theta(red: ReducedParams, theta: float) -> OptimumReport:
     """Optimize the element count with a fixed absorbing count.
 
@@ -260,14 +275,15 @@ def optimize_fixed_theta(red: ReducedParams, theta: float) -> OptimumReport:
     if not 0.0 <= theta < math.inf:  # rejects NaN as well
         raise ValueError(f"absorbing count theta must be >= 0 and finite, got {theta}")
     n_exact, at_one = _exact_optimum(red, theta)
-    selection, f_exact = _select_at(red, theta, n_exact)
+    selection = _select(red, theta, 0.0, min(n_exact, _LARGEST))
+    f_exact = _rate_at(red, n_exact, theta)
     n_cubic = meaningful_root(red, theta)
     used_fallback = n_cubic is None
     if used_fallback:
         n_cubic, f_cubic, f_exact_cubic = n_exact, f_exact, f_exact
-    else:
+    else:  # n_cubic >= max(2 theta, 1) > theta
         f_cubic = f_series(red, n_cubic, theta, 2)
-        f_exact_cubic = rate_total(red, n_cubic, theta)
+        f_exact_cubic = _rate(red, n_cubic, n_cubic - theta)
     return _new(OptimumReport, (
         "fixed-count", theta, None, n_cubic, n_exact, f_cubic, f_exact, f_exact_cubic, *selection,
         at_one or n_exact > _LARGEST, used_fallback))
@@ -285,20 +301,23 @@ def optimize_proportional(red: ReducedParams, active_fraction: float) -> Optimum
     """
     if not 0.0 < active_fraction <= 1.0:
         raise ValueError(f"active fraction must lie in (0, 1], got {active_fraction}")
-    return _optimize_share(red, Fraction(1.0 - active_fraction), active_fraction)
+    if not (q := 1.0 - active_fraction) < 1.0:  # an active fraction of at most 2^-54
+        raise ValueError(f"absorbing fraction must lie in [0, 1), got {q}")
+    return _optimize_share(red, q, active_fraction)
 
 
-def _optimize_share(red: ReducedParams, mode: Fraction, active_fraction: float) -> OptimumReport:
-    """:func:`optimize_proportional`, evaluating every rate under ``mode`` itself."""
+def _optimize_share(red: ReducedParams, q: float, active_fraction: float) -> OptimumReport:
+    """:func:`optimize_proportional`, evaluating every rate under the count ``q n`` itself."""
     _load_ratio(red)
     n_analytic = math.sqrt(red.alpha / (red.psi * T_STAR))
     below_one = n_analytic < 1.0
     n_exact = 1.0 if below_one else n_analytic
-    selection, f_exact = _select_at(red, mode, n_exact)
+    selection = _select(red, 0.0, q, min(n_exact, _LARGEST))
+    f_exact = _rate(red, n_exact, n_exact - q * n_exact)  # q n < n for every q < 1
     if not below_one:
         f_analytic = f_exact
     elif n_analytic > 0.0:
-        f_analytic = rate_total(red, n_analytic, mode)
+        f_analytic = _rate_at(red, n_analytic, q * n_analytic)
     else:
         f_analytic = 0.0  # alpha / (psi t*) underflows: the rate's limit as n* -> 0
     return _new(OptimumReport, (
@@ -313,5 +332,5 @@ def optimize(red: ReducedParams, absorbing: AbsorbingMode) -> OptimumReport:
     rates under that very rule, a :class:`~omnidris.rate.FixedCount` the fixed-count one.
     """
     if isinstance(absorbing, Fraction):
-        return _optimize_share(red, absorbing, 1.0 - absorbing.q)
+        return _optimize_share(red, absorbing.q, 1.0 - absorbing.q)
     return optimize_fixed_theta(red, float(absorbing.count))

@@ -209,6 +209,33 @@ def _first_order_rate(red: ReducedParams, n: float, active: float) -> float:
     return red.xi * (active / n) * ((red.alpha / n) / red.psi) / LN2  # alpha/psi may overflow
 
 
+def _load(red: ReducedParams, n: float) -> float:
+    """alpha/(psi n^2), from the three mantissas where psi or psi n^2 is not a normal float."""
+    denominator = red.psi * n * n
+    if _TINY <= denominator < _INF and red.psi >= _TINY:  # else psi n may have lost bits
+        return red.alpha / denominator
+    (alpha, e_alpha), (psi, e_psi), (m, e_n) = map(math.frexp, (red.alpha, red.psi, n))
+    quotient = alpha / (psi * m * m)  # in (1/2, 8): only the scaling below leaves the normal floats
+    exponent = min(e_alpha - e_psi - 2 * e_n, 1030)
+    if exponent <= 1020:
+        return math.ldexp(quotient, exponent)
+    return math.ldexp(quotient, exponent - 10) * 1024.0  # ldexp raises where a product gives inf
+
+
+def _rate(red: ReducedParams, n: float, active: float) -> float:
+    """:func:`rate_total`'s formula at a float n > 0 with 0 < active <= n, unchecked."""
+    load = _load(red, n)
+    if load < _TINY:
+        return _finite(_first_order_rate(red, n, active), f"the rate at n = {n}")
+    ln_load = float(_log1p(load))
+    rate = red.xi * active * ln_load / LN2
+    if _isfinite(rate):
+        return rate
+    if load == _INF:  # alpha / (psi n^2) beyond the floats, where log1p(load) = log(load)
+        ln_load = math.log(red.alpha) - math.log(red.psi) - 2.0 * math.log(n)
+    return _finite(red.xi * (active * (ln_load / LN2)), f"the rate at n = {n}")
+
+
 def rate_total(red: ReducedParams, n, absorbing=0.0) -> float:
     """Aggregate rate xi * (n - theta) * log2(alpha / (n^2 psi) + 1) at one count n.
 
@@ -217,10 +244,12 @@ def rate_total(red: ReducedParams, n, absorbing=0.0) -> float:
     :data:`AbsorbingMode` or a plain count, read inline: a :class:`Fraction`
     gives ``q n``, a float ``>= 0`` itself, a :class:`FixedCount` its count
     and any other count its ``float()``.  No active element gives 0 and a
-    :class:`DegenerateConfigWarning`; a load below the normal floats gives
-    the first-order term, not a silent 0; a rate beyond the float range
-    raises ``ValueError``, after a second, overflow-safe evaluation order
-    (an infinite load then enters as ``log alpha - log psi - 2 log n``).
+    :class:`DegenerateConfigWarning`; the load is formed from the mantissas
+    where ``psi`` or ``psi n^2`` is not a normal float; a load below the
+    normal floats gives the first-order term, not a silent 0; a rate beyond
+    the float range raises ``ValueError``, after a second, overflow-safe
+    evaluation order (an infinite load then enters as
+    ``log alpha - log psi - 2 log n``).
     numpy's ``log1p`` stays: where numpy dispatches it to AVX-512 its last
     bits differ from ``math.log1p``'s (elsewhere they agree), so outputs are per-CPU.
     """
@@ -241,17 +270,7 @@ def rate_total(red: ReducedParams, n, absorbing=0.0) -> float:
         warnings.warn("no active elements (absorbing count >= element count); rate is 0",
                       DegenerateConfigWarning, stacklevel=2)
         return 0.0
-    denominator = red.psi * n * n
-    load = red.alpha / denominator if denominator else _INF  # n^2 psi underflowed
-    if load < _TINY:
-        return _finite(_first_order_rate(red, n, active), f"the rate at n = {n}")
-    ln_load = float(_log1p(load))
-    rate = red.xi * active * ln_load / LN2
-    if _isfinite(rate):
-        return rate
-    if load == _INF:  # alpha / (psi n^2) beyond the floats, where log1p(load) = log(load)
-        ln_load = math.log(red.alpha) - math.log(red.psi) - 2.0 * math.log(n)
-    return _finite(red.xi * (active * (ln_load / LN2)), f"the rate at n = {n}")
+    return _rate(red, n, active)
 
 
 def f_series(red: ReducedParams, n: float, theta: float, terms: int) -> float:
@@ -272,8 +291,7 @@ def f_series(red: ReducedParams, n: float, theta: float, terms: int) -> float:
         raise ValueError(f"element count must be positive and finite, got {n}")
     if not 0.0 <= theta < n:  # rejects NaN as well; the series counts the n - theta active
         raise ValueError(f"absorbing count must lie in [0, n = {n}), got {theta}")
-    denominator = red.psi * n * n
-    x = red.alpha / denominator if denominator else math.inf  # n^2 psi underflowed
+    x = _load(red, n)
     if x > 1.0:
         raise ValueError(
             f"series requires alpha/(n^2 psi) <= 1, got {x:.6g}: "

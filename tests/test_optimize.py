@@ -1,5 +1,6 @@
 import decimal
 import math
+import re
 import warnings
 
 import numpy as np
@@ -274,7 +275,11 @@ WIDE_THETA = st.one_of(
 def test_meaningful_root_matches_the_probe_reference(alpha, psi, theta):
     # the reference rounds the paper's coefficients, the monic form takes alpha/psi whole
     red = ReducedParams(alpha, psi, 1.0)
-    expected = probe_meaningful_root(solve_cubic(build_cubic(red, theta)), red, theta)
+    roots = solve_cubic(build_cubic(red, theta))
+    # Newton's start: p(x) = (x - 2 theta)(x^2 - 1.5 rho) - theta rho is
+    # theta (4 theta sqrt(1.5 rho) + 5 rho) >= 0 there, and both factors rise from there on
+    assert roots[-1] <= (2.0 * theta + math.sqrt(1.5 * (alpha / psi))) * (1.0 + 2.0**-50)
+    expected = probe_meaningful_root(roots, red, theta)
     root = meaningful_root(red, theta)
     if expected is None:
         assert root is None
@@ -407,6 +412,13 @@ def test_select_rejects_an_optimum_above_the_largest_float_power_of_two():
     with pytest.raises(ValueError, match=r"n_star must be positive and at most 2\*\*1023, got 1.5e\+308"):
         select_power_of_two(1.5e308, red, 0.0)
     assert select_power_of_two(2.0**1023, red, 0.0).pow2_upper == 2**1023
+
+
+@pytest.mark.parametrize("absorbing, shown", [(-1.0, "-1.0"), (-3, "-3.0"), (math.nan, "nan")])
+@pytest.mark.parametrize("n_star", [0.5, 4.0, 5.0])
+def test_select_rejects_a_negative_or_nan_absorbing_count(absorbing, shown, n_star):
+    with pytest.raises(ValueError, match=re.escape(f"absorbing count must be >= 0, got {shown}")):
+        select_power_of_two(n_star, ReducedParams(5.0, 1.0, 1.0), absorbing)
 
 
 def test_select_below_one_degenerates():
@@ -562,13 +574,14 @@ def test_every_rule_kind_gives_the_rate_and_selection_of_its_count(alpha, psi, r
     ))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
     alpha=WIDE_ALPHA,
-    psi=HARDWARE_PSI,
+    psi=WIDE_PSI,
     theta=WIDE_THETA,
     rule=st.one_of(
         st.none(),
+        st.integers(min_value=0, max_value=50).map(FixedCount),
         st.floats(min_value=0.01, max_value=1.0),
         # a Fraction handed to optimize, where 1 - (1 - q) need not be q
         st.one_of(
@@ -577,22 +590,32 @@ def test_every_rule_kind_gives_the_rate_and_selection_of_its_count(alpha, psi, r
     ),
 )
 def test_report_rates_are_the_rates_at_the_reported_counts(alpha, psi, theta, rule):
+    # every rate of a report is, bit for bit, the checked public function at its count
     red = ReducedParams(alpha, psi, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateConfigWarning)
         if rule is None:
             absorbing, report = theta, optimize_fixed_theta(red, theta)
-        elif isinstance(rule, Fraction):
+        elif isinstance(rule, (FixedCount, Fraction)):
             absorbing, report = rule, optimize(red, rule)
         else:
             absorbing = Fraction(1.0 - rule)
             report = optimize_proportional(red, rule)
-        assert report.f_at_exact == rate_total(red, report.n_star_exact, absorbing)
-        assert report.f_exact_at_cubic == rate_total(red, report.n_star_cubic, absorbing)
-        assert report.selected_rate == rate_total(red, float(report.selected_n), absorbing)
+
+        def rate(n):
+            return rate_total(red, n, absorbing).hex()
+
+        assert report.rate_pow2_lower.hex() == rate(float(report.pow2_lower))
+        assert report.rate_pow2_upper.hex() == rate(float(report.pow2_upper))
+        assert report.selected_rate.hex() == rate(float(report.selected_n))
+        assert report.f_at_exact.hex() == rate(report.n_star_exact)
+        assert report.f_exact_at_cubic.hex() == rate(report.n_star_cubic)
     assert report.selected_bits == report.selected_n.bit_length() - 1
     assert report.selected_n in (report.pow2_lower, report.pow2_upper)
-    if rule is not None and report.n_star_cubic >= 1.0:
+    if report.mode == "fixed-count" and not report.used_fallback:
+        series = f_series(red, report.n_star_cubic, report.theta, 2)
+        assert report.f_at_cubic.hex() == series.hex()
+    elif report.mode == "proportional" and report.n_star_cubic >= 1.0:
         assert report.f_at_cubic == report.f_exact_at_cubic == report.f_at_exact
 
 

@@ -1,11 +1,12 @@
 import dataclasses
+import fractions
 import math
 import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from omnidris.channel import channel_dc_gain, reference_room_geometry
@@ -191,6 +192,42 @@ def test_rate_total_array_path_matches_scalars(log_alpha, psi, xi, absorbing, ns
 def test_rate_total_takes_a_subnormal_load_to_first_order():
     # the load 1e-310 is subnormal; 1e-10/1e150 and its quotient by ln 2 are normal floats
     assert rate_total(ReducedParams(1e-10, 1.0, 1.0), 1e150, 0.0) == 1e-10 / 1e150 / LN2
+
+
+EPS = 2.0**-52
+MANTISSA = st.floats(min_value=1.0, max_value=2.0, exclude_max=True)
+
+
+@st.composite
+def loads_at_the_float_edges(draw):
+    """(alpha, psi, n): psi n^2 and the load near or past the ends of the float range."""
+    e_psi = draw(st.integers(min_value=-1074, max_value=1023))
+    e_n = draw(st.integers(min_value=-1022, max_value=1023))
+    e_alpha = draw(st.integers(min_value=-1030, max_value=1030)) + e_psi + 2 * e_n
+    e_alpha = min(max(e_alpha, -1074), 1023)
+    return tuple(math.ldexp(draw(MANTISSA), e) for e in (e_alpha, e_psi, e_n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=loads_at_the_float_edges())
+@example(params=(1e308, 1e300, 1e5))  # psi n^2 = 1e310 overflows, the load is 0.01
+@example(params=(1e-300, 1e-10, 1e-150))  # psi n^2 = 1e-310 is subnormal, the load is 1e10
+@example(params=(1.7e308, 1e-5, 1e3))  # alpha/psi overflows, the load is 1.7e307
+def test_the_load_leaves_the_floats_only_where_the_exact_load_does(params):
+    alpha, psi, n = params
+    load = fractions.Fraction(alpha) / (fractions.Fraction(psi) * fractions.Fraction(n) ** 2)
+    assume(load >= sys.float_info.min)  # below it, the first-order term
+    xi = math.ldexp(1.0, -math.frexp(n)[1])  # xi n lies in [1/2, 1)
+    red = ReducedParams(alpha, psi, xi)
+    if load <= sys.float_info.max:
+        x = float(load)
+        expected, tolerance = xi * n * math.log1p(x) / LN2, 8 * EPS
+        if x <= 1.0:  # one term of the series is the load itself
+            assert f_series(red, n, 0.0, 1) == pytest.approx(xi * n / LN2 * x, rel=4 * EPS)
+    else:  # log1p(load) = log(load) to far below a float's precision
+        log_load = math.log(load.numerator) - math.log(load.denominator)
+        expected, tolerance = xi * n * log_load / LN2, 64 * EPS
+    assert rate_total(red, n, 0.0) == pytest.approx(expected, rel=tolerance)
 
 
 def test_rate_total_rejects_an_overflowing_rate():
