@@ -22,9 +22,10 @@ the last float where the rate still rises; in proportional mode (c = 0) it is
 powers of two 1 <= N <= 512; the selection rule compares the exact rate at
 the two candidates bracketing the exact optimum.
 
-Inside, both absorbing rules are one count ``theta + q n``: a fixed count is
-``(theta, 0.0)`` and a fraction ``(0.0, q)``, with the same bits as the rule
-itself, as ``theta + 0.0 n == theta`` and ``0.0 + q n == q n``.  Where n
+:func:`optimize` is the one optimizer.  Inside, both absorbing rules are one
+count ``theta + q n``: a fixed count is ``(theta, 0.0)`` and a fraction
+``(0.0, q)``, with the same bits as the rule itself, as ``theta + 0.0 n == theta``
+and ``0.0 + q n == q n``; one body solves, selects and records under it.  Where n
 exceeds that count, the rates come from the rate kernel directly; elsewhere
 from :func:`~omnidris.rate.rate_total`, which warns.
 """
@@ -41,8 +42,6 @@ __all__ = [
     "meaningful_root",
     "select_power_of_two",
     "optimize",
-    "optimize_fixed_theta",
-    "optimize_proportional",
     "HARDWARE_POWERS_OF_TWO",
     "T_STAR",
 ]
@@ -264,73 +263,65 @@ def _load_ratio(red: ReducedParams) -> float:
     raise ValueError(f"alpha/psi overflows ({red.alpha}/{red.psi}): no finite optimum")
 
 
-def optimize_fixed_theta(red: ReducedParams, theta: float) -> OptimumReport:
-    """Optimize the element count with a fixed absorbing count.
-
-    Solves the exact stationarity for ``n_star_exact`` and the cubic for
-    the analytic value, its largest root; where that root is below one
-    element (or beyond the float range), the exact optimum stands in for
-    it (``used_fallback``).
-    """
-    if not 0.0 <= theta < math.inf:  # rejects NaN as well
-        raise ValueError(f"absorbing count theta must be >= 0 and finite, got {theta}")
-    n_exact, at_one = _exact_optimum(red, theta)
-    selection = _select(red, theta, 0.0, min(n_exact, _LARGEST))
-    f_exact = _rate_at(red, n_exact, theta)
-    n_cubic = meaningful_root(red, theta)
-    used_fallback = n_cubic is None
-    if used_fallback:
+def _optimize(red: ReducedParams, theta: float, q: float, active_fraction) -> OptimumReport:
+    """The report under the count ``theta + q n``: a fixed count where ``active_fraction`` is None."""
+    fixed = active_fraction is None
+    if fixed:  # the exact optimum in the load, the series optimum from the cubic
+        n_exact, at_one = _exact_optimum(red, theta)
+        n_cubic = meaningful_root(red, theta)
+    else:  # x*(0) = T_STAR: the stationarity is exact, clipped at one element
+        _load_ratio(red)
+        n_cubic = math.sqrt(red.alpha / (red.psi * T_STAR))
+        n_exact, at_one = max(n_cubic, 1.0), n_cubic < 1.0
+    selection = _select(red, theta, q, min(n_exact, _LARGEST))
+    f_exact = _rate_at(red, n_exact, theta + q * n_exact)
+    used_fallback = fixed and n_cubic is None
+    if used_fallback or not (fixed or at_one):  # the analytic optimum is the exact one
         n_cubic, f_cubic, f_exact_cubic = n_exact, f_exact, f_exact
-    else:  # n_cubic >= max(2 theta, 1) > theta
+    elif fixed:  # n_cubic >= max(2 theta, 1) > theta
         f_cubic = f_series(red, n_cubic, theta, 2)
         f_exact_cubic = _rate(red, n_cubic, n_cubic - theta)
+    else:  # below one element; 0 where alpha/(psi t*) underflows, the rate's limit as n* -> 0
+        f_cubic = f_exact_cubic = _rate_at(red, n_cubic, q * n_cubic) if n_cubic > 0.0 else 0.0
     return _new(OptimumReport, (
-        "fixed-count", theta, None, n_cubic, n_exact, f_cubic, f_exact, f_exact_cubic, *selection,
+        "fixed-count" if fixed else "proportional", theta if fixed else None, active_fraction,
+        n_cubic, n_exact, f_cubic, f_exact, f_exact_cubic, *selection,
         at_one or n_exact > _LARGEST, used_fallback))
-
-
-def optimize_proportional(red: ReducedParams, active_fraction: float) -> OptimumReport:
-    """Optimize the element count with a proportional active share.
-
-    With ``zeta = q n`` the active fraction and the rate scale factor out
-    of the stationarity, so the analytic optimum is
-    ``n* = sqrt(alpha / (psi t*))`` with the universal constant t*.  This
-    is exact (no series truncation), hence ``f_at_cubic`` equals the
-    exact rate at n*, and ``n_star_exact`` is n* clipped at one element
-    (from one element up, both rates are one evaluation).
-    """
-    if not 0.0 < active_fraction <= 1.0:
-        raise ValueError(f"active fraction must lie in (0, 1], got {active_fraction}")
-    if not (q := 1.0 - active_fraction) < 1.0:  # an active fraction of at most 2^-54
-        raise ValueError(f"absorbing fraction must lie in [0, 1), got {q}")
-    return _optimize_share(red, q, active_fraction)
-
-
-def _optimize_share(red: ReducedParams, q: float, active_fraction: float) -> OptimumReport:
-    """:func:`optimize_proportional`, evaluating every rate under the count ``q n`` itself."""
-    _load_ratio(red)
-    n_analytic = math.sqrt(red.alpha / (red.psi * T_STAR))
-    below_one = n_analytic < 1.0
-    n_exact = 1.0 if below_one else n_analytic
-    selection = _select(red, 0.0, q, min(n_exact, _LARGEST))
-    f_exact = _rate(red, n_exact, n_exact - q * n_exact)  # q n < n for every q < 1
-    if not below_one:
-        f_analytic = f_exact
-    elif n_analytic > 0.0:
-        f_analytic = _rate_at(red, n_analytic, q * n_analytic)
-    else:
-        f_analytic = 0.0  # alpha / (psi t*) underflows: the rate's limit as n* -> 0
-    return _new(OptimumReport, (
-        "proportional", None, active_fraction, n_analytic, n_exact, f_analytic, f_exact,
-        f_analytic, *selection, below_one or n_exact > _LARGEST, False))
 
 
 def optimize(red: ReducedParams, absorbing: AbsorbingMode) -> OptimumReport:
     """Optimize the element count under either absorbing rule.
 
-    A :class:`~omnidris.rate.Fraction` runs the proportional optimizer with its
-    rates under that very rule, a :class:`~omnidris.rate.FixedCount` the fixed-count one.
+    :class:`~omnidris.rate.FixedCount` (count theta): solves the exact
+    stationarity for ``n_star_exact`` and the cubic for the analytic value,
+    its largest root; where that root is below one element (or beyond the
+    float range), the exact optimum stands in for it (``used_fallback``).
+
+    :class:`~omnidris.rate.Fraction` (absorbing share q): with ``zeta = (1 - q) n``
+    the active fraction and the rate scale factor out of the stationarity,
+    so the analytic optimum is ``n* = sqrt(alpha / (psi t*))`` with the
+    universal constant t*.  This is exact (no series truncation), hence
+    ``f_at_cubic`` equals the exact rate at n*, and ``n_star_exact`` is n*
+    clipped at one element; the report's ``active_fraction`` is ``1 - q``.
+    Every rate is evaluated under the rule itself.
     """
     if isinstance(absorbing, Fraction):
-        return _optimize_share(red, absorbing.q, 1.0 - absorbing.q)
-    return optimize_fixed_theta(red, float(absorbing.count))
+        return _optimize(red, 0.0, absorbing.q, 1.0 - absorbing.q)
+    return _optimize(red, float(absorbing.count), 0.0, None)
+
+
+# Not public: bench/workloads.py calls both by name.  Delete them once it calls optimize.
+def optimize_fixed_theta(red: ReducedParams, theta: float) -> OptimumReport:
+    """:func:`optimize` with a fixed absorbing count theta, any finite float >= 0."""
+    if not 0.0 <= theta < math.inf:  # rejects NaN as well
+        raise ValueError(f"absorbing count theta must be >= 0 and finite, got {theta}")
+    return _optimize(red, theta, 0.0, None)
+
+
+def optimize_proportional(red: ReducedParams, active_fraction: float) -> OptimumReport:
+    """:func:`optimize` with the absorbing share ``1 - active_fraction``, reported as given."""
+    if not 0.0 < active_fraction <= 1.0:
+        raise ValueError(f"active fraction must lie in (0, 1], got {active_fraction}")
+    if not (q := 1.0 - active_fraction) < 1.0:  # an active fraction of at most 2^-54
+        raise ValueError(f"absorbing fraction must lie in [0, 1), got {q}")
+    return _optimize(red, 0.0, q, active_fraction)

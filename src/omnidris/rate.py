@@ -241,9 +241,8 @@ def rate_total(red: ReducedParams, n, absorbing=0.0) -> float:
 
     ``n`` is a positive finite count (a continuum: the integer restriction
     enters only at hardware selection); ``absorbing`` is an
-    :data:`AbsorbingMode` or a plain count, read inline: a :class:`Fraction`
-    gives ``q n``, a float ``>= 0`` itself, a :class:`FixedCount` its count
-    and any other count its ``float()``.  No active element gives 0 and a
+    :data:`AbsorbingMode`, read by its ``theta_at(n)``, or a count ``>= 0``,
+    read by ``float()``.  No active element gives 0 and a
     :class:`DegenerateConfigWarning`; the load is formed from the mantissas
     where ``psi`` or ``psi n^2`` is not a normal float; a load below the
     normal floats gives the first-order term, not a silent 0; a rate beyond
@@ -256,12 +255,7 @@ def rate_total(red: ReducedParams, n, absorbing=0.0) -> float:
     n = float(n)
     if not 0.0 < n < _INF:  # rejects NaN as well
         raise ValueError(f"element count must be positive and finite, got {n}")
-    kind = type(absorbing)  # the optimizers' two rules first, without a call
-    if kind is Fraction:
-        theta = absorbing.q * n
-    elif kind is float and absorbing >= 0.0:
-        theta = absorbing
-    elif isinstance(absorbing, (FixedCount, Fraction)):
+    if isinstance(absorbing, (FixedCount, Fraction)):
         theta = absorbing.theta_at(n)
     elif not (theta := float(absorbing)) >= 0:  # rejects NaN as well
         raise ValueError(f"absorbing count must be >= 0, got {theta}")
