@@ -202,8 +202,18 @@ def reduced_with_alpha(params: SystemParams, alpha: float) -> ReducedParams:
 
 
 def _first_order_rate(red: ReducedParams, n: float, active: float) -> float:
-    """xi * active * x / ln 2: the rate when x = alpha/(psi n^2) is not a normal float."""
-    rate = red.xi * (active / n) * (red.alpha / red.psi / n) / LN2
+    """xi * active * x / ln 2: the rate when x = alpha/(psi n^2) is not a normal float.
+
+    Where ``alpha/psi/n`` is not a normal float either, from the five mantissas
+    and one exponent sum; the rate is then below ``xi 2^-1022 / ln 2 < 6``, so
+    ``ldexp`` cannot overflow.
+    """
+    if (ratio := red.alpha / red.psi / n) < _TINY:
+        (alpha, e_alpha), (psi, e_psi), (m, e_n), (xi, e_xi), (active, e_active) = map(
+            math.frexp, (red.alpha, red.psi, n, red.xi, active))
+        return math.ldexp(xi * active * (alpha / (psi * m * m)) / LN2,
+                          e_xi + e_active + e_alpha - e_psi - 2 * e_n)
+    rate = red.xi * (active / n) * ratio / LN2
     if math.isfinite(rate):
         return rate
     return red.xi * (active / n) * ((red.alpha / n) / red.psi) / LN2  # alpha/psi may overflow

@@ -390,11 +390,14 @@ def alpha_calibration_for(noise_psd: float) -> float:
     The geometric link budget of the reference room gives alpha ~ 2.6e-13,
     which cannot reproduce the published rate curves; the documented
     calibration instead fixes alpha = t* * 180^2 at noise PSD 2 W/Hz and
-    scales it with 1/noise_psd elsewhere.
+    scales it with 1/noise_psd elsewhere.  A noise PSD that is not positive and
+    finite, or whose alpha leaves the float range, raises :class:`ScenarioError`.
     """
-    if noise_psd <= 0:
-        raise ScenarioError(f"noise_psd must be positive, got {noise_psd}")
-    return T_STAR * 180.0**2 * (2.0 / noise_psd)
+    if not 0.0 < noise_psd < math.inf:  # rejects NaN as well
+        raise ScenarioError(f"noise_psd must be positive and finite, got {noise_psd}")
+    if not (alpha := T_STAR * 180.0**2 * (2.0 / noise_psd)) < math.inf:
+        raise ScenarioError(f"the calibrated alpha overflows for noise_psd {noise_psd}")
+    return alpha
 
 
 def _normalized_preset(name: str) -> Scenario:

@@ -535,6 +535,41 @@ def test_xi_scaling_cannot_move_the_optimum(alpha, psi, theta, active_fraction, 
     assert scaled._asdict() == expected
 
 
+def _fields_or_error(call, red, absorbing):
+    """Every field of ``call(red, absorbing)`` in float.hex, or the error it raised."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateConfigWarning)
+            report = call(red, absorbing)
+    except ValueError as error:
+        return repr(error)
+    return [value.hex() if type(value) is float else repr(value) for value in report]
+
+
+ANY_POSITIVE_FLOAT = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha=ANY_POSITIVE_FLOAT,
+    psi=ANY_POSITIVE_FLOAT,
+    xi=ANY_POSITIVE_FLOAT,
+    k=st.one_of(st.integers(min_value=0, max_value=60), st.integers(min_value=0, max_value=2**1023)),
+    q=st.one_of(
+        st.sampled_from((0.0, 0.1, 0.25, 0.5, 0.9)),
+        st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    ),
+)
+def test_the_benchmark_s_optimizer_calls_report_what_optimize_reports(alpha, psi, xi, k, q):
+    # the benchmark times optimize_fixed_theta and optimize_proportional, the CLI calls optimize
+    red = ReducedParams(alpha, psi, xi)
+    fixed = _fields_or_error(optimize_fixed_theta, red, float(k))
+    assert fixed == _fields_or_error(optimize, red, FixedCount(k))
+    if 1.0 - (1.0 - q) == q:  # the share optimize_proportional derives is q itself
+        proportional = _fields_or_error(optimize_proportional, red, 1.0 - q)
+        assert proportional == _fields_or_error(optimize, red, Fraction(q))
+
+
 def test_exact_optimum_survives_an_overflowing_slope_term():
     # at one element the load is 1e308, and 2 (1 - theta/n) x overflows unless divided first
     report = optimize_fixed_theta(ReducedParams(1e308, 1.0, 1.0), 0.0)

@@ -39,6 +39,16 @@ def test_optimize_is_the_module_and_its_function_is_inside():
     assert omnidris.optimize.optimize.__module__ == "omnidris.optimize"
 
 
+def test_optimize_is_the_one_public_optimizer():
+    public = [name for name in omnidris.optimize.__all__ if name.startswith("optimize")]
+    assert public == ["optimize"]
+    # bench/workloads.py calls these two by name until it calls optimize (ROADMAP item 1):
+    # deleting them before then fails here rather than in the benchmark run
+    for name in ("optimize_fixed_theta", "optimize_proportional"):
+        assert callable(getattr(omnidris.optimize, name))
+        assert not hasattr(omnidris, name)
+
+
 def test_importing_the_package_loads_neither_the_cli_nor_pyyaml():
     src = str(Path(__file__).resolve().parents[1] / "src")
     script = (

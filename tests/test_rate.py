@@ -213,10 +213,21 @@ def loads_at_the_float_edges(draw):
 @example(params=(1e308, 1e300, 1e5))  # psi n^2 = 1e310 overflows, the load is 0.01
 @example(params=(1e-300, 1e-10, 1e-150))  # psi n^2 = 1e-310 is subnormal, the load is 1e10
 @example(params=(1.7e308, 1e-5, 1e3))  # alpha/psi overflows, the load is 1.7e307
+@example(params=(1e-300, 1e20, 1.0))  # alpha/psi = 1e-320 is subnormal, and so is the load
+@example(params=(1e-300, 1e10, 1e10))  # alpha/psi is normal, alpha/psi/n = 1e-320 is not
 def test_the_load_leaves_the_floats_only_where_the_exact_load_does(params):
     alpha, psi, n = params
     load = fractions.Fraction(alpha) / (fractions.Fraction(psi) * fractions.Fraction(n) ** 2)
-    assume(load >= sys.float_info.min)  # below it, the first-order term
+    if load < sys.float_info.min:  # the first-order term, xi putting the rate near 1/ln 2
+        per_element = load * fractions.Fraction(n)
+        scale = per_element.numerator.bit_length() - per_element.denominator.bit_length()
+        xi = math.ldexp(1.0, min(-scale, 1023))
+        expected = fractions.Fraction(xi) * per_element / fractions.Fraction(LN2)
+        assume(expected >= sys.float_info.min)  # the exact rate is a normal float
+        red = ReducedParams(alpha, psi, xi)
+        for rate in (rate_total(red, n, 0.0), f_series(red, n, 0.0, 1)):
+            assert abs(fractions.Fraction(rate) / expected - 1) <= 4 * EPS
+        return
     xi = math.ldexp(1.0, -math.frexp(n)[1])  # xi n lies in [1/2, 1)
     red = ReducedParams(alpha, psi, xi)
     if load <= sys.float_info.max:

@@ -445,6 +445,13 @@ def test_calibration_scales_inversely_with_noise():
         alpha_calibration_for(0.0)
 
 
+@pytest.mark.parametrize("noise_psd", [math.nan, math.inf, -math.inf, 0.0, -2.0, 5e-324, 1e-305])
+def test_calibration_rejects_a_noise_psd_without_a_finite_alpha(noise_psd):
+    # 2/noise_psd overflows at 5e-324; at 1e-305 the product with t* 180^2 does
+    with pytest.raises(ScenarioError, match="noise_psd"):
+        alpha_calibration_for(noise_psd)
+
+
 def test_get_preset_unknown_name():
     with pytest.raises(ScenarioError, match="unknown preset"):
         get_preset("C9")
