@@ -8,7 +8,7 @@ Two regimes:
   is ``2 psi`` times the monic ``n^3 - 2 theta n^2 - 1.5 rho n + 2 theta rho``
   with ``rho = alpha / psi``, the form that is solved; only its largest
   root can be a series maximum, and Newton's method descends onto it
-  monotonically from ``2 theta + sqrt(1.5 rho)``, above every root.
+  monotonically from a bound on it below ``2 theta + sqrt(1.5 rho)``.
 * proportional absorbing share -- the exact stationarity collapses to the
   parameter-free condition ``ln(1 + t) = 2t / (1 + t)``, whose root t*
   puts the optimum at ``n* = sqrt(alpha / (psi t*))`` regardless of the
@@ -17,7 +17,8 @@ Two regimes:
 The exact-rate optimum is the root of the exact stationarity: in fixed
 mode, Newton's method solves it as one law in the load ``x = alpha/(psi n^2)``
 and ``c = theta sqrt(psi/alpha)``, and ``sqrt(alpha/(psi x*))`` is stepped to
-the last float where the rate still rises; in proportional mode (c = 0) it is
+the last float where the rate still rises, Newton stopping once its step falls
+below 2^-26 relative; in proportional mode (c = 0) it is
 ``sqrt(alpha / (psi t*))`` itself.  Hardware realizations are the
 powers of two 1 <= N <= 512; the selection rule compares the exact rate at
 the two candidates bracketing the exact optimum.
@@ -25,16 +26,17 @@ the two candidates bracketing the exact optimum.
 :func:`optimize` is the one optimizer.  Inside, both absorbing rules are one
 count ``theta + q n``: a fixed count is ``(theta, 0.0)`` and a fraction
 ``(0.0, q)``, with the same bits as the rule itself, as ``theta + 0.0 n == theta``
-and ``0.0 + q n == q n``; one body solves, selects and records under it.  Where n
-exceeds that count, the rates come from the rate kernel directly; elsewhere
-from :func:`~omnidris.rate.rate_total`, which warns.
+and ``0.0 + q n == q n``; one body solves, selects and records under it.  Every
+rate comes from the rate kernel, which gives 0 and rate_total's warning where n
+does not exceed that count.
 """
 from __future__ import annotations
 
 import math
 from typing import NamedTuple
 
-from .rate import AbsorbingMode, FixedCount, Fraction, ReducedParams, _rate, f_series, rate_total
+from .rate import (
+    _INF, AbsorbingMode, FixedCount, Fraction, ReducedParams, _plain_count, _rate, f_series)
 
 __all__ = [
     "OptimumReport",
@@ -126,11 +128,12 @@ def meaningful_root(red: ReducedParams, theta: float) -> float | None:
     or below ``max(2 theta, sqrt(1.5 rho))``.  Each coefficient is formed
     already divided by its power of ``unit``, so every one is O(1) and none
     overflows: ``cbrt(2 theta rho)``, the third size, stays below the other
-    two by the AM-GM inequality.  Newton starts at
-    ``x0 = 2 theta + sqrt(1.5 rho)`` and steps while the iterate falls.  The
-    cubic is ``p(x) = (x - 2 theta)(x^2 - 1.5 rho) - theta rho``, so
-    ``p(x0) = theta (4 theta sqrt(1.5 rho) + 5 rho) >= 0``, and both factors
-    are >= 0 and rise from x0 on: no root lies above x0.
+    two by the AM-GM inequality.  With ``A = 2 theta`` and ``B = sqrt(1.5 rho)`` the
+    cubic is ``(x - A)(x - B)(x + B) - theta rho``, and ``r + B >= max(A, B) + B`` gives
+    ``(r - A)(r - B) <= K = theta rho / (max(A, B) + B)``: r is at most the larger root
+    ``u0 = (A + B)/2 + sqrt(((A - B)/2)^2 + K) <= A + B`` of ``(x - A)(x - B) = K``.
+    Formed in units, u0 errs by under 2^-48 relative where rho is a normal float;
+    Newton starts at u0 raised by 2^-46 and steps while the iterate falls.
     """
     if not theta >= 0.0:
         raise ValueError(f"absorbing count must be >= 0, got {theta}")
@@ -141,12 +144,12 @@ def meaningful_root(red: ReducedParams, theta: float) -> float | None:
     if not 0.0 < size < math.inf:
         return None
     unit = math.ldexp(0.5, math.frexp(size)[1])
-    b = -2.0 * theta / unit
-    c = -1.5 * (ratio / unit / unit)
-    d = -b * (ratio / unit / unit)
-    u = sqrt_triple / unit - b  # (2 theta + sqrt(1.5 rho)) / unit, at or above the largest root
-    for _ in range(64):  # a simple root takes about 5 steps
-        below = u - (((u + b) * u + c) * u + d) / ((3.0 * u + 2.0 * b) * u + c)
+    a, s, r = 2.0 * theta / unit, sqrt_triple / unit, ratio / unit / unit  # A, B, rho in units
+    c, d = -1.5 * r, a * r
+    k = 0.5 * d / (size / unit + s)  # K in units, as max(A, B) = size
+    u = (0.5 * (a + s) + math.sqrt(0.25 * (a - s) * (a - s) + k)) * (1.0 + 2.0**-46)  # u0, raised
+    for _ in range(64):  # a simple root takes about 4 steps
+        below = u - (((u - a) * u + c) * u + d) / ((3.0 * u - 2.0 * a) * u + c)
         if not below < u:
             break
         u = below
@@ -166,9 +169,7 @@ def select_power_of_two(n_star: float, red: ReducedParams, absorbing=0.0) -> Pow
         raise ValueError(f"n_star must be positive and at most 2**1023, got {n_star}")
     if isinstance(absorbing, Fraction):
         return _new(Pow2Selection, _select(red, 0.0, absorbing.q, n_star))
-    theta = float(absorbing.count if isinstance(absorbing, FixedCount) else absorbing)
-    if not theta >= 0.0:  # rejects NaN as well
-        raise ValueError(f"absorbing count must be >= 0, got {theta}")
+    theta = _plain_count(absorbing.count if isinstance(absorbing, FixedCount) else absorbing)
     return _new(Pow2Selection, _select(red, theta, 0.0, n_star))
 
 
@@ -176,15 +177,10 @@ def _select(red: ReducedParams, theta: float, q: float, n_star: float) -> tuple:
     """:func:`select_power_of_two`'s seven fields under the absorbing count ``theta + q n``."""
     lower = 1 << max(int(n_star).bit_length() - 1, 0)
     upper = lower if lower >= n_star else 2 * lower
-    rate_lower = _rate_at(red, float(lower), theta + q * lower)
-    rate_upper = rate_lower if upper == lower else _rate_at(red, float(upper), theta + q * upper)
+    rate_lower = _rate(red, float(lower), theta + q * lower)
+    rate_upper = rate_lower if upper == lower else _rate(red, float(upper), theta + q * upper)
     n, rate = (upper, rate_upper) if rate_upper > rate_lower else (lower, rate_lower)
     return lower, upper, rate_lower, rate_upper, n, rate, n.bit_length() - 1
-
-
-def _rate_at(red: ReducedParams, n: float, theta: float) -> float:
-    """The rate at float n under the float count theta: rate_total's warning and 0 at n <= theta."""
-    return _rate(red, n, n - theta) if n > theta else rate_total(red, n, theta)
 
 
 def _optimal_load(c: float) -> float:
@@ -194,21 +190,21 @@ def _optimal_load(c: float) -> float:
     ``F(x) = (1 + x) ln(1 + x)/(2x) + c sqrt(x) = 1``.  F rises from
     ``F(0+) = 1/2`` and is concave, so Newton's method started right of the
     root, at ``min(t*, 1/(4c^2))`` where ``F >= 1``, lands left of it in one
-    step and then rises onto it; it stops where an iterate no longer rises,
-    and returns at most the start.
+    step and then rises onto it.  It applies the first step below 2^-26 relative,
+    which leaves an error near the step's square, within rounding, and returns
+    at most the start.
     """
     log1p, sqrt = math.log1p, math.sqrt
     x = start = T_STAR if 4.0 * T_STAR * c * c <= 1.0 else 0.25 / (c * c)
-    falling = True  # the first step, from the right of the root to its left
     while True:
         log, root = log1p(x), sqrt(x)
         # F'(x) = (x - ln(1 + x))/(2x^2) + c/(2 sqrt(x)): where the first term cancels (small x),
         # c sqrt(x) is near 1/2 and the second, near 1/(4x), outweighs it by 1/x
-        after = x + (1.0 - (1.0 + x) * log / (2.0 * x) - c * root) / (
+        step = (1.0 - (1.0 + x) * log / (2.0 * x) - c * root) / (
             (x - log) / (2.0 * x * x) + 0.5 * c / root)
-        if not (falling or after > x):
+        x += step
+        if abs(step) < 2.0**-26 * x:  # the next step, near its square, would be below rounding
             return min(x, start)  # rounding can step right from a start on the root (tiny c)
-        x, falling = after, False
 
 
 def _exact_optimum(red: ReducedParams, theta: float) -> tuple[float, bool]:
@@ -217,7 +213,9 @@ def _exact_optimum(red: ReducedParams, theta: float) -> tuple[float, bool]:
     The rate's slope has the sign of ``g(n) = ln(1 + x) - 2 (1 - theta/n) x/(1 + x)``
     with ``x = alpha/(psi n^2)``: positive just above max(theta, 1) and
     negative for large n.  Only when theta < 1 can the slope be
-    non-positive at one element already; n = 1 is then the optimum.
+    non-positive at one element already; n = 1 is then the optimum, or 2 theta
+    where the load underflows (g's root as x -> 0).  For theta >= 1,
+    ``g(theta) = ln(1 + x) > 0`` wherever ``c <= 2^510``, so that sign is not evaluated.
 
     Otherwise the search starts at ``sqrt(alpha/psi) / sqrt(x*)``, with x* from
     :func:`_optimal_load`, and steps to adjacent floats on the sign of g to
@@ -226,34 +224,34 @@ def _exact_optimum(red: ReducedParams, theta: float) -> tuple[float, bool]:
     rounds to 2 theta, the start instead; where ``c > 2^510`` that load is
     below the normal floats, g's sign is rounding noise, and 2 theta is returned.
     """
-    alpha, psi, log1p, inf = red.alpha, red.psi, math.log1p, math.inf
-    if 2.0 * theta == inf:  # g(2 theta) > 0, so the optimum lies above 2 theta
+    alpha, psi = red.alpha, red.psi
+    if 2.0 * theta == _INF:  # g(2 theta) > 0, so the optimum lies above 2 theta
         raise ValueError(f"absorbing count {theta} puts the exact optimum, near 2 x {theta}, "
                          "beyond the float range")
     ratio = _load_ratio(red)
-    full_precision = psi >= 2.2250738585072014e-308  # a subnormal psi leaves psi n few bits
-
-    def rising(n: float) -> bool:  # g(n) > 0
-        d = psi * n * n  # the load in rate_total's order, where psi n n keeps its precision
-        x = alpha / d if d < inf and full_precision else ratio / n / n
-        pull = 2.0 * (1.0 - theta / n) * x  # divided first where it overflows: x > ~9e307
-        pull = pull / (1.0 + x) if pull < inf else 2.0 * (1.0 - theta / n) * (x / (1.0 + x))
-        return log1p(x) > pull
-
-    lo = max(theta, 1.0)
-    if not rising(lo):  # where the load underflows, g's root as x -> 0 is n = 2 theta
-        return (2.0 * theta, False) if ratio / lo / lo == 0.0 and 2.0 * theta > 1.0 else (lo, True)
+    if theta < 1.0 and not _rising(alpha, psi, ratio, theta, 1.0):
+        return (2.0 * theta, False) if ratio == 0.0 and 2.0 * theta > 1.0 else (1.0, True)
     c = theta * math.sqrt(psi / alpha)
     if c > 2.0**510:  # also where c overflows
         return 2.0 * theta, False
+    lo = max(theta, 1.0)
     n = 2.0 * theta if c > 2.0**30 else max(math.sqrt(ratio) / math.sqrt(_optimal_load(c)), lo)
-    if rising(n):
-        while rising(up := math.nextafter(n, inf)):
+    if _rising(alpha, psi, ratio, theta, n):
+        while _rising(alpha, psi, ratio, theta, up := math.nextafter(n, _INF)):
             n = up
     else:  # down to lo at the latest, where g > 0
-        while not rising(n := math.nextafter(n, 0.0)):
+        while not _rising(alpha, psi, ratio, theta, n := math.nextafter(n, 0.0)):
             pass
     return n, False
+
+
+def _rising(alpha: float, psi: float, ratio: float, theta: float, n: float) -> bool:
+    """g(n) > 0 at the float n, with ``ratio = alpha/psi``: the fixed-count rate rises at n."""
+    d = psi * n * n  # the load in rate_total's order, where psi n n keeps its precision
+    x = alpha / d if d < _INF and psi >= 2.2250738585072014e-308 else ratio / n / n  # psi normal
+    pull = 2.0 * (1.0 - theta / n) * x  # divided first where it overflows: x > ~9e307
+    pull = pull / (1.0 + x) if pull < _INF else 2.0 * (1.0 - theta / n) * (x / (1.0 + x))
+    return math.log1p(x) > pull
 
 
 def _load_ratio(red: ReducedParams) -> float:
@@ -274,15 +272,15 @@ def _optimize(red: ReducedParams, theta: float, q: float, active_fraction) -> Op
         n_cubic = math.sqrt(red.alpha / (red.psi * T_STAR))
         n_exact, at_one = max(n_cubic, 1.0), n_cubic < 1.0
     selection = _select(red, theta, q, min(n_exact, _LARGEST))
-    f_exact = _rate_at(red, n_exact, theta + q * n_exact)
+    f_exact = _rate(red, n_exact, theta + q * n_exact)
     used_fallback = fixed and n_cubic is None
     if used_fallback or not (fixed or at_one):  # the analytic optimum is the exact one
         n_cubic, f_cubic, f_exact_cubic = n_exact, f_exact, f_exact
     elif fixed:  # n_cubic >= max(2 theta, 1) > theta
         f_cubic = f_series(red, n_cubic, theta, 2)
-        f_exact_cubic = _rate(red, n_cubic, n_cubic - theta)
+        f_exact_cubic = _rate(red, n_cubic, theta)
     else:  # below one element; 0 where alpha/(psi t*) underflows, the rate's limit as n* -> 0
-        f_cubic = f_exact_cubic = _rate_at(red, n_cubic, q * n_cubic) if n_cubic > 0.0 else 0.0
+        f_cubic = f_exact_cubic = _rate(red, n_cubic, q * n_cubic) if n_cubic > 0.0 else 0.0
     return _new(OptimumReport, (
         "fixed-count" if fixed else "proportional", theta if fixed else None, active_fraction,
         n_cubic, n_exact, f_cubic, f_exact, f_exact_cubic, *selection,

@@ -232,9 +232,17 @@ def _load(red: ReducedParams, n: float) -> float:
     return math.ldexp(quotient, exponent - 10) * 1024.0  # ldexp raises where a product gives inf
 
 
-def _rate(red: ReducedParams, n: float, active: float) -> float:
-    """:func:`rate_total`'s formula at a float n > 0 with 0 < active <= n, unchecked."""
-    load = _load(red, n)
+def _rate(red: ReducedParams, n: float, theta: float) -> float:
+    """:func:`rate_total` at a float n > 0 under a float count theta >= 0, unchecked.
+
+    The load is :func:`_load`'s, inlined where psi and psi n^2 are normal floats.
+    """
+    if (active := n - theta) <= 0.0:  # the warning points at the caller's caller
+        warnings.warn("no active elements (absorbing count >= element count); rate is 0",
+                      DegenerateConfigWarning, stacklevel=3)
+        return 0.0
+    d = red.psi * n * n
+    load = red.alpha / d if _TINY <= d < _INF and red.psi >= _TINY else _load(red, n)
     if load < _TINY:
         return _finite(_first_order_rate(red, n, active), f"the rate at n = {n}")
     ln_load = float(_log1p(load))
@@ -252,7 +260,7 @@ def rate_total(red: ReducedParams, n, absorbing=0.0) -> float:
     ``n`` is a positive finite count (a continuum: the integer restriction
     enters only at hardware selection); ``absorbing`` is an
     :data:`AbsorbingMode`, read by its ``theta_at(n)``, or a count ``>= 0``,
-    read by ``float()``.  No active element gives 0 and a
+    read by ``float()``; a boolean is neither count.  No active element gives 0 and a
     :class:`DegenerateConfigWarning`; the load is formed from the mantissas
     where ``psi`` or ``psi n^2`` is not a normal float; a load below the
     normal floats gives the first-order term, not a silent 0; a rate beyond
@@ -262,19 +270,23 @@ def rate_total(red: ReducedParams, n, absorbing=0.0) -> float:
     numpy's ``log1p`` stays: where numpy dispatches it to AVX-512 its last
     bits differ from ``math.log1p``'s (elsewhere they agree), so outputs are per-CPU.
     """
+    if isinstance(n, bool):
+        raise ValueError(f"element count n must be a number, not a boolean, got {n}")
     n = float(n)
     if not 0.0 < n < _INF:  # rejects NaN as well
         raise ValueError(f"element count must be positive and finite, got {n}")
     if isinstance(absorbing, (FixedCount, Fraction)):
-        theta = absorbing.theta_at(n)
-    elif not (theta := float(absorbing)) >= 0:  # rejects NaN as well
+        return _rate(red, n, absorbing.theta_at(n))
+    return _rate(red, n, _plain_count(absorbing))
+
+
+def _plain_count(absorbing) -> float:
+    """An absorbing count given as a number, as a float >= 0; ValueError for a boolean or NaN."""
+    if isinstance(absorbing, bool):
+        raise ValueError(f"absorbing count must be a number, not a boolean, got {absorbing}")
+    if not (theta := float(absorbing)) >= 0:  # rejects NaN as well
         raise ValueError(f"absorbing count must be >= 0, got {theta}")
-    active = n - theta
-    if active <= 0.0:
-        warnings.warn("no active elements (absorbing count >= element count); rate is 0",
-                      DegenerateConfigWarning, stacklevel=2)
-        return 0.0
-    return _rate(red, n, active)
+    return theta
 
 
 def f_series(red: ReducedParams, n: float, theta: float, terms: int) -> float:

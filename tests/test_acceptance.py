@@ -23,12 +23,12 @@ from omnidris.channel import channel_dc_gain, reference_room_geometry
 from omnidris.optimize import (
     T_STAR,
     meaningful_root,
-    optimize_fixed_theta,
-    optimize_proportional,
+    optimize,
     select_power_of_two,
 )
 from omnidris.rate import (
     LN2,
+    FixedCount,
     Fraction,
     ReducedParams,
     bits_per_sequence,
@@ -99,7 +99,7 @@ def test_criterion_02_measured_table_reproduction():
 def test_criterion_03_c5_anomaly_handling():
     alpha, theta, _, psi = NORMALIZED_COMBOS["C5"]
     reports = [
-        optimize_fixed_theta(ReducedParams(alpha, psi, xi), theta) for xi in (1.0, 3.0, 10.0)
+        optimize(ReducedParams(alpha, psi, xi), FixedCount(int(theta))) for xi in (1.0, 3.0, 10.0)
     ]
     base = reports[0]
     for report in reports[1:]:
@@ -179,9 +179,9 @@ def test_criterion_07_source_doubling_law():
             10.0 ** rng.uniform(2.0, 6.0), 10.0 ** rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(0.0, 6.0)
         )
         doubled = ReducedParams(red.alpha, 4.0 * red.psi, 2.0 * red.xi)
-        for q in (1.0, 0.75):
-            base = optimize_proportional(red, q)
-            two = optimize_proportional(doubled, q)
+        for q in (0.0, 0.25):
+            base = optimize(red, Fraction(q))
+            two = optimize(doubled, Fraction(q))
             assert abs(two.n_star_cubic - base.n_star_cubic / 2.0) <= 1e-9 * base.n_star_cubic
             assert abs(two.f_at_cubic - base.f_at_cubic) <= 1e-9 * base.f_at_cubic
     print("criterion 7: PASS (doubling sources halves N*, continuous peak rate unchanged)")

@@ -248,12 +248,12 @@ def test_the_cubic_root_stands_where_3_alpha_over_psi_overflows():
     red = ReducedParams(1e308, 1.0, 1.0)
     expected = math.sqrt(1.5e308)
     assert abs(meaningful_root(red, 0.0) - expected) <= 2 * math.ulp(expected)
-    assert not optimize_fixed_theta(red, 0.0).used_fallback
+    assert not optimize(red, FixedCount(0)).used_fallback
 
 
 def test_the_cubic_root_stands_where_1_5_alpha_over_psi_overflows():
     # the root's size sqrt(1.5 alpha/psi) is taken factor by factor where 1.5 alpha/psi overflows
-    report = optimize_fixed_theta(ReducedParams(1.7e308, 1.0, 1.0), 0.0)
+    report = optimize(ReducedParams(1.7e308, 1.0, 1.0), FixedCount(0))
     expected = math.sqrt(1.5) * math.sqrt(1.7e308)
     assert not report.used_fallback
     assert abs(report.n_star_cubic - expected) <= 2 * math.ulp(expected)
@@ -269,16 +269,37 @@ WIDE_THETA = st.one_of(
 )
 
 
+def _newton_start(red: ReducedParams, theta: float) -> float:
+    """meaningful_root's start ``u0 unit``, formed as it forms it (1.5 alpha/psi finite).
+
+    With ``A = 2 theta`` and ``B = sqrt(1.5 rho)`` in units,
+    ``u0 = (A + B)/2 + sqrt(((A - B)/2)^2 + K)`` with ``K = theta rho / (max(A, B) + B)``,
+    raised by 2^-46 over the rounding of its float evaluation.
+    """
+    ratio = red.alpha / red.psi
+    sqrt_triple = math.sqrt(1.5 * ratio)
+    size = max(2.0 * theta, sqrt_triple)
+    unit = math.ldexp(0.5, math.frexp(size)[1])
+    a, s, r = 2.0 * theta / unit, sqrt_triple / unit, ratio / unit / unit
+    k = 0.5 * (a * r) / (size / unit + s)
+    return (0.5 * (a + s) + math.sqrt(0.25 * (a - s) * (a - s) + k)) * (1.0 + 2.0**-46) * unit
+
+
 @settings(max_examples=300, deadline=None)
 @given(alpha=WIDE_ALPHA, psi=WIDE_PSI, theta=WIDE_THETA)
 @example(alpha=5.0, psi=1.0, theta=1e200)  # the root 2e200, past an underflowing difference quotient
+@example(alpha=2.0, psi=3.0, theta=0.0)  # K = 0: the start is sqrt(1.5 rho), raised, on the root
 def test_meaningful_root_matches_the_probe_reference(alpha, psi, theta):
     # the reference rounds the paper's coefficients, the monic form takes alpha/psi whole
     red = ReducedParams(alpha, psi, 1.0)
     roots = solve_cubic(build_cubic(red, theta))
-    # Newton's start: p(x) = (x - 2 theta)(x^2 - 1.5 rho) - theta rho is
-    # theta (4 theta sqrt(1.5 rho) + 5 rho) >= 0 there, and both factors rise from there on
-    assert roots[-1] <= (2.0 * theta + math.sqrt(1.5 * (alpha / psi))) * (1.0 + 2.0**-50)
+    # Newton's start: at the largest root r >= max(A, B), (r - A)(r - B) = theta rho / (r + B)
+    # is at most K, so r is at most the larger root u0 of (x - A)(x - B) = K, below A + B
+    start, bound = _newton_start(red, theta), 2.0 * theta + math.sqrt(1.5 * (alpha / psi))
+    assert start <= bound * (1.0 + 2.0**-45)  # u0 <= A + B, raised by 2^-46
+    assert roots[-1] <= start * (1.0 + 2.0**-50)
+    # the exact largest root, by Newton from above A + B, lies at or below the start
+    assert _decimal_root(red, theta, bound * (1.0 + 2.0**-40)) <= decimal.Decimal(start)
     expected = probe_meaningful_root(roots, red, theta)
     root = meaningful_root(red, theta)
     if expected is None:
@@ -474,7 +495,7 @@ def test_stationarity_constant_against_independent_bisection():
 
 def test_optimize_fixed_theta_c1():
     red, theta = reduced("C1")
-    report = optimize_fixed_theta(red, theta)
+    report = optimize(red, FixedCount(int(theta)))
     assert report.n_star_cubic == pytest.approx(10.0502, rel=1e-3)
     assert report.f_at_cubic == pytest.approx(0.3589, rel=1e-3)
     assert report.n_star_exact == pytest.approx(10.0, abs=0.05)
@@ -484,9 +505,9 @@ def test_optimize_fixed_theta_c1():
 
 def test_optimize_fixed_theta_c3_and_c6():
     red3, theta3 = reduced("C3")
-    assert optimize_fixed_theta(red3, theta3).n_star_cubic == pytest.approx(2.8406, rel=1e-3)
+    assert optimize(red3, FixedCount(int(theta3))).n_star_cubic == pytest.approx(2.8406, rel=1e-3)
     red6, theta6 = reduced("C6")
-    report6 = optimize_fixed_theta(red6, theta6)
+    report6 = optimize(red6, FixedCount(int(theta6)))
     assert report6.n_star_cubic == pytest.approx(2.0865, rel=1e-3)
     assert report6.f_at_cubic == pytest.approx(0.1154, rel=1e-3)
 
@@ -496,7 +517,7 @@ def test_oracle_is_never_beaten():
     # where the measured rate gap is 1.06%; everywhere else it is < 0.1%
     for name in NORMALIZED_COMBOS:
         red, theta = reduced(name)
-        report = optimize_fixed_theta(red, theta)
+        report = optimize(red, FixedCount(int(theta)))
         assert report.n_star_exact == pytest.approx(PRECISE_ARGMAX[name], rel=1e-12)
         assert report.f_at_exact >= report.f_exact_at_cubic * (1.0 - 1e-12)
         gap = (report.f_at_exact - report.f_exact_at_cubic) / report.f_at_exact
@@ -572,17 +593,17 @@ def test_the_benchmark_s_optimizer_calls_report_what_optimize_reports(alpha, psi
 
 def test_exact_optimum_survives_an_overflowing_slope_term():
     # at one element the load is 1e308, and 2 (1 - theta/n) x overflows unless divided first
-    report = optimize_fixed_theta(ReducedParams(1e308, 1.0, 1.0), 0.0)
+    report = optimize(ReducedParams(1e308, 1.0, 1.0), FixedCount(0))
     assert report.n_star_exact == pytest.approx(math.sqrt(1e308 / T_STAR), rel=1e-12)
 
 
-# Every kind of absorbing rule rate_total takes: the two records and four plain counts.
+# Every kind of absorbing rule rate_total takes: the two records and three plain counts
+# (a boolean is refused: test_rate.py::test_a_boolean_is_not_a_count).
 ANY_RULE = st.one_of(
     st.integers(min_value=0, max_value=20).map(FixedCount),
     st.floats(min_value=0.0, max_value=0.99).map(Fraction),
     st.floats(min_value=0.0, max_value=20.0),
     st.integers(min_value=0, max_value=20),
-    st.booleans(),
     st.floats(min_value=0.0, max_value=20.0).map(np.float64),
 )
 
@@ -725,7 +746,7 @@ def test_exact_optimum_survives_an_underflowing_load():
     # alpha/(psi theta^2) underflows to 0: the x -> 0 stationarity puts the root at 2 theta
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateConfigWarning)  # every panel <= 512 absorbs
-        report = optimize_fixed_theta(ReducedParams(5.0, 1.0, 1.0), 1e200)
+        report = optimize(ReducedParams(5.0, 1.0, 1.0), FixedCount(10**200))
     assert report.n_star_exact == 2e200 == report.n_star_cubic
     assert report.at_boundary
     # n^2 psi overflows, so each rate is the first-order term, not a silent 0
@@ -767,7 +788,7 @@ def test_fixed_count_optimum_follows_the_scaling_law(alpha, psi, theta, xi, k):
 
 
 def test_optimize_fixed_theta_fallback_to_oracle():
-    report = optimize_fixed_theta(ReducedParams(0.01, 1.0, 1.0), 0.0)
+    report = optimize(ReducedParams(0.01, 1.0, 1.0), FixedCount(0))
     assert report.used_fallback
     assert report.at_boundary  # optimum below one element
     assert report.selected_n == 1
@@ -820,7 +841,7 @@ def test_fixed_selection_brackets_the_exact_optimum(alpha, selected, at_boundary
     # at theta = 0 the exact optimum is sqrt(alpha/(psi t*)), and the cubic
     # root sqrt(1.5 alpha/psi) lies sqrt(1.5 t*) ~ 2.425x beyond it
     red = ReducedParams(alpha, 1.0, 1.0)
-    report = optimize_fixed_theta(red, 0.0)
+    report = optimize(red, FixedCount(0))
     t_star = T_STAR
     assert report.n_star_exact == pytest.approx(math.sqrt(alpha / t_star), rel=1e-15)
     ratio = report.n_star_cubic / report.n_star_exact
@@ -852,7 +873,7 @@ def test_no_hardware_panel_beats_the_selected_one(alpha, psi, absorbing):
 
 def test_optimize_proportional_oracle_agreement():
     red = ReducedParams(alpha_calibration_for(2.0), 1.0, 5e5)
-    report = optimize_proportional(red, 1.0)
+    report = optimize(red, Fraction(0.0))
     assert report.n_star_cubic == pytest.approx(180.0, rel=1e-12)
     assert report.n_star_exact == pytest.approx(180.0, rel=1e-6)
     assert report.selected_n == 128
@@ -861,8 +882,8 @@ def test_optimize_proportional_oracle_agreement():
 
 def test_optimize_proportional_active_fraction_factors_out():
     red = ReducedParams(900.0, 2.0, 7.0)
-    full = optimize_proportional(red, 1.0)
-    half = optimize_proportional(red, 0.5)
+    full = optimize(red, Fraction(0.0))
+    half = optimize(red, Fraction(0.5))
     assert half.n_star_cubic == full.n_star_cubic
     assert full.f_at_cubic == pytest.approx(2.0 * half.f_at_cubic, rel=1e-12)
     # closed form: f(n*) = xi (1 - q) n* log2(1 + t*)
@@ -875,18 +896,18 @@ def test_optimize_proportional_active_fraction_factors_out():
 def test_optimize_proportional_l_doubling_law():
     red = ReducedParams(alpha_calibration_for(2.0), 1.0, 5e5)
     doubled = ReducedParams(red.alpha, 4.0 * red.psi, 2.0 * red.xi)
-    base = optimize_proportional(red, 1.0)
-    two_sources = optimize_proportional(doubled, 1.0)
+    base = optimize(red, Fraction(0.0))
+    two_sources = optimize(doubled, Fraction(0.0))
     assert two_sources.n_star_cubic == pytest.approx(base.n_star_cubic / 2.0, rel=1e-12)
     assert two_sources.f_at_cubic == pytest.approx(base.f_at_cubic, rel=1e-12)
 
 
 def test_optimize_proportional_noise_scaling_law():
     base = ReducedParams(5000.0, 1.0, 1.0)
-    n_base = optimize_proportional(base, 0.5).n_star_cubic
+    n_base = optimize(base, Fraction(0.5)).n_star_cubic
     for factor in (1.5, 2.0, 4.0):
-        scaled = optimize_proportional(
-            ReducedParams(base.alpha / factor, 1.0, 1.0), 0.5
+        scaled = optimize(
+            ReducedParams(base.alpha / factor, 1.0, 1.0), Fraction(0.5)
         ).n_star_cubic
         assert scaled == pytest.approx(n_base / math.sqrt(factor), rel=1e-12)
 
@@ -895,21 +916,21 @@ def test_optimize_proportional_matches_curve_read_trend():
     # published curve-read optima 150 / 120 / 90 for noise PSD 3 / 4 / 8
     for psd, read in ((3.0, 150.0), (4.0, 120.0), (8.0, 90.0)):
         red = ReducedParams(alpha_calibration_for(psd), 1.0, 5e5)
-        n_star = optimize_proportional(red, 0.5).n_star_cubic
+        n_star = optimize(red, Fraction(0.5)).n_star_cubic
         assert abs(n_star - read) / read <= 0.10
 
 
 def test_optimizers_reject_an_overflowing_load():
     red = ReducedParams(1e300, 1e-10, 1.0)  # alpha/psi = inf: infinite rate at one element
     with pytest.raises(ValueError, match="overflows"):
-        optimize_fixed_theta(red, 0.0)
+        optimize(red, FixedCount(0))
     with pytest.raises(ValueError, match="overflows"):
-        optimize_proportional(red, 0.5)
+        optimize(red, Fraction(0.5))
 
 
 def test_the_two_term_rate_survives_an_overflowing_partial_product():
     # xi (n - theta) = 2.3e308 overflows on the way to a two-term value of ~1.17e308
-    report = optimize_fixed_theta(ReducedParams(5.0, 1.0, 1e308), 1.0)
+    report = optimize(ReducedParams(5.0, 1.0, 1e308), FixedCount(1))
     unit = f_series(ReducedParams(5.0, 1.0, 1.0), report.n_star_cubic, 1.0, 2)
     assert report.f_at_cubic == 1e308 * unit
     assert 1.17e308 < report.f_at_cubic < 1.18e308

@@ -24,6 +24,7 @@ from omnidris.rate import (
     reduce_params,
     snr_single_link,
 )
+from omnidris.optimize import select_power_of_two
 from oracle import vector_rate
 
 # Frozen from 40-digit evaluations at the reference room parameters.
@@ -281,6 +282,24 @@ def test_rate_total_rejects_nonpositive_counts():
             rate_total(red, value, 0.0)
     with pytest.raises(ValueError, match="absorbing count"):
         rate_total(red, 4.0, math.nan)
+
+
+@pytest.mark.parametrize("call, argument", [
+    pytest.param(lambda red: rate_total(red, 8.0, True), "absorbing count", id="rate-theta-True"),
+    pytest.param(lambda red: rate_total(red, 8.0, False), "absorbing count", id="rate-theta-False"),
+    pytest.param(lambda red: rate_total(red, True, 0.0), "element count n", id="rate-n-True"),
+    pytest.param(lambda red: rate_total(red, False, FixedCount(1)), "element count n",
+                 id="rate-n-False-record"),
+    pytest.param(lambda red: select_power_of_two(6.0, red, True), "absorbing count",
+                 id="select-True"),
+    pytest.param(lambda red: select_power_of_two(6.0, red, False), "absorbing count",
+                 id="select-False"),
+    pytest.param(lambda red: FixedCount(True), "absorbing count", id="FixedCount-True"),
+])
+def test_a_boolean_is_not_a_count(call, argument):
+    # float(True) is 1.0: a boolean would silently stand for one element
+    with pytest.raises(ValueError, match=rf"^{argument} must be .*, got (True|False)$"):
+        call(ReducedParams(1.0, 1.0, 1.0))
 
 
 def test_rate_total_equals_explicit_triple_sum():
