@@ -16,12 +16,11 @@ Two regimes:
 
 The exact-rate optimum is the root of the exact stationarity: in fixed
 mode, Newton's method solves it as one law in the load ``x = alpha/(psi n^2)``
-and ``c = theta sqrt(psi/alpha)``, and ``sqrt(alpha/(psi x*))`` is stepped to
-the last float where the rate still rises, Newton stopping once its step falls
-below 2^-26 relative; in proportional mode (c = 0) it is
-``sqrt(alpha / (psi t*))`` itself.  Hardware realizations are the
-powers of two 1 <= N <= 512; the selection rule compares the exact rate at
-the two candidates bracketing the exact optimum.
+and ``c = theta sqrt(psi/alpha)``, stopping once its step falls below 2^-26
+relative, and ``sqrt((alpha/psi) / x*)`` lies within 4 ULP of the true
+argmax; in proportional mode (c = 0) it is ``sqrt(alpha / (psi t*))`` itself.
+Hardware realizations are the powers of two 1 <= N <= 512; the selection rule
+compares the exact rate at the two candidates bracketing the exact optimum.
 
 :func:`optimize` is the one optimizer.  Inside, both absorbing rules are one
 count ``theta + q n``: a fixed count is ``(theta, 0.0)`` and a fraction
@@ -36,7 +35,7 @@ import math
 from typing import NamedTuple
 
 from .rate import (
-    _INF, AbsorbingMode, FixedCount, Fraction, ReducedParams, _plain_count, _rate, f_series)
+    _INF, AbsorbingMode, FixedCount, Fraction, ReducedParams, _plain_count, _rate, _series)
 
 __all__ = [
     "OptimumReport",
@@ -74,7 +73,7 @@ class OptimumReport(NamedTuple):
 
     ``n_star_cubic`` is the analytic optimum (cubic root in fixed mode,
     ``sqrt(alpha/(psi t*))`` in proportional mode) and ``n_star_exact``
-    the argmax of the exact rate on n >= 1.  In fixed mode
+    the argmax of the exact rate on n >= 1, within 4 ULP of it.  In fixed mode
     ``f_at_cubic`` follows the two-term-series convention of the
     published "calculated" column, while ``f_exact_at_cubic`` is the
     exact rate at the same point; in proportional mode the stationarity
@@ -135,8 +134,8 @@ def meaningful_root(red: ReducedParams, theta: float) -> float | None:
     Formed in units, u0 errs by under 2^-48 relative where rho is a normal float;
     Newton starts at u0 raised by 2^-46 and steps while the iterate falls.
     """
-    if not theta >= 0.0:
-        raise ValueError(f"absorbing count must be >= 0, got {theta}")
+    if isinstance(theta, bool) or not theta >= 0.0:  # float(True) would stand for one element
+        raise ValueError(f"absorbing count must be a number >= 0, got {theta}")
     ratio = red.alpha / red.psi
     triple = 1.5 * ratio  # rooted factor by factor only where it overflows: ratio > ~1.2e308
     sqrt_triple = math.sqrt(triple) if triple < math.inf else math.sqrt(1.5) * math.sqrt(ratio)
@@ -192,7 +191,9 @@ def _optimal_load(c: float) -> float:
     root, at ``min(t*, 1/(4c^2))`` where ``F >= 1``, lands left of it in one
     step and then rises onto it.  It applies the first step below 2^-26 relative,
     which leaves an error near the step's square, within rounding, and returns
-    at most the start.
+    at most the start.  The residual is ``(1 - ln(1 + x)/2) - ln(1 + x)/(2x) - c sqrt(x)``:
+    near the root each difference of two terms within a factor 2 of each other is exact,
+    so mostly the rounding of ``ln(1 + x)`` and ``c sqrt(x)`` is left in x*.
     """
     log1p, sqrt = math.log1p, math.sqrt
     x = start = T_STAR if 4.0 * T_STAR * c * c <= 1.0 else 0.25 / (c * c)
@@ -200,7 +201,7 @@ def _optimal_load(c: float) -> float:
         log, root = log1p(x), sqrt(x)
         # F'(x) = (x - ln(1 + x))/(2x^2) + c/(2 sqrt(x)): where the first term cancels (small x),
         # c sqrt(x) is near 1/2 and the second, near 1/(4x), outweighs it by 1/x
-        step = (1.0 - (1.0 + x) * log / (2.0 * x) - c * root) / (
+        step = (1.0 - 0.5 * log - log / (2.0 * x) - c * root) / (
             (x - log) / (2.0 * x * x) + 0.5 * c / root)
         x += step
         if abs(step) < 2.0**-26 * x:  # the next step, near its square, would be below rounding
@@ -208,50 +209,35 @@ def _optimal_load(c: float) -> float:
 
 
 def _exact_optimum(red: ReducedParams, theta: float) -> tuple[float, bool]:
-    """Argmax of the exact fixed-count rate on n >= 1, and whether it is n = 1.
+    """Argmax of the exact fixed-count rate on n >= 1, within 4 ULP, and whether it is n = 1.
 
     The rate's slope has the sign of ``g(n) = ln(1 + x) - 2 (1 - theta/n) x/(1 + x)``
     with ``x = alpha/(psi n^2)``: positive just above max(theta, 1) and
     negative for large n.  Only when theta < 1 can the slope be
     non-positive at one element already; n = 1 is then the optimum, or 2 theta
-    where the load underflows (g's root as x -> 0).  For theta >= 1,
-    ``g(theta) = ln(1 + x) > 0`` wherever ``c <= 2^510``, so that sign is not evaluated.
+    where the load underflows (g's root as x -> 0).
 
-    Otherwise the search starts at ``sqrt(alpha/psi) / sqrt(x*)``, with x* from
-    :func:`_optimal_load`, and steps to adjacent floats on the sign of g to
-    the last float where the rate still rises.  Where ``c > 2^30`` the load
-    ``1/(4c^2)`` at 2 theta is below 2^-62, so ``n* = 2 theta (1 + x*/2 + ...)``
-    rounds to 2 theta, the start instead; where ``c > 2^510`` that load is
-    below the normal floats, g's sign is rounding noise, and 2 theta is returned.
+    Otherwise g's root is ``sqrt((alpha/psi) / x*)``, with x* from
+    :func:`_optimal_load`, held to at least max(theta, 1): the roundings of x*,
+    of the quotients and of the root leave it within 4 ULP of the true root.  Where
+    ``c > 2^30``, or c overflows, the load ``1/(4c^2)`` at 2 theta is below 2^-62,
+    so ``n* = 2 theta (1 + x*/2 + ...)`` rounds to 2 theta, which is returned.
     """
-    alpha, psi = red.alpha, red.psi
     if 2.0 * theta == _INF:  # g(2 theta) > 0, so the optimum lies above 2 theta
         raise ValueError(f"absorbing count {theta} puts the exact optimum, near 2 x {theta}, "
                          "beyond the float range")
-    ratio = _load_ratio(red)
-    if theta < 1.0 and not _rising(alpha, psi, ratio, theta, 1.0):
-        return (2.0 * theta, False) if ratio == 0.0 and 2.0 * theta > 1.0 else (1.0, True)
-    c = theta * math.sqrt(psi / alpha)
-    if c > 2.0**510:  # also where c overflows
+    ratio = _load_ratio(red)  # the load at one element
+    if theta < 1.0:  # g(1), its pull divided first where it overflows: ratio > ~9e307
+        pull = 2.0 * (1.0 - theta) * ratio
+        pull = pull / (1.0 + ratio) if pull < _INF else 2.0 * (1.0 - theta) * (ratio / (1.0 + ratio))
+        if not math.log1p(ratio) > pull:
+            return (2.0 * theta, False) if ratio == 0.0 and 2.0 * theta > 1.0 else (1.0, True)
+    c = theta * math.sqrt(red.psi / red.alpha)
+    if c > 2.0**30:
         return 2.0 * theta, False
-    lo = max(theta, 1.0)
-    n = 2.0 * theta if c > 2.0**30 else max(math.sqrt(ratio) / math.sqrt(_optimal_load(c)), lo)
-    if _rising(alpha, psi, ratio, theta, n):
-        while _rising(alpha, psi, ratio, theta, up := math.nextafter(n, _INF)):
-            n = up
-    else:  # down to lo at the latest, where g > 0
-        while not _rising(alpha, psi, ratio, theta, n := math.nextafter(n, 0.0)):
-            pass
-    return n, False
-
-
-def _rising(alpha: float, psi: float, ratio: float, theta: float, n: float) -> bool:
-    """g(n) > 0 at the float n, with ``ratio = alpha/psi``: the fixed-count rate rises at n."""
-    d = psi * n * n  # the load in rate_total's order, where psi n n keeps its precision
-    x = alpha / d if d < _INF and psi >= 2.2250738585072014e-308 else ratio / n / n  # psi normal
-    pull = 2.0 * (1.0 - theta / n) * x  # divided first where it overflows: x > ~9e307
-    pull = pull / (1.0 + x) if pull < _INF else 2.0 * (1.0 - theta / n) * (x / (1.0 + x))
-    return math.log1p(x) > pull
+    square = ratio / (x := _optimal_load(c))  # n^2, rooted factor by factor where it overflows
+    n = math.sqrt(square) if square < _INF else math.sqrt(ratio) / math.sqrt(x)
+    return max(n, theta, 1.0), False
 
 
 def _load_ratio(red: ReducedParams) -> float:
@@ -277,7 +263,7 @@ def _optimize(red: ReducedParams, theta: float, q: float, active_fraction) -> Op
     if used_fallback or not (fixed or at_one):  # the analytic optimum is the exact one
         n_cubic, f_cubic, f_exact_cubic = n_exact, f_exact, f_exact
     elif fixed:  # n_cubic >= max(2 theta, 1) > theta
-        f_cubic = f_series(red, n_cubic, theta, 2)
+        f_cubic = _series(red, n_cubic, theta, 2)
         f_exact_cubic = _rate(red, n_cubic, theta)
     else:  # below one element; 0 where alpha/(psi t*) underflows, the rate's limit as n* -> 0
         f_cubic = f_exact_cubic = _rate(red, n_cubic, q * n_cubic) if n_cubic > 0.0 else 0.0

@@ -307,6 +307,11 @@ def f_series(red: ReducedParams, n: float, theta: float, terms: int) -> float:
         raise ValueError(f"element count must be positive and finite, got {n}")
     if not 0.0 <= theta < n:  # rejects NaN as well; the series counts the n - theta active
         raise ValueError(f"absorbing count must lie in [0, n = {n}), got {theta}")
+    return _series(red, n, theta, terms)
+
+
+def _series(red: ReducedParams, n: float, theta: float, terms: int) -> float:
+    """:func:`f_series` at a float n > theta >= 0 and ``terms >= 1``, checking only the domain."""
     x = _load(red, n)
     if x > 1.0:
         raise ValueError(

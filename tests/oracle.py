@@ -13,6 +13,11 @@ checked by finite-difference probes of the two-term series), kept as
 references for the fast ones.  :func:`load_law` is the same stationarity as
 one function of the load, the law that the exact root is solved in.
 
+:func:`decimal_argmax` and :func:`decimal_cubic_root` are exact references:
+the root of the exact stationarity and the cubic's root, found in ``decimal``
+arithmetic from the float inputs taken exactly, to 50 and 60 digits.
+:func:`ulps_from` measures a float's distance to such a value in ULP.
+
 :func:`build_cubic` gives the paper's stationarity cubic as a plain tuple of
 coefficients, and :func:`solve_cubic` every real root of a cubic by
 Cardano's formula or its trigonometric form: the general solver that
@@ -25,6 +30,7 @@ the numpy form that :func:`omnidris.rate.rate_total` is held bit-equal to.
 """
 from __future__ import annotations
 
+import decimal
 import math
 from typing import NamedTuple
 
@@ -139,7 +145,10 @@ def bisection_exact_optimum(red: ReducedParams, theta: float) -> tuple[float, bo
     """Argmax of the exact fixed-count rate on n >= 1, and whether it is n = 1.
 
     The bracket doubles ``hi`` until :func:`rising` turns false, then
-    bisects to the last float.  Only when theta < 1 can the slope be
+    bisects to a float where the computed slope is positive and at the next
+    float is not.  Near the root that sign flickers over a few ULP, so this
+    float is one of several within about 1e-15 relative of the argmax, which
+    :func:`decimal_argmax` gives exactly.  Only when theta < 1 can the slope be
     non-positive at one element already; n = 1 is then the optimum.
     """
     lo = max(theta, 1.0)
@@ -165,6 +174,57 @@ def load_law(c: float, x: float) -> float:
     holds exactly where ``F(x) > 1``: the optimum's load solves ``F = 1``.
     """
     return (1.0 + x) * math.log1p(x) / (2.0 * x) + c * math.sqrt(x)
+
+
+def decimal_argmax(red: ReducedParams, theta: float, digits: int = 50) -> decimal.Decimal:
+    """The root of ``g(n) = ln(1 + x) - 2 (1 - theta/n) x/(1 + x)``, with ``x = alpha/(psi n^2)``.
+
+    The root where the fixed-count rate stops rising, to ``digits`` significant
+    digits, from the float inputs taken exactly.  It solves the load law
+    ``F(x) = (1 + x) ln(1 + x)/(2x) + c sqrt(x) = 1`` with ``c = theta sqrt(psi/alpha)``
+    by Newton's method from ``min(4, 1/(4c^2))``, where ``F >= 1``: F rises and
+    is concave, so the first step lands left of the root and the rest rise onto
+    it.  The working precision exceeds ``digits`` by 10 plus the leading zeros of
+    a small load, so that ``ln(1 + x)`` keeps its relative precision.  The root
+    is then ``sqrt(alpha/(psi x))``.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits + 10
+        alpha, psi, theta = (decimal.Decimal(value) for value in (red.alpha, red.psi, theta))
+        c = theta * (psi / alpha).sqrt()
+        x = 1 / (4 * c * c) if 16 * c * c > 1 else decimal.Decimal(4)
+        ctx.prec = digits + 10 + max(0, -x.adjusted())
+        for _ in range(200):
+            log, root = (1 + x).ln(), x.sqrt()
+            step = ((1 + x) * log / (2 * x) + c * root - 1) / (
+                (x - log) / (2 * x * x) + c / (2 * root))
+            x -= step
+            if abs(step) <= x.scaleb(-digits - 5):
+                return (alpha / (psi * x)).sqrt()
+    raise ArithmeticError(f"no convergence for {red}, theta = {theta}")
+
+
+def decimal_cubic_root(red: ReducedParams, theta: float, start: float) -> decimal.Decimal:
+    """The paper's cubic's root near ``start``: Newton's method to 60 digits.
+
+    The coefficients are formed from the exact parameters in decimal, so
+    none of them rounds or overflows as :func:`build_cubic`'s may.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        alpha, psi, theta = (decimal.Decimal(value) for value in (red.alpha, red.psi, theta))
+        c3, c2, c1, c0 = 2 * psi, -4 * psi * theta, -3 * alpha, 4 * alpha * theta
+        x = decimal.Decimal(start)
+        for _ in range(20):
+            x -= (((c3 * x + c2) * x + c1) * x + c0) / ((3 * c3 * x + 2 * c2) * x + c1)
+        return x
+
+
+def ulps_from(value: float, exact: decimal.Decimal) -> float:
+    """``|value - exact|`` in units of the last place of ``exact`` rounded to a float."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        return float(abs(decimal.Decimal(value) - exact) / decimal.Decimal(math.ulp(float(exact))))
 
 
 def build_cubic(red: ReducedParams, theta: float) -> tuple[float, float, float, float]:

@@ -1,4 +1,4 @@
-"""The model's answer to the paper's two claims in proportional mode, as laws.
+"""The model's answer to the paper's two claims, as laws.
 
 The best panel: 2N beats N exactly where the load ``y = alpha/(psi N^2)``
 exceeds 8, since ``2 log(1 + y/4) = log(1 + y)`` at ``y = 8``.  So the
@@ -8,6 +8,10 @@ count is ``clamp(ceil(log4(alpha/(8 psi))), 0, 9)``, free of q and xi.
 The maximal rate: ``(1 - q) xi sqrt(alpha/(psi t*)) log2(1 + t*)``.  As
 ``xi / sqrt(psi) = W/2``, the numbers of users M and light sources L cancel
 from it; they act only through the panel size, ``n* ~ 1/(M L)``.
+
+Under a fixed absorbing count theta the maximum is ``xi sqrt(alpha/psi) phi(c)`` with
+``c = theta sqrt(psi/alpha)`` and ``phi(c) = (1 - c sqrt(x*)) log2(1 + x*)/sqrt(x*)``,
+x* the optimal load: L and M act on it only through c and the prefactor.
 """
 import dataclasses
 import math
@@ -17,8 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omnidris.optimize import T_STAR, optimize
-from omnidris.rate import LN2, Fraction, ReducedParams, SystemParams, reduced_with_alpha
+from omnidris.optimize import T_STAR, _optimal_load, optimize
+from omnidris.rate import (
+    LN2, FixedCount, Fraction, ReducedParams, SystemParams, reduced_with_alpha)
 from omnidris.scenario import preset_scenarios
 
 EPS = 2.0**-52
@@ -109,3 +114,47 @@ def test_users_and_sources_cancel_from_the_proportional_maximum(
     assert report.f_at_exact == pytest.approx(one_link.f_at_exact, rel=2.0 * within)
     assert report.n_star_cubic * (users * sources) == pytest.approx(one_link.n_star_cubic,
                                                                     rel=4 * EPS)
+
+
+#: Draws of the fixed-count maximum law in Tier-1; ``maximum_law(50_000, seed)`` checks more
+#: offline.
+MAXIMUM_DRAWS = 3000
+
+
+def fixed_count_maximum(red: ReducedParams, theta: float) -> float:
+    """``xi sqrt(alpha/psi) phi(c)``, ``phi(c) = (1 - c sqrt(x*)) log2(1 + x*)/sqrt(x*)``."""
+    c = theta * math.sqrt(red.psi / red.alpha)
+    x = _optimal_load(c)
+    root = math.sqrt(x)
+    phi = (1.0 - c * root) * (math.log1p(x) / LN2) / root
+    return red.xi * math.sqrt(red.alpha / red.psi) * phi
+
+
+def maximum_law(draws: int, seed: int) -> tuple[float, int]:
+    """The largest ``|f_at_exact / closed form - 1|`` in units of EPS, and the draws it covers.
+
+    alpha/psi is log-uniform on [1e-1, 1e7] and theta an integer in [0, 50]; a draw
+    whose optimum is at one element or beyond 512 (``at_boundary``) is left out.
+    """
+    rng = random.Random(seed)
+    worst, covered = 0.0, 0
+    for _ in range(draws):
+        ratio = 10.0 ** rng.uniform(-1.0, 7.0)
+        psi = rng.choice((1.0, 4.0, 16.0, 64.0, rng.uniform(1.0, 1e3)))
+        theta = rng.randint(0, 50)
+        red = ReducedParams(ratio * psi, psi, 10.0 ** rng.uniform(-3.0, 9.0))
+        report = optimize(red, FixedCount(theta))
+        if report.at_boundary:
+            continue
+        covered += 1
+        worst = max(worst, abs(report.f_at_exact / fixed_count_maximum(red, theta) - 1.0) / EPS)
+    return worst, covered
+
+
+def test_the_fixed_count_maximum_is_a_function_of_c():
+    # n* = sqrt((alpha/psi)/x*) and n* - theta = n* (1 - c sqrt(x*)); the two forms differ by
+    # the roundings of the load and the active count: 4 EPS at most over 50,000 draws each
+    # of seeds 1 and 2
+    worst, covered = maximum_law(MAXIMUM_DRAWS, seed=9)
+    assert worst <= 4.0
+    assert covered >= 0.8 * MAXIMUM_DRAWS  # the boundary leaves out about one draw in seven

@@ -5,10 +5,11 @@
 OLD and NEW are outputs of ``tools/report_digest.py`` written with the same
 ``--draws`` and ``--seed``, typically by two checkouts.  For each kind of
 draw and each field (the report's fields and the warning count) it prints
-how many lines moved and, for float fields, the largest distance in units in
-the last place, counted between the ``float.hex`` values; then every line
-whose error changed, appeared or went away.  Exit status: 0 once the summary
-is printed, 2 for a usage error or digests of different draws.
+how many lines moved and, for float fields, how many moved by at most 1, by 2,
+3, 4 and by more than 4 units in the last place, and the largest such distance,
+counted between the ``float.hex`` values; then every line whose error changed,
+appeared or went away.  Exit status: 0 once the summary is printed, 2 for a
+usage error or digests of different draws.
 """
 from __future__ import annotations
 
@@ -16,6 +17,10 @@ import argparse
 import struct
 import sys
 from collections import defaultdict
+
+
+#: The columns of ULP moves: at most 1, then 2, 3 and 4, then more than 4.
+BINS = ("1", "2", "3", "4", ">4")
 
 
 def _ordinal(value: float) -> int:
@@ -26,6 +31,8 @@ def _ordinal(value: float) -> int:
 
 def ulp_distance(old: str, new: str) -> float | None:
     """How many floats apart two ``float.hex`` texts are; None where either is not one."""
+    if not all("0x" in text or text.lstrip("-") in ("inf", "nan") for text in (old, new)):
+        return None  # an integer field, written by repr, would parse as hexadecimal
     try:
         a, b = float.fromhex(old), float.fromhex(new)
     except ValueError:
@@ -47,7 +54,7 @@ def compare(old_lines: list[str], new_lines: list[str]) -> list[str]:
     """The summary's lines; ValueError where the digests are not of the same draws."""
     if len(old_lines) != len(new_lines):
         raise ValueError(f"the digests hold {len(old_lines)} and {len(new_lines)} lines")
-    moved: dict[tuple[str, str], list] = defaultdict(lambda: [0, None])
+    moved: dict[tuple[str, str], list] = defaultdict(lambda: [0, None, [0] * len(BINS)])
     errors, lines_moved = [], 0
     for old_line, new_line in zip(old_lines, new_lines):
         if old_line == new_line:
@@ -71,10 +78,15 @@ def compare(old_lines: list[str], new_lines: list[str]) -> list[str]:
                 distance = ulp_distance(value, new_fields[name])
                 if distance is not None:
                     entry[1] = max(entry[1] or 0.0, distance)
-    out = [f"{'kind':<14} {'field':<18} {'moved':>6} {'max_ulp':>10}"]
-    for (kind, name), (count, distance) in sorted(moved.items()):
-        shown = "-" if distance is None else f"{distance:.0f}"
-        out.append(f"{kind:<14} {name:<18} {count:>6} {shown:>10}")
+                    entry[2][int(min(max(distance, 1.0), len(BINS))) - 1] += 1
+    out = [f"{'kind':<14} {'field':<18} {'moved':>6} "
+           + " ".join(f"{name:>6}" for name in BINS) + f" {'max_ulp':>10}"]
+    for (kind, name), (count, distance, bins) in sorted(moved.items()):
+        if distance is None:
+            shown = " ".join(f"{'-':>6}" for _ in BINS) + f" {'-':>10}"
+        else:
+            shown = " ".join(f"{number:>6}" for number in bins) + f" {distance:>10.0f}"
+        out.append(f"{kind:<14} {name:<18} {count:>6} {shown}")
     out.append(f"changed errors: {len(errors)}")
     out.extend(errors)
     out.append(f"{lines_moved} of {len(old_lines)} lines moved")
