@@ -34,14 +34,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .rate import (
-    _INF, AbsorbingMode, FixedCount, Fraction, ReducedParams, _plain_count, _rate, _series)
+from .rate import _INF, AbsorbingMode, Fraction, ReducedParams, _rate, _series
 
 __all__ = [
     "OptimumReport",
-    "Pow2Selection",
-    "meaningful_root",
-    "select_power_of_two",
     "optimize",
     "HARDWARE_POWERS_OF_TWO",
     "T_STAR",
@@ -56,18 +52,6 @@ _new = tuple.__new__  # a record from its finished field tuple, skipping the Nam
 T_STAR = 3.9215536345675055
 
 
-class Pow2Selection(NamedTuple):
-    """The seven selection fields of :class:`OptimumReport`, in its order."""
-
-    pow2_lower: int
-    pow2_upper: int
-    rate_pow2_lower: float
-    rate_pow2_upper: float
-    selected_n: int
-    selected_rate: float
-    selected_bits: int
-
-
 class OptimumReport(NamedTuple):
     """Everything learned about one optimization run, as a named tuple.
 
@@ -80,9 +64,9 @@ class OptimumReport(NamedTuple):
     is exact and the two coincide.  ``used_fallback`` is set where the
     cubic's largest root is below one element and ``n_star_exact`` stands
     in for it.  The panel is selected around ``n_star_exact``, clamped to
-    512 elements, into the seven :class:`Pow2Selection` fields
-    ``pow2_lower`` .. ``selected_bits``; ``at_boundary`` is set when the
-    exact optimum lies at one element or beyond 512.
+    512 elements, into the seven fields ``pow2_lower`` .. ``selected_bits``;
+    ``at_boundary`` is set when the exact optimum lies at one element or
+    beyond 512.
     """
 
     mode: str
@@ -104,8 +88,10 @@ class OptimumReport(NamedTuple):
     used_fallback: bool
 
 
+# Not public; keep the name: bench/tracing.py wraps it as the optimize.cubic span and skips a
+# missing name silently.
 def meaningful_root(red: ReducedParams, theta: float) -> float | None:
-    """The stationarity cubic's largest root at ``theta`` if it is at least 1, else None.
+    """The stationarity cubic's largest root at a checked theta >= 0 if it is at least 1, else None.
 
     The two-term series has slope ``-alpha xi / (2 ln2 psi^2 n^5) * cubic(n)``
     with the paper's cubic ``2 psi n^3 - 4 psi theta n^2 - 3 alpha n + 4 alpha theta``;
@@ -134,8 +120,6 @@ def meaningful_root(red: ReducedParams, theta: float) -> float | None:
     Formed in units, u0 errs by under 2^-48 relative where rho is a normal float;
     Newton starts at u0 raised by 2^-46 and steps while the iterate falls.
     """
-    if isinstance(theta, bool) or not theta >= 0.0:  # float(True) would stand for one element
-        raise ValueError(f"absorbing count must be a number >= 0, got {theta}")
     ratio = red.alpha / red.psi
     triple = 1.5 * ratio  # rooted factor by factor only where it overflows: ratio > ~1.2e308
     sqrt_triple = math.sqrt(triple) if triple < math.inf else math.sqrt(1.5) * math.sqrt(ratio)
@@ -156,24 +140,14 @@ def meaningful_root(red: ReducedParams, theta: float) -> float | None:
     return root if root >= 1.0 else None
 
 
-def select_power_of_two(n_star: float, red: ReducedParams, absorbing=0.0) -> Pow2Selection:
-    """Hardware selection between the powers of two bracketing n_star.
-
-    Evaluates the exact rate at 2^floor(log2 n*) and 2^ceil(log2 n*)
-    (absorbing count re-derived per candidate in proportional mode) and
-    keeps the better one; ties go to the smaller panel.  An optimum below
-    one element degenerates to a single element, both candidates 1.
-    """
-    if not 0.0 < n_star <= 2.0**1023:  # 2**1024, the power of two above, is not a float
-        raise ValueError(f"n_star must be positive and at most 2**1023, got {n_star}")
-    if isinstance(absorbing, Fraction):
-        return _new(Pow2Selection, _select(red, 0.0, absorbing.q, n_star))
-    theta = _plain_count(absorbing.count if isinstance(absorbing, FixedCount) else absorbing)
-    return _new(Pow2Selection, _select(red, theta, 0.0, n_star))
-
-
 def _select(red: ReducedParams, theta: float, q: float, n_star: float) -> tuple:
-    """:func:`select_power_of_two`'s seven fields under the absorbing count ``theta + q n``."""
+    """The hardware panel for the optimum ``n_star`` under the absorbing count ``theta + q n``.
+
+    The exact rate at the two bracketing powers of two, 2^floor(log2 n*) and
+    2^ceil(log2 n*), decides; ties go to the smaller panel.  An optimum below
+    one element degenerates to a single element, both candidates 1.  Returns
+    the seven fields ``pow2_lower`` .. ``selected_bits`` of :class:`OptimumReport`.
+    """
     lower = 1 << max(int(n_star).bit_length() - 1, 0)
     upper = lower if lower >= n_star else 2 * lower
     rate_lower = _rate(red, float(lower), theta + q * lower)
@@ -297,6 +271,8 @@ def optimize(red: ReducedParams, absorbing: AbsorbingMode) -> OptimumReport:
 # Not public: bench/workloads.py calls both by name.  Delete them once it calls optimize.
 def optimize_fixed_theta(red: ReducedParams, theta: float) -> OptimumReport:
     """:func:`optimize` with a fixed absorbing count theta, any finite float >= 0."""
+    if isinstance(theta, bool):  # float(True) would stand for one element
+        raise ValueError(f"absorbing count must be a number >= 0, got {theta}")
     if not 0.0 <= theta < math.inf:  # rejects NaN as well
         raise ValueError(f"absorbing count theta must be >= 0 and finite, got {theta}")
     return _optimize(red, theta, 0.0, None)

@@ -27,8 +27,6 @@ __all__ = [
     "CALIBRATION_NOTE",
     "PUBLISHED_NORMALIZED_TABLE",
     "PUBLISHED_SELECTION_TABLE",
-    "MEASURED_N_ABS_TOL",
-    "RATE_REL_TOL",
     "NormalizedRow",
     "NormalizedTableReport",
     "SelectionRow",

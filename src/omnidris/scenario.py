@@ -77,7 +77,6 @@ __all__ = [
     "SweepSpec",
     "Scenario",
     "SweepRow",
-    "CSV_COLUMNS",
     "load_scenario",
     "run_sweep",
     "sweep_to_csv",
@@ -179,9 +178,6 @@ class SweepRow(NamedTuple):
     pow2: bool
     selected: bool
 
-
-#: Sweep output columns: the :class:`SweepRow` fields.
-CSV_COLUMNS = SweepRow._fields
 
 # --- strict YAML schema -----------------------------------------------------
 
@@ -559,5 +555,5 @@ def _csv(header, records) -> str:
 
 
 def sweep_to_csv(rows: list[SweepRow]) -> str:
-    """The sweep as a CSV table of the :data:`CSV_COLUMNS`; floats carry 17 significant digits."""
-    return _csv(CSV_COLUMNS, rows)
+    """The sweep as a CSV table of the ``SweepRow`` fields; floats carry 17 significant digits."""
+    return _csv(SweepRow._fields, rows)

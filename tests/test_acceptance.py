@@ -22,9 +22,9 @@ import pytest
 from omnidris.channel import channel_dc_gain, reference_room_geometry
 from omnidris.optimize import (
     T_STAR,
+    _select,
     meaningful_root,
     optimize,
-    select_power_of_two,
 )
 from omnidris.rate import (
     LN2,
@@ -135,9 +135,9 @@ def test_criterion_05_power_of_two_selection_pattern():
     # tie-break: equal rates at both candidates resolve to the smaller panel
     red = ReducedParams(1.0, 1.0, 1.0)
     with pytest.warns(Warning):
-        tie = select_power_of_two(2.5, red, 5.0)
-    assert tie.rate_pow2_lower == tie.rate_pow2_upper
-    assert tie.selected_n == tie.pow2_lower == 2
+        lower, _, rate_lower, rate_upper, selected, _, _ = _select(red, 5.0, 0.0, 2.5)
+    assert rate_lower == rate_upper
+    assert selected == lower == 2
     print("criterion 5: PASS (selections 128/128/128, 128@psd3, 64@psd8; ties pick smaller N)")
 
 

@@ -21,7 +21,6 @@ from omnidris import cli
 from omnidris.cli import main
 from omnidris.optimize import OptimumReport
 from omnidris.scenario import (
-    CSV_COLUMNS,
     SweepRow,
     SweepSpec,
     preset_scenarios,
@@ -117,7 +116,7 @@ def test_sweep_csv_fast_path_is_the_csv_writer():
     for ref in [*sorted(preset_scenarios()), str(sample)]:
         rows = run_sweep(resolve_scenario(ref))
         # lines, not one string: pytest's diff of two long strings takes minutes
-        assert sweep_to_csv(rows).split("\n") == cli._csv(CSV_COLUMNS, rows).split("\n"), ref
+        assert sweep_to_csv(rows).split("\n") == cli._csv(SweepRow._fields, rows).split("\n"), ref
 
 
 def _assert_sweep_json_is_json_dumps(rows, label):

@@ -24,7 +24,6 @@ from omnidris.rate import (
     reduce_params,
     snr_single_link,
 )
-from omnidris.optimize import select_power_of_two
 from oracle import vector_rate
 
 # Frozen from 40-digit evaluations at the reference room parameters.
@@ -290,10 +289,6 @@ def test_rate_total_rejects_nonpositive_counts():
     pytest.param(lambda red: rate_total(red, True, 0.0), "element count n", id="rate-n-True"),
     pytest.param(lambda red: rate_total(red, False, FixedCount(1)), "element count n",
                  id="rate-n-False-record"),
-    pytest.param(lambda red: select_power_of_two(6.0, red, True), "absorbing count",
-                 id="select-True"),
-    pytest.param(lambda red: select_power_of_two(6.0, red, False), "absorbing count",
-                 id="select-False"),
     pytest.param(lambda red: FixedCount(True), "absorbing count", id="FixedCount-True"),
 ])
 def test_a_boolean_is_not_a_count(call, argument):

@@ -11,12 +11,12 @@ import omnidris.scenario
 from omnidris.rate import FixedCount, Fraction, ReducedParams, reduced_with_alpha
 from omnidris.scenario import (
     _SCHEMA,
-    CSV_COLUMNS,
     HARDWARE_POWERS_OF_TWO,
     MAX_SWEEP_POINTS,
     NORMALIZED_COMBOS,
     Scenario,
     ScenarioError,
+    SweepRow,
     SweepSpec,
     _grid_values,
     alpha_calibration_for,
@@ -558,7 +558,7 @@ def test_sweep_csv_format_and_determinism():
     second = sweep_to_csv(run_sweep(scenario))
     assert first == second
     lines = first.strip().split("\n")
-    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert lines[0] == ",".join(SweepRow._fields)
     sample = lines[1].split(",")
     assert len(sample) == 6
     assert sample[4] in {"0", "1"} and sample[5] in {"0", "1"}

@@ -2,15 +2,16 @@
 
     PYTHONPATH=src python3 tools/report_digest.py OUT [--draws N] [--seed S]
 
-Each draw picks one of six kinds in turn: ``optimize`` with a
+Each draw picks one of five kinds in turn: ``optimize`` with a
 ``FixedCount`` or a ``Fraction``, ``optimize_fixed_theta`` with a float
-absorbing count, ``optimize_proportional``, any of these four at the edges
-of the float range (``alpha``, ``psi``, ``xi`` and the count anywhere from
-the subnormals to the float maximum), and ``select_power_of_two`` with any
-absorbing argument, negative and NaN counts included.  A line holds the
-draw's index, kind and inputs, then every field of the returned record, or
-the error it raised, and the number of warnings the call issued.  Floats
-are written with ``float.hex``, so a line changes exactly where a bit does.
+absorbing count, ``optimize_proportional``, and any of these four at the
+edges of the float range (``alpha``, ``psi``, ``xi`` and the count anywhere
+from the subnormals to the float maximum).  Every report carries the
+power-of-two selection in its seven ``pow2_lower`` .. ``selected_bits``
+fields.  A line holds the draw's index, kind and inputs, then every field
+of the returned report, or the error it raised, and the number of warnings
+the call issued.  Floats are written with ``float.hex``, so a line changes
+exactly where a bit does.
 
 omnidris is imported from ``PYTHONPATH``, so the same script digests any
 checkout; ``diff`` between the digests of two commits lists every moved
@@ -24,11 +25,10 @@ import random
 import sys
 import warnings
 
-from omnidris.optimize import (
-    optimize, optimize_fixed_theta, optimize_proportional, select_power_of_two)
+from omnidris.optimize import optimize, optimize_fixed_theta, optimize_proportional
 from omnidris.rate import FixedCount, Fraction, ReducedParams
 
-KINDS = ("fixed-count", "fraction", "float-theta", "proportional", "float-edge", "select")
+KINDS = ("fixed-count", "fraction", "float-theta", "proportional", "float-edge")
 _CALLS = KINDS[:4]
 
 
@@ -61,14 +61,12 @@ def _argument(rng: random.Random, kind: str, edge: bool):
     return rng.choice((1.0, 0.5, rng.uniform(0.01, 1.0), 1e-17 if edge else 0.75))
 
 
-def _call(kind: str, red: ReducedParams, argument, n_star: float):
-    if kind == "fixed-count" or kind == "fraction":
-        return optimize(red, argument)
+def _call(kind: str, red: ReducedParams, argument):
     if kind == "float-theta":
         return optimize_fixed_theta(red, argument)
     if kind == "proportional":
         return optimize_proportional(red, argument)
-    return select_power_of_two(n_star, red, argument)
+    return optimize(red, argument)
 
 
 def digest_line(index: int, rng: random.Random) -> str:
@@ -77,21 +75,13 @@ def digest_line(index: int, rng: random.Random) -> str:
     edge = kind == "float-edge"
     call = rng.choice(_CALLS) if edge else kind
     alpha, psi, xi = _params(rng, edge)
-    n_star = 0.0
-    if kind == "select":
-        n_star = rng.choice(
-            (10.0 ** rng.uniform(-3.0, 3.0), float(2 ** rng.randint(0, 12)), _anywhere(rng)))
-        argument = rng.choice((
-            _argument(rng, "fixed-count", False), _argument(rng, "fraction", False),
-            rng.uniform(0.0, 600.0), -1.0, math.nan))
-    else:
-        argument = _argument(rng, call, edge)
-    inputs = " ".join(map(_text, (alpha, psi, xi, n_star)))
+    argument = _argument(rng, call, edge)
+    inputs = " ".join(map(_text, (alpha, psi, xi)))
     head = f"{index} {kind} {call} {inputs} {argument!r}"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            record = _call(call, ReducedParams(alpha, psi, xi), argument, n_star)
+            record = _call(call, ReducedParams(alpha, psi, xi), argument)
             body = " ".join(f"{name}={_text(value)}" for name, value in zip(record._fields, record))
         except (ValueError, OverflowError) as error:
             body = f"{type(error).__name__}: {error}"
