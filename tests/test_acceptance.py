@@ -37,7 +37,7 @@ from omnidris.rate import (
 )
 from omnidris.reports import CALIBRATION_NOTE, reproduce_table1, reproduce_table2
 from omnidris.scenario import NORMALIZED_COMBOS, alpha_calibration_for
-from oracle import brute_force_argmax
+from oracle import brute_force_argmax, decimal_t_star
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -141,20 +141,8 @@ def test_criterion_05_power_of_two_selection_pattern():
     print("criterion 5: PASS (selections 128/128/128, 128@psd3, 64@psd8; ties pick smaller N)")
 
 
-def _independent_tstar() -> float:
-    lo, hi = 1.0, 100.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if math.log1p(mid) * (1.0 + mid) - 2.0 * mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def test_criterion_06_proportional_universal_constant():
-    independent = _independent_tstar()
-    assert abs(T_STAR - independent) <= 1e-6
+    assert abs(T_STAR - float(decimal_t_star())) <= 1e-6
     t_star = T_STAR
 
     rng = np.random.default_rng(20260810)

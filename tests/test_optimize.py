@@ -29,16 +29,15 @@ from omnidris.optimize import (
 )
 from omnidris.scenario import NORMALIZED_COMBOS, alpha_calibration_for
 from oracle import (
-    bisection_exact_optimum,
+    RATE_ULPS,
     brute_force_argmax,
-    build_cubic,
     decimal_argmax,
     decimal_cubic_root,
+    decimal_optimal_load,
+    decimal_rate,
+    decimal_t_star,
     load_law,
-    probe_meaningful_root,
-    solve_cubic,
     ulps_from,
-    vector_rate,
 )
 
 # Largest cubic roots of the normalized benchmark combinations, frozen from
@@ -69,37 +68,7 @@ def reduced(name: str) -> tuple[ReducedParams, float]:
     return ReducedParams(alpha=alpha, psi=psi, xi=xi), theta
 
 
-# --- cubic construction -----------------------------------------------------------
-
-
-def test_build_cubic_unit_parameters():
-    assert build_cubic(ReducedParams(1.0, 1.0, 1.0), 1.0) == (2.0, -4.0, -3.0, 4.0)
-
-
-def test_build_cubic_substitution():
-    assert build_cubic(ReducedParams(5.0, 5.0, 1.0), 5.0) == (10.0, -100.0, -15.0, 100.0)
-
-
-def test_build_cubic_zero_theta_factorable():
-    cubic = build_cubic(ReducedParams(1.0, 1.0, 1.0), 0.0)
-    assert cubic == (2.0, 0.0, -3.0, 0.0)
-    roots = solve_cubic(cubic)
-    expected = math.sqrt(1.5)
-    assert roots == pytest.approx([-expected, 0.0, expected], abs=1e-12)
-
-
-def test_build_cubic_ignores_xi():
-    low = build_cubic(ReducedParams(2.0, 3.0, 1.0), 4.0)
-    high = build_cubic(ReducedParams(2.0, 3.0, 1000.0), 4.0)
-    assert low == high
-
-
-def test_cubic_coefficients_require_positive_leading_term():
-    with pytest.raises(ValueError):
-        solve_cubic((0.0, 1.0, 1.0, 1.0))
-
-
-# --- root solving -----------------------------------------------------------------
+# --- the cubic's root ----------------------------------------------------------------
 
 
 @pytest.mark.parametrize(
@@ -108,59 +77,14 @@ def test_cubic_coefficients_require_positive_leading_term():
 )
 def test_solve_cubic_matches_published_roots(name, published):
     red, theta = reduced(name)
-    largest = solve_cubic(build_cubic(red, theta))[-1]
+    largest = meaningful_root(red, theta)
     assert largest == pytest.approx(published, rel=1e-3)
     assert largest == pytest.approx(PRECISE_ROOTS[name], rel=1e-9)
 
 
-def test_solve_cubic_simple_factorable():
-    roots = solve_cubic((1.0, 0.0, -1.0, 0.0))
-    assert roots == pytest.approx([-1.0, 0.0, 1.0], abs=1e-12)
-
-
-def test_solve_cubic_single_real_root():
-    # x^3 + x + 1: one real root near -0.6823278
-    roots = solve_cubic((1.0, 0.0, 1.0, 1.0))
-    assert len(roots) == 1
-    assert roots[0] == pytest.approx(-0.6823278038280193, rel=1e-12)
-
-
-def test_solve_cubic_double_root_multiplicity():
-    # (x - 1)^2 (x + 2) = x^3 - 3x + 2
-    roots = solve_cubic((1.0, 0.0, -3.0, 2.0))
-    assert roots == pytest.approx([-2.0, 1.0, 1.0], abs=1e-7)
-
-
-def test_solve_cubic_triple_root():
-    # (x - 1)^3 = x^3 - 3x^2 + 3x - 1
-    roots = solve_cubic((1.0, -3.0, 3.0, -1.0))
-    assert roots == pytest.approx([1.0, 1.0, 1.0], abs=1e-5)
-
-
-def test_solve_cubic_residuals_are_tiny():
-    for name in NORMALIZED_COMBOS:
-        red, theta = reduced(name)
-        c3, c2, c1, c0 = build_cubic(red, theta)
-        root = solve_cubic((c3, c2, c1, c0))[-1]
-        assert abs(((c3 * root + c2) * root + c1) * root + c0) <= 1e-8 * (c3 * root**3)
-
-
-@given(
-    c3=st.floats(min_value=0.1, max_value=50.0),
-    c2=st.floats(min_value=-50.0, max_value=50.0),
-    c1=st.floats(min_value=-50.0, max_value=50.0),
-    c0=st.floats(min_value=-50.0, max_value=50.0),
-)
-@settings(derandomize=True, max_examples=300)
-def test_solve_cubic_agrees_with_numpy(c3, c2, c1, c0):
-    ours = solve_cubic((c3, c2, c1, c0))
-    reference = np.roots([c3, c2, c1, c0])
-    real_reference = sorted(
-        float(r.real) for r in reference if abs(r.imag) <= 1e-7 * max(1.0, abs(r))
-    )
-    if len(ours) != len(real_reference):
-        return  # borderline discriminant classified differently; covered above
-    assert ours == pytest.approx(real_reference, rel=1e-6, abs=1e-6)
+#: The contract of ``meaningful_root``: its distance to the cubic's largest root, in ULP of that
+#: root.  The largest measured is 1.64, over 60,000 draws of each property's ranges (seeds 1 and 2).
+ROOT_ULPS = 2.0
 
 
 # --- meaningful root ---------------------------------------------------------------
@@ -196,9 +120,9 @@ def test_a_boolean_is_not_an_absorbing_count(call, flag):
 
 @pytest.mark.parametrize("alpha,psi,theta", [(5e-324, 1e10, 0.0)])
 def test_meaningful_root_rejects_a_cubic_beyond_the_float_range(alpha, psi, theta):
-    # alpha/psi underflows, leaving the monic cubic x^3
+    # alpha/psi underflows, leaving the monic cubic x^3; the exact root is far below one element
     red = ReducedParams(alpha, psi, 1.0)
-    assert probe_meaningful_root(solve_cubic(build_cubic(red, theta)), red, theta) is None
+    assert decimal_cubic_root(red, theta) < 1
     assert meaningful_root(red, theta) is None
 
 
@@ -206,7 +130,7 @@ def test_meaningful_root_rejects_a_cubic_beyond_the_float_range(alpha, psi, thet
 def test_meaningful_root_is_correctly_rounded(name):
     red, theta = reduced(name)
     root = meaningful_root(red, theta)
-    error = abs(decimal.Decimal(root) - decimal_cubic_root(red, theta, root))
+    error = abs(decimal.Decimal(root) - decimal_cubic_root(red, theta))
     assert error <= decimal.Decimal(math.ulp(root)) / 2
 
 
@@ -218,7 +142,7 @@ def test_the_cubic_root_stands_where_4_alpha_theta_overflows():
         report = optimize(red, FixedCount(10**10))
     assert not report.used_fallback
     root = report.n_star_cubic
-    error = abs(decimal.Decimal(root) - decimal_cubic_root(red, 1e10, root))
+    error = abs(decimal.Decimal(root) - decimal_cubic_root(red, 1e10))
     assert error <= 2 * decimal.Decimal(math.ulp(root))
 
 
@@ -226,9 +150,8 @@ def test_meaningful_root_at_a_huge_absorbing_count():
     # without the power-of-two unit, Newton would start at its bound 4e200 and overflow
     red, theta = ReducedParams(5.0, 1.0, 1.0), 1e200
     root = meaningful_root(red, theta)
-    reference = solve_cubic(build_cubic(red, theta))[-1]
     assert math.isfinite(root)
-    assert abs(root - reference) <= 2 * math.ulp(reference)
+    assert ulps_from(root, decimal_cubic_root(red, theta)) <= ROOT_ULPS
 
 
 def test_the_cubic_root_stands_where_3_alpha_over_psi_overflows():
@@ -275,25 +198,22 @@ def _newton_start(red: ReducedParams, theta: float) -> float:
 
 @settings(max_examples=300, deadline=None)
 @given(alpha=WIDE_ALPHA, psi=WIDE_PSI, theta=WIDE_THETA)
-@example(alpha=5.0, psi=1.0, theta=1e200)  # the root 2e200, past an underflowing difference quotient
+@example(alpha=5.0, psi=1.0, theta=1e200)  # the root 2e200, where 2 theta dwarfs sqrt(1.5 rho)
 @example(alpha=2.0, psi=3.0, theta=0.0)  # K = 0: the start is sqrt(1.5 rho), raised, on the root
 def test_meaningful_root_matches_the_probe_reference(alpha, psi, theta):
-    # the reference rounds the paper's coefficients, the monic form takes alpha/psi whole
+    # against the exact largest root: None exactly where it is below one element
     red = ReducedParams(alpha, psi, 1.0)
-    roots = solve_cubic(build_cubic(red, theta))
+    exact = decimal_cubic_root(red, theta)
     # Newton's start: at the largest root r >= max(A, B), (r - A)(r - B) = theta rho / (r + B)
     # is at most K, so r is at most the larger root u0 of (x - A)(x - B) = K, below A + B
     start, bound = _newton_start(red, theta), 2.0 * theta + math.sqrt(1.5 * (alpha / psi))
     assert start <= bound * (1.0 + 2.0**-45)  # u0 <= A + B, raised by 2^-46
-    assert roots[-1] <= start * (1.0 + 2.0**-50)
-    # the exact largest root, by Newton from above A + B, lies at or below the start
-    assert decimal_cubic_root(red, theta, bound * (1.0 + 2.0**-40)) <= decimal.Decimal(start)
-    expected = probe_meaningful_root(roots, red, theta)
+    assert exact <= decimal.Decimal(start)
     root = meaningful_root(red, theta)
-    if expected is None:
-        assert root is None
+    if root is None:
+        assert exact < 1
     else:
-        assert abs(root - expected) <= 2 * math.ulp(expected)
+        assert ulps_from(root, exact) <= ROOT_ULPS
 
 
 @settings(max_examples=300, deadline=None)
@@ -333,7 +253,7 @@ def test_the_largest_root_rises_inside_the_series_domain(alpha, psi, theta):
     assume(ratio < math.inf)
     root = meaningful_root(ReducedParams(alpha, psi, 1.0), theta)
     if root is None:
-        assert solve_cubic(build_cubic(ReducedParams(alpha, psi, 1.0), theta))[-1] < 1.0
+        assert decimal_cubic_root(ReducedParams(alpha, psi, 1.0), theta) < 1
         return
     assert root >= 2.0 * theta
     assert root >= math.sqrt(1.5) * math.sqrt(ratio) * (1.0 - 4.0 * EPS)
@@ -438,16 +358,12 @@ def test_select_brackets_with_powers_of_two(n_star):
 
 
 def test_stationarity_constant_against_independent_bisection():
-    # oracle: plain bisection on ln(1+t)(1+t) - 2t, written out here
-    lo, hi = 1.0, 100.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if math.log1p(mid) * (1.0 + mid) - 2.0 * mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    independent = 0.5 * (lo + hi)
-    assert T_STAR == pytest.approx(independent, abs=1e-9)
+    # the load law's root at c = 0 solves ln(1 + t) = 2t/(1 + t) itself, to its 50 digits
+    exact = decimal_t_star()
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        assert abs((1 + exact).ln() - 2 * exact / (1 + exact)) < decimal.Decimal("1e-48")
+    assert ulps_from(T_STAR, exact) < 1.0
     assert T_STAR == pytest.approx(3.92155, abs=1e-5)
     # the sign of g changes within one part in 1e12 either side of T_STAR
     def g(t):
@@ -582,13 +498,13 @@ def test_every_rule_kind_gives_the_rate_and_selection_of_its_count(alpha, psi, r
     theta = rule.theta_at(n) if record else float(rule)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateConfigWarning)
-        expected = float(vector_rate(red, [n], rule)[0]).hex()
-        assert rate_total(red, n, rule).hex() == expected
-        assert rate_total(red, n, theta).hex() == expected
+        result = rate_total(red, n, rule)
+        assert rate_total(red, n, theta).hex() == result.hex()
         report = optimize(red, rule) if record else optimize_fixed_theta(red, theta)
         count, q = (0.0, rule.q) if isinstance(rule, Fraction) else (theta, 0.0)
         lower, upper, rate_lower, rate_upper, selected, rate, _ = _select(
             red, count, q, min(report.n_star_exact, 512))
+    assert ulps_from(result, decimal_rate(red, n, theta)) <= RATE_ULPS
     fields = ("pow2_lower", "pow2_upper", "rate_pow2_lower", "rate_pow2_upper", "selected_n",
               "selected_rate", "selected_bits")
     assert repr(tuple(getattr(report, field) for field in fields)) == repr((
@@ -643,20 +559,29 @@ def test_report_rates_are_the_rates_at_the_reported_counts(alpha, psi, theta, ru
 
 #: The contract of ``n_star_exact``: its distance to the root of g, in ULP of that root.
 EXACT_ULPS = 4.0
+#: The relative distance from one element inside which rounding may decide whether the optimum
+#: is n = 1; draws whose root of g lies inside it are left out.
+AT_ONE_BAND = 1e-12
 
 
 @settings(max_examples=300, deadline=None)
 @given(alpha=WIDE_ALPHA, psi=HARDWARE_PSI, theta=WIDE_THETA)
 def test_exact_optimum_matches_the_bisection_reference(alpha, psi, theta):
-    # the slope's sign flickers over a few ULPs at the root, so the bisection's last float
-    # is one of several near it; the contract is the distance to the root itself
+    # the optimum is one element where the root of g is (theta < 1 and the root below 1)
     red = ReducedParams(alpha, psi, 1.0)
+    exact = decimal_argmax(red, theta)
+    assume(abs(exact - 1) > AT_ONE_BAND)  # Hypothesis counts the draws it leaves out
     n_exact, at_one = _exact_optimum(red, theta)
-    reference, reference_at_one = bisection_exact_optimum(red, theta)
-    assert at_one == reference_at_one
-    assert abs(n_exact - reference) <= 1e-15 * reference
-    if not at_one:
-        assert ulps_from(n_exact, decimal_argmax(red, theta)) <= EXACT_ULPS
+    assert at_one == (theta < 1.0 and exact < 1)
+    if at_one:
+        assert n_exact == 1.0
+    else:
+        assert ulps_from(n_exact, exact) <= EXACT_ULPS
+
+
+#: The distance of ``_optimal_load(c)`` to the load law's root, in ULP of that root.  The largest
+#: measured is 5.88, over 260,000 draws of c uniform on [0, 50] (seeds 1 to 4).
+LOAD_ULPS = 7.0
 
 
 def test_the_load_law_at_c_0_is_t_star():
@@ -680,6 +605,7 @@ def test_the_load_law_rises_is_concave_and_is_solved(c, x):
     # at most the start min(t*, 1/(4c^2)): F(x) = 1 with (1 + x) ln(1 + x)/(2x) > 1/2
     assert 0.0 < root <= T_STAR and c * math.sqrt(root) <= 0.5
     assert abs(load_law(c, root) - 1.0) <= 4.0 * EPS
+    assert ulps_from(root, decimal_optimal_load(c)) <= LOAD_ULPS
 
 
 @settings(max_examples=200, deadline=None)
