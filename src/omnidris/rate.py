@@ -159,6 +159,8 @@ def snr_single_link(params: SystemParams, gain: float, num_elements: int) -> flo
     """
     if not 0.0 <= gain < math.inf:  # rejects NaN as well
         raise ValueError(f"channel gain must be >= 0 and finite, got {gain}")
+    if isinstance(num_elements, bool):  # True would stand for one element
+        raise ValueError(f"num_elements must be a number, not a boolean, got {num_elements}")
     if not num_elements >= 1:  # rejects NaN as well
         raise ValueError(f"num_elements must be >= 1 (power is divided by it), got {num_elements}")
     if num_elements > _FLOAT_MAX:
@@ -299,10 +301,11 @@ def f_series(red: ReducedParams, n: float, theta: float, terms: int) -> float:
     omitted term, xi (n - theta) / ln2 * x^(terms+1) / (terms + 1), and
     successive partial sums bracket the exact rate.  Relative to the exact
     rate the bound is x^(terms+1) / ((terms + 1) ln(1 + x)); with 40 terms
-    it is below 1e-10 only for x <~ 0.613.  Loads and overflows as in :func:`rate_total`.
+    it is below 1e-10 only for x <~ 0.613.  ``terms`` is an integer >= 1, not a
+    boolean.  Loads and overflows as in :func:`rate_total`.
     """
-    if terms < 1:
-        raise ValueError(f"terms must be >= 1, got {terms}")
+    if isinstance(terms, bool) or not isinstance(terms, int) or terms < 1:
+        raise ValueError(f"terms must be an integer >= 1, got {terms!r}")
     if not 0.0 < n < math.inf:  # rejects NaN as well
         raise ValueError(f"element count must be positive and finite, got {n}")
     if not 0.0 <= theta < n:  # rejects NaN as well; the series counts the n - theta active

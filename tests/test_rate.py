@@ -285,17 +285,23 @@ def test_rate_total_rejects_nonpositive_counts():
         rate_total(red, 4.0, math.nan)
 
 
-@pytest.mark.parametrize("call, argument", [
-    pytest.param(lambda red: rate_total(red, 8.0, True), "absorbing count", id="rate-theta-True"),
-    pytest.param(lambda red: rate_total(red, 8.0, False), "absorbing count", id="rate-theta-False"),
-    pytest.param(lambda red: rate_total(red, True, 0.0), "element count n", id="rate-n-True"),
-    pytest.param(lambda red: rate_total(red, False, FixedCount(1)), "element count n",
+@pytest.mark.parametrize("call, argument, given", [
+    pytest.param(lambda red: rate_total(red, 8.0, True), "absorbing count", "True",
+                 id="rate-theta-True"),
+    pytest.param(lambda red: rate_total(red, 8.0, False), "absorbing count", "False",
+                 id="rate-theta-False"),
+    pytest.param(lambda red: rate_total(red, True, 0.0), "element count n", "True", id="rate-n-True"),
+    pytest.param(lambda red: rate_total(red, False, FixedCount(1)), "element count n", "False",
                  id="rate-n-False-record"),
-    pytest.param(lambda red: FixedCount(True), "absorbing count", id="FixedCount-True"),
+    pytest.param(lambda red: FixedCount(True), "absorbing count", "True", id="FixedCount-True"),
+    pytest.param(lambda red: f_series(red, 2.0, 0.0, True), "terms", "True", id="series-terms-True"),
+    pytest.param(lambda red: f_series(red, 2.0, 0.0, 2.5), "terms", "2.5", id="series-terms-2.5"),
+    pytest.param(lambda red: snr_single_link(system(), 1e-3, True), "num_elements", "True",
+                 id="snr-elements-True"),
 ])
-def test_a_boolean_is_not_a_count(call, argument):
-    # float(True) is 1.0: a boolean would silently stand for one element
-    with pytest.raises(ValueError, match=rf"^{argument} must be .*, got (True|False)$"):
+def test_a_boolean_is_not_a_count(call, argument, given):
+    # float(True) is 1.0: a boolean would silently stand for one element; a count of terms is whole
+    with pytest.raises(ValueError, match=rf"^{argument} must be .*, got {given}$"):
         call(ReducedParams(1.0, 1.0, 1.0))
 
 
