@@ -26,7 +26,6 @@ from omnidris.scenario import (
     preset_scenarios,
     resolve_scenario,
     run_sweep,
-    sweep_to_csv,
 )
 
 SCENARIO_YAML = """\
@@ -108,15 +107,6 @@ def test_sweep_json_format(capsys):
     assert code == 0
     rows = json.loads(out)
     assert rows[0].keys() == {"n", "theta", "zeta", "rate_bps", "pow2", "selected"}
-
-
-def test_sweep_csv_fast_path_is_the_csv_writer():
-    # every SweepRow field reaches the CSV, formatted as every other table is
-    sample = Path(__file__).resolve().parents[1] / "demos" / "sample_scenario.yaml"
-    for ref in [*sorted(preset_scenarios()), str(sample)]:
-        rows = run_sweep(resolve_scenario(ref))
-        # lines, not one string: pytest's diff of two long strings takes minutes
-        assert sweep_to_csv(rows).split("\n") == cli._csv(SweepRow._fields, rows).split("\n"), ref
 
 
 def _assert_sweep_json_is_json_dumps(rows, label):
