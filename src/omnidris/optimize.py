@@ -48,8 +48,8 @@ HARDWARE_POWERS_OF_TWO = tuple(2**k for k in range(10))
 _LARGEST = HARDWARE_POWERS_OF_TWO[-1]
 _new = tuple.__new__  # a record from its finished field tuple, skipping the NamedTuple's __new__
 
-#: t*, the root of ln(1 + t) = 2t / (1 + t): the load of every proportional optimum.
-T_STAR = 3.9215536345675055
+#: t*, the root of ln(1 + t) = 2t / (1 + t), correctly rounded: the load of every proportional optimum.
+T_STAR = 3.921553634567505
 
 
 class OptimumReport(NamedTuple):

