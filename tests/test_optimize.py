@@ -68,7 +68,7 @@ def reduced(name: str) -> tuple[ReducedParams, float]:
     return ReducedParams(alpha=alpha, psi=psi, xi=xi), theta
 
 
-# --- the cubic's root ----------------------------------------------------------------
+# --- meaningful root ---------------------------------------------------------------
 
 
 @pytest.mark.parametrize(
@@ -85,9 +85,6 @@ def test_solve_cubic_matches_published_roots(name, published):
 #: The contract of ``meaningful_root``: its distance to the cubic's largest root, in ULP of that
 #: root.  The largest measured is 1.64, over 60,000 draws of each property's ranges (seeds 1 and 2).
 ROOT_ULPS = 2.0
-
-
-# --- meaningful root ---------------------------------------------------------------
 
 
 def test_meaningful_root_c0():
