@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .rate import _INF, AbsorbingMode, Fraction, ReducedParams, _rate, _series
+from .rate import _INF, _TINY, AbsorbingMode, Fraction, ReducedParams, _rate, _series
 
 __all__ = [
     "OptimumReport",
@@ -221,6 +221,18 @@ def _load_ratio(red: ReducedParams) -> float:
     raise ValueError(f"alpha/psi overflows ({red.alpha}/{red.psi}): no finite optimum")
 
 
+def _proportional_root(red: ReducedParams) -> float:
+    """``sqrt(alpha/(psi t*))`` from mantissas, where ``psi t*`` or the quotient is not a normal float.
+
+    With ``alpha = a 2^i`` and ``psi = p 2^j`` (a, p in [1/2, 1)), ``a/(p t*)`` lies in
+    (1/8, 0.52), doubled where ``i - j`` is odd; ``ldexp`` scales its root by
+    ``2^floor((i - j)/2)``, rounding once where the optimum, at least ~8.4e-317, is subnormal.
+    """
+    (alpha, e_alpha), (psi, e_psi) = math.frexp(red.alpha), math.frexp(red.psi)
+    exponent = e_alpha - e_psi
+    return math.ldexp(math.sqrt(math.ldexp(alpha / (psi * T_STAR), exponent & 1)), exponent >> 1)
+
+
 def _optimize(red: ReducedParams, theta: float, q: float, active_fraction) -> OptimumReport:
     """The report under the count ``theta + q n``: a fixed count where ``active_fraction`` is None."""
     fixed = active_fraction is None
@@ -229,7 +241,8 @@ def _optimize(red: ReducedParams, theta: float, q: float, active_fraction) -> Op
         n_cubic = meaningful_root(red, theta)
     else:  # x*(0) = T_STAR: the stationarity is exact, clipped at one element
         _load_ratio(red)
-        n_cubic = math.sqrt(red.alpha / (red.psi * T_STAR))
+        quotient = red.alpha / (product := red.psi * T_STAR)
+        n_cubic = math.sqrt(quotient) if product >= _TINY <= quotient else _proportional_root(red)
         n_exact, at_one = max(n_cubic, 1.0), n_cubic < 1.0
     selection = _select(red, theta, q, min(n_exact, _LARGEST))
     f_exact = _rate(red, n_exact, theta + q * n_exact)
@@ -239,8 +252,8 @@ def _optimize(red: ReducedParams, theta: float, q: float, active_fraction) -> Op
     elif fixed:  # n_cubic >= max(2 theta, 1) > theta
         f_cubic = _series(red, n_cubic, theta, 2)
         f_exact_cubic = _rate(red, n_cubic, theta)
-    else:  # below one element; 0 where alpha/(psi t*) underflows, the rate's limit as n* -> 0
-        f_cubic = f_exact_cubic = _rate(red, n_cubic, q * n_cubic) if n_cubic > 0.0 else 0.0
+    else:  # below one element
+        f_cubic = f_exact_cubic = _rate(red, n_cubic, q * n_cubic)
     return _new(OptimumReport, (
         "fixed-count" if fixed else "proportional", theta if fixed else None, active_fraction,
         n_cubic, n_exact, f_cubic, f_exact, f_exact_cubic, *selection,

@@ -452,7 +452,7 @@ def _calibrated_preset(name: str) -> Scenario:
         geometry=reference_room_geometry(),
         alpha_calibration=alpha_calibration_for(noise_psd),
         absorbing=Fraction(absorbing_fraction),
-        sweep=SweepSpec(1.0, 512.0, 1.0),
+        sweep=SweepSpec(1.0, float(HARDWARE_POWERS_OF_TWO[-1]), 1.0),
         description=description + " [alpha calibrated: fully active peak at N = 180]",
     )
 
@@ -493,16 +493,26 @@ def resolve_scenario(ref: str) -> Scenario:
 
 
 def _grid_values(sweep: SweepSpec) -> list[float]:
-    """The stepped grid: one point when n_min == n_max, none for powers of two only."""
+    """The stepped grid: one point when n_min == n_max, none for powers of two only.
+
+    A step of at most four float spacings at n_max is refused: rounding ``k step`` and
+    ``n_min + k step`` can close the gap between consecutive points by two spacings, and
+    at one spacing a point can already repeat (ties to even).
+    """
     if sweep.n_max == sweep.n_min:
         return [sweep.n_min]
     if sweep.step is None:
         return []
     steps = (sweep.n_max - sweep.n_min) / sweep.step + 1e-9
-    if steps >= MAX_SWEEP_POINTS:  # checked before the list is built
+    if steps >= MAX_SWEEP_POINTS:  # both checks come before the list is built
         raise ScenarioError(
             f"sweep step {sweep.step} over [{sweep.n_min}, {sweep.n_max}] "
             f"gives more than {MAX_SWEEP_POINTS} points"
+        )
+    if sweep.step <= 4.0 * math.ulp(sweep.n_max):
+        raise ScenarioError(
+            f"sweep step {sweep.step} is at most 4 float spacings at n_max {sweep.n_max}: "
+            "consecutive points could repeat"
         )
     count = int(math.floor(steps)) + 1
     values = [sweep.n_min + k * sweep.step for k in range(count)]

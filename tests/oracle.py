@@ -21,6 +21,7 @@ fixed-count optimum, and :func:`decimal_t_star`, its value t* at c = 0;
 from __future__ import annotations
 
 import decimal
+import functools
 import math
 from typing import NamedTuple
 
@@ -151,6 +152,7 @@ def decimal_rate(red: ReducedParams, n: float, theta: float, digits: int = 50) -
         return xi * (n - theta) * (1 + x).ln() / decimal.Decimal(2).ln()
 
 
+@functools.lru_cache(maxsize=1024)  # c = 0, t*, comes up again and again
 def decimal_optimal_load(c, digits: int = 50) -> decimal.Decimal:
     """x*(c), the root of the load law ``F(x) = (1 + x) ln(1 + x)/(2x) + c sqrt(x) = 1``.
 

@@ -27,7 +27,6 @@ from omnidris.optimize import (
     optimize,
 )
 from omnidris.rate import (
-    LN2,
     FixedCount,
     Fraction,
     ReducedParams,
@@ -35,8 +34,9 @@ from omnidris.rate import (
     f_series,
     rate_total,
 )
-from omnidris.reports import CALIBRATION_NOTE, reproduce_table1, reproduce_table2
+from omnidris.reports import CALIBRATION_NOTE, reproduce_table1
 from omnidris.scenario import NORMALIZED_COMBOS, alpha_calibration_for
+from helpers import reduced
 from oracle import brute_force_argmax, decimal_t_star
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -48,11 +48,6 @@ CALCULATED_F = [0.3211, 0.3589, 0.3602, 0.8037, 0.1186, 0.1154]
 MEASURED_SCENARIOS = ["C0", "C1", "C2", "C3", "C4", "C5", "C6"]
 MEASURED_N = [2.2, 10.0, 20.0, 2.5, 6.1, 2.2, 2.1]
 MEASURED_F = [0.3252, 0.3588, 0.3602, 0.8484, 0.1186, 0.9755, 0.1156]
-
-
-def reduced(name):
-    alpha, theta, xi, psi = NORMALIZED_COMBOS[name]
-    return ReducedParams(alpha=alpha, psi=psi, xi=xi), theta
 
 
 def test_criterion_01_calculated_table_reproduction():

@@ -28,8 +28,7 @@ from omnidris.optimize import T_STAR, _optimal_load, optimize
 from omnidris.rate import (
     LN2, FixedCount, Fraction, ReducedParams, SystemParams, reduced_with_alpha)
 from omnidris.scenario import preset_scenarios
-
-EPS = 2.0**-52
+from helpers import EPS
 
 #: Loads within this relative distance of 2 or 8 are excluded: there float rounding decides
 #: between two panels whose rates tie.

@@ -4,7 +4,6 @@ import dataclasses
 import io
 import json
 import math
-import os
 import re
 import subprocess
 import sys
@@ -27,6 +26,7 @@ from omnidris.scenario import (
     resolve_scenario,
     run_sweep,
 )
+from helpers import ROOT, checkout_env
 
 SCENARIO_YAML = """\
 schema_version: 1
@@ -46,17 +46,9 @@ sweep:
 
 #: The bundled scenario files: a fraction-mode ``system`` block, a fixed-count ``reduced`` block.
 DEMO_TEXTS = tuple(
-    (Path(__file__).resolve().parents[1] / "demos" / name).read_text(encoding="utf-8")
+    (ROOT / "demos" / name).read_text(encoding="utf-8")
     for name in ("sample_scenario.yaml", "fixed_count_scenario.yaml")
 )
-
-
-def _env() -> dict:
-    """This process's environment with the checkout's ``src`` first on ``PYTHONPATH``."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
 
 
 def run(capsys, *argv):
@@ -117,7 +109,7 @@ def _assert_sweep_json_is_json_dumps(rows, label):
 
 def test_sweep_json_is_json_dumps_of_the_rows():
     # the row-by-row writer gives json.dumps' bytes for every runtime type a SweepRow holds
-    demos = Path(__file__).resolve().parents[1] / "demos"
+    demos = ROOT / "demos"
     for ref in [*sorted(preset_scenarios()), *map(str, sorted(demos.glob("*.yaml")))]:
         _assert_sweep_json_is_json_dumps(run_sweep(resolve_scenario(ref)), ref)
     c0 = resolve_scenario("C0")
@@ -355,7 +347,7 @@ def test_a_finite_rate_past_an_overflowing_product_is_reported(capsys, tmp_path)
     "mode", ["mode: fixed\n  absorbing_count: 0", "mode: fraction\n  absorbing_fraction: 0.5"]
 )
 def test_an_underflowing_optimum_is_a_report_at_one_element(capsys, tmp_path, mode):
-    # alpha/psi underflows to 0: in fraction mode n* = sqrt(alpha/(psi t*)) is 0
+    # alpha/psi underflows to 0: in fraction mode n* = sqrt(alpha/(psi t*)) ~ 1.1e-316
     path = tmp_path / "underflow.yaml"
     text = SCENARIO_YAML.replace("alpha: 5.0", "alpha: 5.0e-324").replace("psi: 5.0", "psi: 1.0e+308")
     text = text.replace("mode: fixed\n  absorbing_count: 5", mode)
@@ -385,21 +377,15 @@ def test_optimize_json_keys_are_the_report_fields_in_order(capsys, preset):
     assert list(json.loads(out)) == ["scenario", *OptimumReport._fields]
 
 
-def test_a_fully_absorbing_panel_prints_no_warning_text(tmp_path):
+def test_a_fully_absorbing_panel_prints_no_warning_text(capsys, tmp_path):
     # selection evaluates panels of <= 512 elements, all of them absorbing here
     path = tmp_path / "absorbing.yaml"
     path.write_text(SCENARIO_YAML.replace("absorbing_count: 5", "absorbing_count: 600"))
-    script = (
-        "import contextlib, io\n"
-        "from omnidris.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main(['optimize', '--scenario', {str(path)!r}]) == 0\n"
-        f"    assert main(['sweep', '--scenario', {str(path)!r}]) == 0\n"
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=_env(), timeout=60
-    )
-    assert (done.returncode, done.stderr) == (0, "")
+    for command in ("optimize", "sweep"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # stricter than a fresh process's show-once registry
+            code, _, err = run(capsys, command, "--scenario", str(path))
+        assert (code, err, [str(w.message) for w in caught]) == (0, "", []), command
 
 
 # every positive float, subnormals and the largest finite ones included
@@ -566,7 +552,8 @@ def test_preset_commands_do_not_import_yaml(tmp_path):
         f"assert load_scenario({str(path)!r}).name == 'file-based'\n"
     )
     done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=_env(), timeout=60
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=checkout_env(), timeout=60,
     )
     assert done.returncode == 0, done.stderr
 

@@ -4,9 +4,9 @@ import subprocess
 import sys
 import types
 from collections import Counter
-from pathlib import Path
 
 import omnidris
+from helpers import checkout_env
 
 LIBRARY_MODULES = ("channel", "rate", "optimize", "scenario", "reports")
 
@@ -50,12 +50,11 @@ def test_optimize_is_the_one_public_optimizer():
 
 
 def test_importing_the_package_loads_neither_the_cli_nor_pyyaml():
-    src = str(Path(__file__).resolve().parents[1] / "src")
     script = (
-        f"import sys\nsys.path.insert(0, {src!r})\nimport omnidris\n"
+        "import sys\nimport omnidris\n"
         "print(sorted(m for m in ('omnidris.cli', 'yaml') if m in sys.modules))\n"
     )
     done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", script], capture_output=True, text=True, env=checkout_env(), timeout=60
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

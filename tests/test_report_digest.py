@@ -1,21 +1,11 @@
-import importlib.util
 import math
-from pathlib import Path
 
 from omnidris.optimize import OptimumReport
-
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "report_digest.py"
-
-
-def load_tool():
-    spec = importlib.util.spec_from_file_location("report_digest", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from helpers import load_tool
 
 
 def test_the_digest_writes_every_field_of_every_draw(tmp_path):
-    tool = load_tool()
+    tool = load_tool("report_digest")
     first, second = tmp_path / "first.txt", tmp_path / "second.txt"
     assert tool.main([str(first), "--draws", "200", "--seed", "7"]) == 0
     assert tool.main([str(second), "--draws", "200", "--seed", "7"]) == 0
@@ -34,16 +24,8 @@ def test_the_digest_writes_every_field_of_every_draw(tmp_path):
     assert any("n_star_exact=0x1." in line for line in lines)
 
 
-def load_diff_tool():
-    path = TOOL.parent / "digest_diff.py"
-    spec = importlib.util.spec_from_file_location("digest_diff", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_the_digest_diff_counts_moved_fields_in_ulps_and_lists_changed_errors(tmp_path, capsys):
-    tool, diff = load_tool(), load_diff_tool()
+    tool, diff = load_tool("report_digest"), load_tool("digest_diff")
     old, new = tmp_path / "old.txt", tmp_path / "new.txt"
     assert tool.main([str(old), "--draws", "60", "--seed", "3"]) == 0
     lines = old.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -77,7 +59,7 @@ def test_the_digest_diff_counts_moved_fields_in_ulps_and_lists_changed_errors(tm
 
 
 def test_the_digest_diff_counts_each_field_s_moves_by_ulps(tmp_path, capsys):
-    tool, diff = load_tool(), load_diff_tool()
+    tool, diff = load_tool("report_digest"), load_tool("digest_diff")
     old, new = tmp_path / "old.txt", tmp_path / "new.txt"
     assert tool.main([str(old), "--draws", "60", "--seed", "3"]) == 0
     lines = old.read_text(encoding="utf-8").splitlines(keepends=True)

@@ -3,7 +3,7 @@ import textwrap
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import omnidris.scenario
@@ -355,12 +355,21 @@ def test_the_stepped_grid_ends_at_n_max():
 
 @settings(derandomize=True, max_examples=300)
 @given(
-    n_min=st.floats(min_value=1.0, max_value=1e3),
+    # n_min up to 1e19: above 2^53 the float spacing exceeds 1
+    n_min=st.one_of(
+        st.floats(min_value=1.0, max_value=1e3),
+        st.floats(min_value=0.0, max_value=19.0).map(lambda e: 10.0**e),
+    ),
     span=st.floats(min_value=0.0, max_value=1e3),
     step=st.floats(min_value=0.1, max_value=1e2),
 )
+@example(n_min=1e16, span=10.0, step=1.0)  # 11 points where only 6 floats lie
 def test_the_stepped_grid_lies_in_its_bounds_and_increases(n_min, span, step):
     sweep = SweepSpec(n_min, n_min + span, step)
+    if sweep.n_max > sweep.n_min and step <= 4.0 * math.ulp(sweep.n_max):
+        with pytest.raises(ScenarioError, match=f"^sweep step {step} is at most 4 float spacings"):
+            _grid_values(sweep)
+        return
     values = _grid_values(sweep)
     assert values and all(sweep.n_min <= value <= sweep.n_max for value in values)
     assert all(a < b for a, b in zip(values, values[1:]))
