@@ -1,13 +1,11 @@
-"""Each bundled demo runs to completion from a source checkout."""
-import os
-import subprocess
-import sys
-from pathlib import Path
-
+"""Each bundled demo runs to completion from a source checkout, in-process, as
+``tools/cli_snapshot.py`` records it: as ``__main__`` through ``runpy``."""
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
+from helpers import ROOT, load_tool
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+run_demo = load_tool("cli_snapshot").run_demo
 
 
 def test_all_four_demos_are_found():
@@ -16,10 +14,6 @@ def test_all_four_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_exits_zero(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout
+    recorded = run_demo(demo)
+    assert "\n# exit: 0\n" in recorded, recorded
+    assert recorded.partition("# stdout:\n")[2], recorded  # it prints its results

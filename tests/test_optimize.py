@@ -86,6 +86,26 @@ ROOT_ULPS = 2.0
 AT_ONE_BAND = 1e-12
 
 
+def test_meaningful_root_c0():
+    red, theta = reduced("C0")
+    assert meaningful_root(red, theta) == pytest.approx(PRECISE_ROOTS["C0"], rel=1e-9)
+
+
+def test_meaningful_root_c2():
+    red, theta = reduced("C2")
+    assert meaningful_root(red, theta) == pytest.approx(20.0250, rel=1e-3)
+
+
+def test_meaningful_root_zero_theta():
+    root = meaningful_root(ReducedParams(1.0, 1.0, 1.0), 0.0)
+    assert root == pytest.approx(math.sqrt(1.5), rel=1e-9)
+
+
+def test_meaningful_root_none_qualifies():
+    red = ReducedParams(0.01, 1.0, 1.0)  # stationary point at sqrt(0.015) < 1
+    assert meaningful_root(red, 0.0) is None
+
+
 @pytest.mark.parametrize("call", [optimize_fixed_theta])
 @pytest.mark.parametrize("flag", [True, False])
 def test_a_boolean_is_not_an_absorbing_count(call, flag):
@@ -176,8 +196,6 @@ def _newton_start(red: ReducedParams, theta: float) -> float:
 @given(alpha=WIDE_ALPHA, psi=WIDE_PSI, theta=WIDE_THETA)
 @example(alpha=5.0, psi=1.0, theta=1e200)  # the root 2e200, where 2 theta dwarfs sqrt(1.5 rho)
 @example(alpha=2.0, psi=3.0, theta=0.0)  # K = 0: the start is sqrt(1.5 rho), raised, on the root
-@example(alpha=1.0, psi=1.0, theta=0.0)  # the root sqrt(1.5)
-@example(alpha=0.01, psi=1.0, theta=0.0)  # the root sqrt(0.015) < 1: None
 def test_meaningful_root_matches_the_probe_reference(alpha, psi, theta):
     # against the exact largest root: None exactly where it is below one element
     red = ReducedParams(alpha, psi, 1.0)
@@ -331,7 +349,43 @@ def test_select_brackets_with_powers_of_two(n_star):
     assert upper in (lower, 2 * lower)
 
 
+# --- universal constant ----------------------------------------------------------------
+
+
+def test_stationarity_constant_against_independent_bisection():
+    # the load law's root at c = 0 solves ln(1 + t) = 2t/(1 + t) itself, to its 50 digits
+    exact = decimal_t_star()
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        assert abs((1 + exact).ln() - 2 * exact / (1 + exact)) < decimal.Decimal("1e-48")
+    assert T_STAR == pytest.approx(3.92155, abs=1e-5)
+    # the sign of g changes within one part in 1e12 either side of T_STAR
+    def g(t):
+        return math.log1p(t) - 2.0 * t / (1.0 + t)
+
+    assert g(T_STAR * (1.0 - 1e-12)) < 0.0 < g(T_STAR * (1.0 + 1e-12))
+
+
 # --- full optimization reports ------------------------------------------------------------
+
+
+def test_optimize_fixed_theta_c1():
+    red, theta = reduced("C1")
+    report = optimize(red, FixedCount(int(theta)))
+    assert report.n_star_cubic == pytest.approx(10.0502, rel=1e-3)
+    assert report.f_at_cubic == pytest.approx(0.3589, rel=1e-3)
+    assert report.n_star_exact == pytest.approx(10.0, abs=0.05)
+    assert report.f_at_exact == pytest.approx(0.3588, rel=1e-3)
+    assert not report.used_fallback and not report.at_boundary
+
+
+def test_optimize_fixed_theta_c3_and_c6():
+    red3, theta3 = reduced("C3")
+    assert optimize(red3, FixedCount(int(theta3))).n_star_cubic == pytest.approx(2.8406, rel=1e-3)
+    red6, theta6 = reduced("C6")
+    report6 = optimize(red6, FixedCount(int(theta6)))
+    assert report6.n_star_cubic == pytest.approx(2.0865, rel=1e-3)
+    assert report6.f_at_cubic == pytest.approx(0.1154, rel=1e-3)
 
 
 def test_oracle_is_never_beaten():
@@ -525,11 +579,7 @@ LOAD_ULPS = 7.0
 def test_the_load_law_at_c_0_is_t_star():
     # F(x) = 1 at c = 0 is ln(1 + x) = 2x/(1 + x), the proportional optimum's law
     assert _optimal_load(0.0) == T_STAR
-    exact = decimal_t_star()
-    with decimal.localcontext() as ctx:  # the reference solves the law itself, to its 50 digits
-        ctx.prec = 60
-        assert abs((1 + exact).ln() - 2 * exact / (1 + exact)) < decimal.Decimal("1e-48")
-    assert T_STAR == float(exact) == pytest.approx(3.92155, abs=1e-5)  # correctly rounded
+    assert T_STAR == float(decimal_t_star())  # correctly rounded
     assert load_law(0.0, 1e-300) == 0.5  # F(0+) = 1/2
 
 

@@ -143,6 +143,11 @@ def test_reduced_params_must_be_positive():
 # --- aggregate rate ---------------------------------------------------------------
 
 
+def test_rate_total_c0_probe():
+    red = ReducedParams(1.0, 1.0, 1.0)
+    assert rate_total(red, 2.2, 1.0) == pytest.approx(0.3252, abs=5e-5)
+
+
 def test_rate_total_c1_probe():
     red = ReducedParams(5.0, 5.0, 5.0)
     assert rate_total(red, 10.0, 5.0) == pytest.approx(0.3588, rel=1e-3)
@@ -315,28 +320,31 @@ def test_rate_total_equals_explicit_triple_sum():
     assert rate_total(red, float(n), float(theta)) == pytest.approx(total, rel=1e-12)
 
 
+def test_active_fraction_linearity():
+    red = ReducedParams(2.7, 1.3, 4.4)
+    for n in (10.0, 37.3, 128.0, 250.0):
+        full = rate_total(red, n, Fraction(0.0))
+        three_quarters = rate_total(red, n, Fraction(0.25))
+        half = rate_total(red, n, Fraction(0.5))
+        assert three_quarters == pytest.approx(0.75 * full, rel=1e-12)
+        assert half == pytest.approx(0.5 * full, rel=1e-12)
+
+
 # alpha, psi and xi over 1e-300 .. 1e300 and n over 1 .. 1e300: the whole float range
-LOG_SCALE = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e)
+LOG_SCALE = st.floats(min_value=-300.0, max_value=300.0)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    alpha=LOG_SCALE,
-    psi=LOG_SCALE,
-    xi=LOG_SCALE,
-    n=st.floats(min_value=0.0, max_value=300.0).map(lambda e: 10.0**e),
+    log_alpha=LOG_SCALE,
+    log_psi=LOG_SCALE,
+    log_xi=LOG_SCALE,
+    log_n=st.floats(min_value=0.0, max_value=300.0),
     q=st.sampled_from((0.25, 0.5)),
 )
-@example(alpha=2.7, psi=1.3, xi=4.4, n=10.0, q=0.25)
-@example(alpha=2.7, psi=1.3, xi=4.4, n=10.0, q=0.5)
-@example(alpha=2.7, psi=1.3, xi=4.4, n=37.3, q=0.25)
-@example(alpha=2.7, psi=1.3, xi=4.4, n=37.3, q=0.5)
-@example(alpha=2.7, psi=1.3, xi=4.4, n=128.0, q=0.25)
-@example(alpha=2.7, psi=1.3, xi=4.4, n=128.0, q=0.5)
-@example(alpha=2.7, psi=1.3, xi=4.4, n=250.0, q=0.25)
-@example(alpha=2.7, psi=1.3, xi=4.4, n=250.0, q=0.5)
-def test_active_share_ratios_hold_over_the_float_range(alpha, psi, xi, n, q):
-    red = ReducedParams(alpha, psi, xi)
+def test_active_share_ratios_hold_over_the_float_range(log_alpha, log_psi, log_xi, log_n, q):
+    red = ReducedParams(10.0**log_alpha, 10.0**log_psi, 10.0**log_xi)
+    n = 10.0**log_n
     try:
         share, full = rate_total(red, n, Fraction(q)), rate_total(red, n, Fraction(0.0))
     except ValueError:  # the rate is beyond the float range
@@ -380,17 +388,15 @@ def test_rate_total_rises_with_alpha_and_falls_with_psi(
 
 @settings(max_examples=100, deadline=None)
 @given(
-    alpha=LOG_ALPHA.map(lambda e: 10.0**e),
+    log_alpha=LOG_ALPHA,
     psi=HARDWARE_PSI,
-    xi=LOG_XI.map(lambda e: 10.0**e),
+    log_xi=LOG_XI,
     bits=st.integers(min_value=0, max_value=9),
     theta_share=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
 )
-@example(alpha=2.5, psi=4.0, xi=3.0, bits=7, theta_share=3 / 128)  # 125 of 128 elements active
-@example(alpha=1.7, psi=0.9, xi=2.2, bits=0, theta_share=0.0)  # a single element
-def test_bits_round_trip_over_wide_ranges(alpha, psi, xi, bits, theta_share):
+def test_bits_round_trip_over_wide_ranges(log_alpha, psi, log_xi, bits, theta_share):
     # an integer absorbing count below the power-of-two panel
-    red = ReducedParams(alpha, psi, xi)
+    red = ReducedParams(10.0**log_alpha, psi, 10.0**log_xi)
     n = 2**bits
     theta = math.floor(theta_share * n)
     rate = rate_total(red, float(n), float(theta))
@@ -458,6 +464,18 @@ def test_f_series_rejects_non_finite_counts():
 
 
 # --- bit-count inversion -------------------------------------------------------------
+
+
+def test_bits_round_trip_pow2():
+    red = ReducedParams(2.5, 4.0, 3.0)
+    rate = rate_total(red, 128.0, 3.0)
+    assert bits_per_sequence(red, rate, 125.0) == pytest.approx(7.0, abs=1e-9)
+
+
+def test_bits_single_element():
+    red = ReducedParams(1.7, 0.9, 2.2)
+    rate = rate_total(red, 1.0, 0.0)
+    assert bits_per_sequence(red, rate, 1.0) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_bits_c0_operating_point():
