@@ -12,11 +12,15 @@ import json
 import math
 import sys
 import warnings
-from operator import attrgetter
 
 from .optimize import optimize
 from .rate import DegenerateConfigWarning, FixedCount, Fraction, rate_total
-from .reports import NormalizedRow, reproduce_table1, reproduce_table2
+from .reports import (
+    _NORMALIZED_CSV_HEADER,
+    _SELECTION_CSV_HEADER,
+    reproduce_table1,
+    reproduce_table2,
+)
 from .scenario import (
     ScenarioError,
     SweepRow,
@@ -29,28 +33,8 @@ from .scenario import (
 
 __all__ = ["main"]
 
-#: Normalized-table CSV columns: every :class:`NormalizedRow` field but the note.
-_NORMALIZED_COLUMNS = tuple(name for name in NormalizedRow._fields if name != "note")
-#: Selection-table CSV columns, as :class:`SelectionRow` fields; ``label`` is headed "row".
-_SELECTION_COLUMNS = (
-    "label",
-    "active_fraction",
-    "noise_psd",
-    "n_star",
-    "pow2_lower",
-    "rate_lower_bps",
-    "pow2_upper",
-    "rate_upper_bps",
-    "selected_n",
-    "selected_rate_bps",
-    "published_selected_n",
-    "pattern_ok",
-)
-#: Per table: its CSV header and the getter of its CSV columns from a row.
-_TABLE_CSV = {
-    "normalized": (_NORMALIZED_COLUMNS, attrgetter(*_NORMALIZED_COLUMNS)),
-    "selection": (("row",) + _SELECTION_COLUMNS[1:], attrgetter(*_SELECTION_COLUMNS)),
-}
+#: Per table: its CSV header, over as many leading fields of its row record.
+_TABLE_CSV = {"normalized": _NORMALIZED_CSV_HEADER, "selection": _SELECTION_CSV_HEADER}
 
 
 def _json(payload) -> str:
@@ -135,8 +119,8 @@ def cmd_tables(args) -> str:
         })
     chunks = []
     for name, table in tables.items():
-        header, columns = _TABLE_CSV[name]
-        chunks.append(_csv(header, map(columns, table.rows)))
+        header = _TABLE_CSV[name]
+        chunks.append(_csv(header, (row[: len(header)] for row in table.rows)))
     return "\n".join(chunks)
 
 

@@ -301,11 +301,15 @@ def f_series(red: ReducedParams, n: float, theta: float, terms: int) -> float:
     omitted term, xi (n - theta) / ln2 * x^(terms+1) / (terms + 1), and
     successive partial sums bracket the exact rate.  Relative to the exact
     rate the bound is x^(terms+1) / ((terms + 1) ln(1 + x)); with 40 terms
-    it is below 1e-10 only for x <~ 0.613.  ``terms`` is an integer >= 1, not a
-    boolean.  Loads and overflows as in :func:`rate_total`.
+    it is below 1e-10 only for x <~ 0.613.  ``terms`` is an integer >= 1; no
+    argument is a boolean.  Loads and overflows as in :func:`rate_total`.
     """
     if isinstance(terms, bool) or not isinstance(terms, int) or terms < 1:
         raise ValueError(f"terms must be an integer >= 1, got {terms!r}")
+    if isinstance(n, bool):
+        raise ValueError(f"element count n must be a number, not a boolean, got {n}")
+    if isinstance(theta, bool):
+        raise ValueError(f"absorbing count must be a number, not a boolean, got {theta}")
     if not 0.0 < n < math.inf:  # rejects NaN as well
         raise ValueError(f"element count must be positive and finite, got {n}")
     if not 0.0 <= theta < n:  # rejects NaN as well; the series counts the n - theta active
@@ -343,8 +347,10 @@ def bits_per_sequence(red: ReducedParams, rate: float, active: float) -> float:
         k = 1/2 * log2( alpha / (psi * (e^(ln2 * rate / (xi * active)) - 1)) )
 
     Round-trip law: for a power-of-two panel with a fixed absorbing count,
-    ``bits_per_sequence(rate_total(n), n - theta) == log2 n``.
+    ``bits_per_sequence(rate_total(n), n - theta) == log2 n``.  ``active`` is not a boolean.
     """
+    if isinstance(active, bool):
+        raise ValueError(f"active element count must be a number, not a boolean, got {active}")
     if not 0.0 < active < math.inf:  # rejects NaN as well
         raise ValueError(f"active element count must be positive and finite, got {active}")
     if not 0.0 < rate < math.inf:

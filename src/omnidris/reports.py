@@ -102,6 +102,10 @@ class NormalizedRow(NamedTuple):
     note: str = ""
 
 
+#: The normalized table's CSV header, over its row's leading fields: every field but the note.
+_NORMALIZED_CSV_HEADER = NormalizedRow._fields[:-1]
+
+
 class NormalizedTableReport(NamedTuple):
     rows: tuple[NormalizedRow, ...]
     scale_invariance_ok: bool
@@ -169,20 +173,24 @@ class SelectionRow(NamedTuple):
     label: str
     active_fraction: float
     noise_psd: float
-    alpha: float
     n_star: float
     pow2_lower: int
-    pow2_upper: int
     rate_lower_bps: float
+    pow2_upper: int
     rate_upper_bps: float
-    rate_at_n_star_bps: float
     selected_n: int
     selected_rate_bps: float
+    published_selected_n: int
+    pattern_ok: bool
+    alpha: float
+    rate_at_n_star_bps: float
     active_at_selected: int
     absorbing_at_selected: int
-    published_selected_n: int
     published_selected_rate_mbps: float
-    pattern_ok: bool
+
+
+#: The selection table's CSV header, over its row's 12 leading fields; ``label`` is headed ``row``.
+_SELECTION_CSV_HEADER = ("row",) + SelectionRow._fields[1:12]
 
 
 class SelectionTableReport(NamedTuple):
@@ -214,20 +222,20 @@ def reproduce_table1() -> SelectionTableReport:
                 label=label,
                 active_fraction=report.active_fraction,
                 noise_psd=preset.system.noise_psd,
-                alpha=red.alpha,
                 n_star=report.n_star_cubic,
                 pow2_lower=report.pow2_lower,
-                pow2_upper=report.pow2_upper,
                 rate_lower_bps=report.rate_pow2_lower,
+                pow2_upper=report.pow2_upper,
                 rate_upper_bps=report.rate_pow2_upper,
-                rate_at_n_star_bps=report.f_at_cubic,
                 selected_n=report.selected_n,
                 selected_rate_bps=report.selected_rate,
+                published_selected_n=published_n,
+                pattern_ok=report.selected_n == published_n,
+                alpha=red.alpha,
+                rate_at_n_star_bps=report.f_at_cubic,
                 active_at_selected=report.selected_n - absorbing,
                 absorbing_at_selected=absorbing,
-                published_selected_n=published_n,
                 published_selected_rate_mbps=published_mbps,
-                pattern_ok=report.selected_n == published_n,
             )
         )
 

@@ -317,6 +317,7 @@ def _scenario_from_dict(data: dict, *, source: str = "scenario") -> Scenario:
         calibration = data.get("alpha_calibration")
         if calibration is not None:
             calibration = _read(calibration, "float", "alpha_calibration")
+        description = data.get("description")  # a key with no value is null: no description
 
         return Scenario(
             name=name,
@@ -326,7 +327,7 @@ def _scenario_from_dict(data: dict, *, source: str = "scenario") -> Scenario:
             system=system,
             geometry=geometry,
             alpha_calibration=calibration,
-            description=str(data.get("description", "")),
+            description="" if description is None else str(description),
         )
     except ScenarioError:
         raise

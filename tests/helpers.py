@@ -14,6 +14,10 @@ ROOT = Path(__file__).resolve().parents[1]
 #: The float spacing at 1.
 EPS = 2.0**-52
 
+#: The reference room's channel gain, frozen from a 40-digit evaluation of the gain product at
+#: r=1, eta=0.5, A_o=0.04, A_pd=4e-4, d=1.52/2.03, angles 45/10/17.95/29.58 deg, T=g=1.
+REFERENCE_GAIN = 1.5409187756393058e-7
+
 #: psi = (M L)^2 for the link counts M L = 1, 2, 4 and 8.
 HARDWARE_PSI = st.sampled_from([1.0, 4.0, 16.0, 64.0])
 

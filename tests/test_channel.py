@@ -5,11 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omnidris.channel import LinkGeometry, channel_dc_gain, reference_room_geometry
-
-# Frozen from a 40-digit evaluation of the gain product at the reference
-# room parameters (r=1, eta=0.5, A_o=0.04, A_pd=4e-4, d=1.52/2.03,
-# angles 45/10/17.95/29.58 deg, T=g=1).
-REFERENCE_GAIN = 1.5409187756393058e-7
+from helpers import REFERENCE_GAIN
 
 
 def geometry(**overrides) -> LinkGeometry:

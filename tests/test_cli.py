@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from omnidris import cli
 from omnidris.cli import main
 from omnidris.optimize import OptimumReport
+from omnidris.reports import SelectionRow
 from omnidris.scenario import (
     SweepRow,
     SweepSpec,
@@ -186,14 +187,23 @@ def test_tables_reports_all_pass(capsys):
     assert payload["normalized"]["all_ok"] is True
     assert payload["selection"]["all_ok"] is True
     assert payload["selection"]["note"]
-    selections = [row["selected_n"] for row in payload["selection"]["rows"]]
-    assert selections == [128, 128, 128, 128, 128, 64]
+    rows = payload["selection"]["rows"]
+    assert [row["selected_n"] for row in rows] == [128, 128, 128, 128, 128, 64]
+    assert [tuple(row) for row in rows] == [SelectionRow._fields] * 6  # the key order
 
 
 def test_tables_csv_default(capsys):
-    code, out, _ = run(capsys, "tables", "--which", "selection")
+    code, out, _ = run(capsys, "tables")
     assert code == 0
-    assert out.splitlines()[0].startswith("row,active_fraction,noise_psd")
+    normalized, selection = (chunk.splitlines()[0] for chunk in out.split("\n\n"))
+    assert normalized == (
+        "scenario,meas_n,meas_f,calc_n,calc_f,published_meas_n,published_meas_f,"
+        "published_calc_n,published_calc_f,meas_n_ok,meas_f_ok,calc_n_status,calc_f_ok"
+    )
+    assert selection == (
+        "row,active_fraction,noise_psd,n_star,pow2_lower,rate_lower_bps,pow2_upper,"
+        "rate_upper_bps,selected_n,selected_rate_bps,published_selected_n,pattern_ok"
+    )
 
 
 def test_presets_listing(capsys):

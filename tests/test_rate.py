@@ -24,11 +24,10 @@ from omnidris.rate import (
     reduce_params,
     snr_single_link,
 )
-from helpers import EPS, HARDWARE_PSI
+from helpers import EPS, HARDWARE_PSI, REFERENCE_GAIN
 from oracle import RATE_ULPS, decimal_rate, ulps_from
 
 # Frozen from 40-digit evaluations at the reference room parameters.
-REFERENCE_GAIN = 1.5409187756393058e-7
 REFERENCE_SNR_N128 = 3.6230936784633443e-17
 REFERENCE_ALPHA = 2.5681129220781254e-13
 
@@ -296,6 +295,12 @@ def test_rate_total_rejects_nonpositive_counts():
     pytest.param(lambda red: FixedCount(True), "absorbing count", "True", id="FixedCount-True"),
     pytest.param(lambda red: f_series(red, 2.0, 0.0, True), "terms", "True", id="series-terms-True"),
     pytest.param(lambda red: f_series(red, 2.0, 0.0, 2.5), "terms", "2.5", id="series-terms-2.5"),
+    pytest.param(lambda red: f_series(red, True, 0.0, 2), "element count n", "True",
+                 id="series-n-True"),
+    pytest.param(lambda red: f_series(red, 2.0, False, 2), "absorbing count", "False",
+                 id="series-theta-False"),
+    pytest.param(lambda red: bits_per_sequence(red, 0.5, True), "active element count", "True",
+                 id="bits-active-True"),
     pytest.param(lambda red: snr_single_link(system(), 1e-3, True), "num_elements", "True",
                  id="snr-elements-True"),
 ])

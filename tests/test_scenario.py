@@ -92,6 +92,12 @@ def test_load_reduced_scenario(tmp_path):
     assert scenario.absorbing == FixedCount(1)
     assert scenario.sweep == SweepSpec(1.0, 20.0, 0.5)
     assert scenario.reduced_params() == ReducedParams(2.0, 1.0, 3.0)
+    assert scenario.description == "hand-written reduced scenario"
+
+
+def test_a_null_description_is_empty(tmp_path):
+    text = VALID_REDUCED_YAML.replace("description: hand-written reduced scenario", "description:")
+    assert load_scenario(write(tmp_path, text)).description == ""
 
 
 def test_load_system_scenario(tmp_path):
@@ -102,6 +108,7 @@ def test_load_system_scenario(tmp_path):
     assert red.alpha == pytest.approx(2.5681129220781254e-13, rel=1e-12)
     assert red.psi == 1.0
     assert red.xi == 5e5
+    assert scenario.description == ""  # the file has no description
 
 
 def test_unknown_top_level_key_reports_position(tmp_path):
