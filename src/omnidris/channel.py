@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .rate import _finite, require_positive_finite
+from .rate import _INF, _finite, _number
 
 __all__ = ["LinkGeometry", "channel_dc_gain", "reference_room_geometry"]
 
@@ -48,22 +48,14 @@ class LinkGeometry:
 
     def __post_init__(self) -> None:
         for field in ("lambertian_order", "concentrator_gain", "filter_gain"):
-            value = getattr(self, field)
-            if not 0.0 <= value < math.inf:  # False for NaN as well
-                raise ValueError(f"{field} must be >= 0 and finite, got {value}")
-        if not 0.0 <= self.ris_reflectiveness <= 1.0:
-            raise ValueError(
-                f"ris_reflectiveness must be within [0, 1], got {self.ris_reflectiveness}"
-            )
-        require_positive_finite(
-            self,
-            ("ris_element_area_m2", "photodetector_area_m2", "dist_ls_ris_m", "dist_ris_user_m"),
-        )
+            _number(getattr(self, field), field, 0, _INF, "[)")
+        _number(self.ris_reflectiveness, "ris_reflectiveness", 0, 1, "[]")
+        for field in ("ris_element_area_m2", "photodetector_area_m2", "dist_ls_ris_m",
+                      "dist_ris_user_m"):
+            _number(getattr(self, field), field)
         for field in ("irradiance_angle_ls_ris_deg", "irradiance_angle_ris_user_deg",
                       "incidence_angle_ris_deg", "incidence_angle_user_deg"):
-            value = getattr(self, field)
-            if not 0.0 <= value <= 90.0:
-                raise ValueError(f"{field} must be within [0, 90] degrees, got {value}")
+            _number(getattr(self, field), field, 0, 90, "[]")
 
 
 def channel_dc_gain(geom: LinkGeometry) -> float:

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .rate import _INF, _TINY, AbsorbingMode, Fraction, ReducedParams, _rate, _series
+from .rate import _INF, _TINY, AbsorbingMode, Fraction, ReducedParams, _number, _rate, _series
 
 __all__ = [
     "OptimumReport",
@@ -281,20 +281,20 @@ def optimize(red: ReducedParams, absorbing: AbsorbingMode) -> OptimumReport:
     return _optimize(red, float(absorbing.count), 0.0, None)
 
 
-# Not public: bench/workloads.py calls both by name.  Delete them once it calls optimize.
+# Not public: bench/workloads.py calls both by name.  Delete them once it calls optimize.  On
+# its optimize-grid hot path, each checks with one comparison, as ReducedParams does, and
+# calls _number only to name what fails.
 def optimize_fixed_theta(red: ReducedParams, theta: float) -> OptimumReport:
     """:func:`optimize` with a fixed absorbing count theta, any finite float >= 0."""
-    if isinstance(theta, bool):  # float(True) would stand for one element
-        raise ValueError(f"absorbing count must be a number >= 0, got {theta}")
-    if not 0.0 <= theta < math.inf:  # rejects NaN as well
-        raise ValueError(f"absorbing count theta must be >= 0 and finite, got {theta}")
+    if not (0.0 <= theta < _INF and theta.__class__ is float):
+        _number(theta, "absorbing count", 0, _INF, "[)")
     return _optimize(red, theta, 0.0, None)
 
 
 def optimize_proportional(red: ReducedParams, active_fraction: float) -> OptimumReport:
     """:func:`optimize` with the absorbing share ``1 - active_fraction``, reported as given."""
-    if not 0.0 < active_fraction <= 1.0:
-        raise ValueError(f"active fraction must lie in (0, 1], got {active_fraction}")
+    if not (0.0 < active_fraction <= 1.0 and active_fraction.__class__ is float):
+        _number(active_fraction, "active fraction", 0, 1, "(]")
     if not (q := 1.0 - active_fraction) < 1.0:  # an active fraction of at most 2^-54
-        raise ValueError(f"absorbing fraction must lie in [0, 1), got {q}")
+        _number(q, "absorbing fraction", 0, 1, "[)")
     return _optimize(red, 0.0, q, active_fraction)

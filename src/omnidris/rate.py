@@ -52,12 +52,32 @@ class DegenerateConfigWarning(UserWarning):
     """Raised as a warning when a configuration has no active elements."""
 
 
-def require_positive_finite(owner, fields, error=ValueError) -> None:
-    """Raise ``error`` unless each named attribute of ``owner`` is finite and > 0."""
-    for field in fields:
-        value = getattr(owner, field)
-        if not 0.0 < value < math.inf:  # False for NaN as well
-            raise error(f"{field} must be positive and finite, got {value}")
+def _number(value, name, low=0.0, high=_INF, ends="()", error=ValueError, whole=False):
+    """``value`` if it is a number in the interval from ``low`` to ``high``, else ``error``.
+
+    The one check of every numeric input.  ``ends`` holds the interval's brackets,
+    ``(``/``)`` open and ``[``/``]`` closed; ``whole`` asks for an ``int``.  A boolean is
+    not a number, NaN and +-inf lie in no interval, and an integer beyond the float
+    range is refused without echoing its digits.  The message names ``name`` and
+    states the interval: "positive and finite", ">= 0 and finite", "lie in [0, 1)".
+    """
+    if ((low < value or value == low and ends[0] == "[")  # False for NaN
+            and (value < high or value == high and ends[1] == "]")
+            and (value.__class__ is float
+                 or value.__class__ is not bool and -_FLOAT_MAX <= value <= _FLOAT_MAX)
+            and (not whole or isinstance(value, int))):
+        return value
+    if value.__class__ is bool:
+        raise error(f"{name} must be {'an integer' if whole else 'a number'}, got {value}")
+    if isinstance(value, int) and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        raise error(f"{name} is too large to be a float")
+    if high < _INF:
+        raise error(f"{name} must lie in {ends[0]}{low}, {high}{ends[1]}, got {value}")
+    above = ("" if low == -_INF else "positive" if (low, ends[0]) == (0, "(")
+             else f"{'>' if ends[0] == '(' else '>='} {low}")
+    phrase = (f"an integer {above}".rstrip() if whole
+              else f"{above} and finite" if above else "finite")
+    raise error(f"{name} must be {phrase}, got {value}")
 
 
 def _finite(value: float, what: str) -> float:
@@ -84,19 +104,13 @@ class SystemParams:
     noise_psd: float
 
     def __post_init__(self) -> None:
-        require_positive_finite(self, ("bandwidth_hz", "transmit_power_w", "noise_psd"))
-        if self.noise_psd / 2.0 == 0.0:  # the noise variance: the SNR and alpha divide by it
-            raise ValueError(f"noise_psd / 2 underflows to 0: got {self.noise_psd}")
-        for field in ("num_light_sources", "num_users"):
-            value = getattr(self, field)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"{field} must be a positive integer, got {value!r}")
-            if value > _FLOAT_MAX:  # do not echo hundreds of digits
-                raise ValueError(f"{field} is too large to be a float")
-        if not 0.0 < self.oe_conversion <= 1.0:
-            raise ValueError(
-                f"oe_conversion must lie in (0, 1], got {self.oe_conversion}"
-            )
+        _number(self.bandwidth_hz, "bandwidth_hz")
+        _number(self.transmit_power_w, "transmit_power_w")
+        _number(self.num_light_sources, "num_light_sources", 1, _INF, "[)", whole=True)
+        _number(self.num_users, "num_users", 1, _INF, "[)", whole=True)
+        _number(self.oe_conversion, "oe_conversion", 0, 1, "(]")
+        # the noise variance noise_psd / 2, which the SNR and alpha divide by, is not 0
+        _number(self.noise_psd, "noise_psd", 5e-324)
 
 
 @dataclass(frozen=True)
@@ -106,10 +120,7 @@ class FixedCount:
     count: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.count, bool) or not isinstance(self.count, int) or self.count < 0:
-            raise ValueError(f"absorbing count must be an integer >= 0, got {self.count!r}")
-        if self.count > _FLOAT_MAX:  # do not echo hundreds of digits
-            raise ValueError("absorbing count is too large to be a float")
+        _number(self.count, "absorbing count", 0, _INF, "[)", whole=True)
 
     def theta_at(self, n):
         return float(self.count)
@@ -126,8 +137,7 @@ class Fraction:
     q: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.q < 1.0:
-            raise ValueError(f"absorbing fraction must lie in [0, 1), got {self.q}")
+        _number(self.q, "absorbing fraction", 0, 1, "[)")
 
     def theta_at(self, n):
         return self.q * n
@@ -145,8 +155,10 @@ class ReducedParams:
     xi: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.alpha < _INF and 0.0 < self.psi < _INF and 0.0 < self.xi < _INF):
-            require_positive_finite(self, ("alpha", "psi", "xi"))  # names the bad field
+        if not (0.0 < self.alpha < _INF and 0.0 < self.psi < _INF and 0.0 < self.xi < _INF
+                and self.alpha.__class__ is self.psi.__class__ is self.xi.__class__ is float):
+            for field in ("alpha", "psi", "xi"):  # names the bad field; an int is a number too
+                _number(getattr(self, field), field)
 
 
 def snr_single_link(params: SystemParams, gain: float, num_elements: int) -> float:
@@ -157,14 +169,8 @@ def snr_single_link(params: SystemParams, gain: float, num_elements: int) -> flo
 
         snr = rho^2 * (P_t G / (M n L))^2 / (noise_psd / 2).
     """
-    if not 0.0 <= gain < math.inf:  # rejects NaN as well
-        raise ValueError(f"channel gain must be >= 0 and finite, got {gain}")
-    if isinstance(num_elements, bool):  # True would stand for one element
-        raise ValueError(f"num_elements must be a number, not a boolean, got {num_elements}")
-    if not num_elements >= 1:  # rejects NaN as well
-        raise ValueError(f"num_elements must be >= 1 (power is divided by it), got {num_elements}")
-    if num_elements > _FLOAT_MAX:
-        raise ValueError("num_elements is too large to be a float")
+    _number(gain, "channel gain", 0, _INF, "[)")
+    _number(num_elements, "num_elements", 1, _INF, "[)")  # the power is divided by it
     share = params.transmit_power_w * gain / (
         float(params.num_users) * num_elements * params.num_light_sources
     )
@@ -174,8 +180,7 @@ def snr_single_link(params: SystemParams, gain: float, num_elements: int) -> flo
 
 def rate_single_link(params: SystemParams, snr: float) -> float:
     """Achievable rate of one link: (W/2) * log2(1 + e/(2 pi) * snr)."""
-    if not 0.0 <= snr < math.inf:  # rejects NaN as well
-        raise ValueError(f"snr must be >= 0 and finite, got {snr}")
+    _number(snr, "snr", 0, _INF, "[)")
     rate = params.bandwidth_hz / 2.0 * math.log1p(E_OVER_2PI * snr) / LN2
     return _finite(rate, "the link rate")
 
@@ -187,14 +192,11 @@ def reduce_params(params: SystemParams, gain: float) -> ReducedParams:
 
 def _physical_alpha(params: SystemParams, gain: float) -> float:
     """alpha = e/(2 pi) * rho^2 G^2 P_t^2 / (noise_psd / 2), checked as ReducedParams checks it."""
-    if not gain > 0.0:  # rejects NaN as well; an infinite gain gives an infinite alpha
-        raise ValueError("channel gain must be positive to form reduced parameters")
+    _number(gain, "channel gain")
     rho, power = params.oe_conversion, params.transmit_power_w
     # products, as x ** 2 raises on overflow: the range check names an alpha of inf or 0
     alpha = E_OVER_2PI * (rho * rho) * (gain * gain) * (power * power) / (params.noise_psd / 2.0)
-    if not 0.0 < alpha < _INF:
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    return alpha
+    return _number(alpha, "alpha")
 
 
 def reduced_with_alpha(params: SystemParams, alpha: float) -> ReducedParams:
@@ -262,7 +264,7 @@ def rate_total(red: ReducedParams, n, absorbing=0.0) -> float:
     ``n`` is a positive finite count (a continuum: the integer restriction
     enters only at hardware selection); ``absorbing`` is an
     :data:`AbsorbingMode`, read by its ``theta_at(n)``, or a count ``>= 0``,
-    read by ``float()``; a boolean is neither count.  No active element gives 0 and a
+    read by ``float()``.  No active element gives 0 and a
     :class:`DegenerateConfigWarning`; the load is formed from the mantissas
     where ``psi`` or ``psi n^2`` is not a normal float; a load below the
     normal floats gives the first-order term, not a silent 0; a rate beyond
@@ -272,23 +274,10 @@ def rate_total(red: ReducedParams, n, absorbing=0.0) -> float:
     numpy's ``log1p`` stays: where numpy dispatches it to AVX-512 its last
     bits differ from ``math.log1p``'s (elsewhere they agree), so outputs are per-CPU.
     """
-    if isinstance(n, bool):
-        raise ValueError(f"element count n must be a number, not a boolean, got {n}")
-    n = float(n)
-    if not 0.0 < n < _INF:  # rejects NaN as well
-        raise ValueError(f"element count must be positive and finite, got {n}")
+    n = float(_number(n, "element count"))
     if isinstance(absorbing, (FixedCount, Fraction)):
         return _rate(red, n, absorbing.theta_at(n))
-    return _rate(red, n, _plain_count(absorbing))
-
-
-def _plain_count(absorbing) -> float:
-    """An absorbing count given as a number, as a float >= 0; ValueError for a boolean or NaN."""
-    if isinstance(absorbing, bool):
-        raise ValueError(f"absorbing count must be a number, not a boolean, got {absorbing}")
-    if not (theta := float(absorbing)) >= 0:  # rejects NaN as well
-        raise ValueError(f"absorbing count must be >= 0, got {theta}")
-    return theta
+    return _rate(red, n, float(_number(absorbing, "absorbing count", 0, _INF, "[)")))
 
 
 def f_series(red: ReducedParams, n: float, theta: float, terms: int) -> float:
@@ -301,19 +290,12 @@ def f_series(red: ReducedParams, n: float, theta: float, terms: int) -> float:
     omitted term, xi (n - theta) / ln2 * x^(terms+1) / (terms + 1), and
     successive partial sums bracket the exact rate.  Relative to the exact
     rate the bound is x^(terms+1) / ((terms + 1) ln(1 + x)); with 40 terms
-    it is below 1e-10 only for x <~ 0.613.  ``terms`` is an integer >= 1; no
-    argument is a boolean.  Loads and overflows as in :func:`rate_total`.
+    it is below 1e-10 only for x <~ 0.613.  ``terms`` is an integer >= 1 and
+    ``theta`` lies in [0, n).  Loads and overflows as in :func:`rate_total`.
     """
-    if isinstance(terms, bool) or not isinstance(terms, int) or terms < 1:
-        raise ValueError(f"terms must be an integer >= 1, got {terms!r}")
-    if isinstance(n, bool):
-        raise ValueError(f"element count n must be a number, not a boolean, got {n}")
-    if isinstance(theta, bool):
-        raise ValueError(f"absorbing count must be a number, not a boolean, got {theta}")
-    if not 0.0 < n < math.inf:  # rejects NaN as well
-        raise ValueError(f"element count must be positive and finite, got {n}")
-    if not 0.0 <= theta < n:  # rejects NaN as well; the series counts the n - theta active
-        raise ValueError(f"absorbing count must lie in [0, n = {n}), got {theta}")
+    _number(terms, "terms", 1, _INF, "[)", whole=True)
+    _number(n, "element count")
+    _number(theta, "absorbing count", 0, n, "[)")  # the series counts the n - theta active
     return _series(red, n, theta, terms)
 
 
@@ -347,14 +329,10 @@ def bits_per_sequence(red: ReducedParams, rate: float, active: float) -> float:
         k = 1/2 * log2( alpha / (psi * (e^(ln2 * rate / (xi * active)) - 1)) )
 
     Round-trip law: for a power-of-two panel with a fixed absorbing count,
-    ``bits_per_sequence(rate_total(n), n - theta) == log2 n``.  ``active`` is not a boolean.
+    ``bits_per_sequence(rate_total(n), n - theta) == log2 n``.
     """
-    if isinstance(active, bool):
-        raise ValueError(f"active element count must be a number, not a boolean, got {active}")
-    if not 0.0 < active < math.inf:  # rejects NaN as well
-        raise ValueError(f"active element count must be positive and finite, got {active}")
-    if not 0.0 < rate < math.inf:
-        raise ValueError(f"rate must be positive and finite, got {rate}")
+    _number(active, "active element count")
+    _number(rate, "rate")
     exponent = LN2 * rate / (red.xi * active)
     denominator = red.psi * math.expm1(exponent)
     if denominator <= 0:

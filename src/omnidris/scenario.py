@@ -66,10 +66,11 @@ from .rate import (
     Fraction,
     ReducedParams,
     SystemParams,
+    _INF,
+    _number,
     _physical_alpha,
-    rate_total,
+    _rate,
     reduced_with_alpha,
-    require_positive_finite,
 )
 
 __all__ = [
@@ -104,17 +105,11 @@ class SweepSpec:
     step: float | None = None
 
     def __post_init__(self) -> None:
-        # a zero (or absent) step is checked below; any other must be positive
-        bounds = ("n_min", "n_max", "step") if self.step else ("n_min", "n_max")
-        require_positive_finite(self, bounds, ScenarioError)
-        if self.n_min < 1.0:
-            raise ScenarioError(f"sweep n_min must be at least 1, got {self.n_min}")
-        if self.n_max < self.n_min:
-            raise ScenarioError(
-                f"sweep bounds invalid: n_max {self.n_max} < n_min {self.n_min}"
-            )
-        if self.step == 0 and self.n_max > self.n_min:
-            raise ScenarioError("sweep step 0 is only valid when n_min == n_max")
+        _number(self.n_min, "n_min", 1, _INF, "[)", ScenarioError)
+        _number(self.n_max, "n_max", self.n_min, _INF, "[)", ScenarioError)
+        if self.step is not None:  # a single point may have the step 0
+            _number(self.step, "step", 0, _INF, "[)" if self.n_max == self.n_min else "()",
+                    ScenarioError)
 
 
 @dataclass(frozen=True)
@@ -151,7 +146,7 @@ class Scenario:
                 "a 'system' scenario needs 'geometry' or 'alpha_calibration' to fix alpha"
             )
         if self.alpha_calibration is not None:
-            require_positive_finite(self, ("alpha_calibration",), ScenarioError)
+            _number(self.alpha_calibration, "alpha_calibration", error=ScenarioError)
 
     def reduced_params(self) -> ReducedParams:
         """Resolve the (alpha, psi, xi) triple this scenario runs with, as one record."""
@@ -249,11 +244,9 @@ def _require(data: dict, key: str, context: str):
 
 
 def _read(value, kind: str, context: str):
-    """A YAML value as the record field annotated ``kind`` takes it."""
-    if kind == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ScenarioError(f"{context} must be an integer, got {value!r}")
-        return value
+    """A YAML value as the record field annotated ``kind`` takes it: a finite number, an
+    integer for ``int``; the record checks its interval."""
+    whole = kind == "int"
     if kind == "float | None":  # the sweep step
         if value is None or value == "powers-of-two":  # the powers of two, as for an absent step
             return None
@@ -261,15 +254,16 @@ def _read(value, kind: str, context: str):
             raise ScenarioError(
                 f"{context} must be a positive number or 'powers-of-two', got {value!r}"
             )
-    # YAML 1.1 reads exponent forms like 1.0e6 (no sign) as strings
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ScenarioError(f"{context} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except ValueError:
-        raise ScenarioError(f"{context} must be a number, got {value!r}") from None
-    except OverflowError:  # an integer beyond the float range
-        raise ScenarioError(f"{context} is too large to be a float") from None
+    if isinstance(value, str) and not whole:  # YAML 1.1 reads 1.0e6 (no sign) as a string
+        try:
+            value = float(value)
+        except ValueError:
+            pass  # refused below, as text
+    if not isinstance(value, (int, float)):
+        noun = "an integer" if whole else "a number"
+        raise ScenarioError(f"{context} must be {noun}, got {value!r}")
+    _number(value, context, -_INF, _INF, "()", ScenarioError, whole)
+    return value if whole else float(value)
 
 
 def _record(cls, data: dict, block: str):
@@ -292,11 +286,15 @@ def _record(cls, data: dict, block: str):
 def _scenario_from_dict(data: dict, *, source: str = "scenario") -> Scenario:
     """Build and validate a :class:`Scenario` from parsed YAML data."""
     version = _require(data, "schema_version", source)
-    if version != 1:
+    if version.__class__ is not int or version != 1:  # True == 1.0 == 1
         raise ScenarioError(f"unsupported schema_version {version!r} (expected 1)")
     name = _require(data, "name", source)
     if not isinstance(name, str) or not name:
         raise ScenarioError(f"scenario name must be a non-empty string, got {name!r}")
+    description = data.get("description")
+    description = "" if description is None else description  # a key with no value is null
+    if not isinstance(description, str):
+        raise ScenarioError(f"scenario description must be a string, got {description!r}")
 
     try:
         reduced = _record(ReducedParams, data, "reduced")
@@ -317,7 +315,6 @@ def _scenario_from_dict(data: dict, *, source: str = "scenario") -> Scenario:
         calibration = data.get("alpha_calibration")
         if calibration is not None:
             calibration = _read(calibration, "float", "alpha_calibration")
-        description = data.get("description")  # a key with no value is null: no description
 
         return Scenario(
             name=name,
@@ -327,7 +324,7 @@ def _scenario_from_dict(data: dict, *, source: str = "scenario") -> Scenario:
             system=system,
             geometry=geometry,
             alpha_calibration=calibration,
-            description="" if description is None else str(description),
+            description=description,
         )
     except ScenarioError:
         raise
@@ -390,8 +387,7 @@ def alpha_calibration_for(noise_psd: float) -> float:
     scales it with 1/noise_psd elsewhere.  A noise PSD that is not positive and
     finite, or whose alpha leaves the float range, raises :class:`ScenarioError`.
     """
-    if not 0.0 < noise_psd < math.inf:  # rejects NaN as well
-        raise ScenarioError(f"noise_psd must be positive and finite, got {noise_psd}")
+    _number(noise_psd, "noise_psd", error=ScenarioError)
     if not (alpha := T_STAR * 180.0**2 * (2.0 / noise_psd)) < math.inf:
         raise ScenarioError(f"the calibrated alpha overflows for noise_psd {noise_psd}")
     return alpha
@@ -542,7 +538,7 @@ def run_sweep(scenario: Scenario) -> list[SweepRow]:
     grid = set(_grid_values(scenario.sweep)) | pow2_in_range
     for n in sorted(grid or {scenario.sweep.n_min}):
         theta = min(absorbing.theta_at(n), n)
-        rate = rate_total(red, n, absorbing) if theta < n else 0.0  # unwarned: all absorbing
+        rate = _rate(red, n, theta) if theta < n else 0.0  # unwarned: all absorbing
         pow2 = n in pow2_in_range
         rows.append(SweepRow(n, theta, n - theta, rate, pow2, pow2 and n == selected_n))
     return rows

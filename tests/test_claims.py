@@ -15,8 +15,15 @@ x* the optimal load: L and M act on it only through c and the prefactor.  The pa
 2N beats N where ``(2 - tau) log(1 + y/4) > (1 - tau) log(1 + y)``, with ``tau = theta/N``,
 from the rates ``xi N (1 - tau) log2(1 + y)`` and ``xi N (2 - tau) log2(1 + y/4)``; at
 ``tau = 0`` this is ``y > 8`` again.
+
+The price of the panel: with ``h(y, c) = (1 - c sqrt(y)) ln(1 + y)/sqrt(y)`` and
+``theta/N = c sqrt(y)``, panel N reaches the share ``h(y, c)/h(x*(c), c)`` of the maximal
+rate, whatever xi.  At c = 0 this is ``s(y) = sqrt(t*/y) ln(1 + y)/ln(1 + t*)``, and the
+selected panel's load lies in (2, 8], where ``s(2) = s(8) = 0.96532...``: the power-of-two
+constraint costs at most 3.47% of the maximal proportional rate.
 """
 import dataclasses
+import decimal
 import math
 import random
 
@@ -29,6 +36,7 @@ from omnidris.rate import (
     LN2, FixedCount, Fraction, ReducedParams, SystemParams, reduced_with_alpha)
 from omnidris.scenario import preset_scenarios
 from helpers import EPS
+from oracle import decimal_optimal_load, decimal_t_star
 
 #: Loads within this relative distance of 2 or 8 are excluded: there float rounding decides
 #: between two panels whose rates tie.
@@ -207,3 +215,82 @@ def test_the_fixed_count_panel_doubles_where_the_tie_law_says():
     assert misses == []
     assert excluded <= TIE_DRAWS // 1000
     assert bracketed >= 0.6 * TIE_DRAWS  # 3,548 here; the rest sit at 1 or 512 elements
+
+
+#: s(2) = s(8), the least share of the maximal proportional rate that the selected panel reaches.
+SHARE_AT_THE_EDGES = 0.9653228842800636
+
+
+def decimal_share(red: ReducedParams, n: int, theta: float) -> decimal.Decimal:
+    """``h(y, c)/h(x*(c), c)``, ``h(y, c) = (1 - c sqrt(y)) ln(1 + y)/sqrt(y)``: the share of the
+    maximal rate that panel ``n`` reaches, at its load ``y = alpha/(psi n^2)`` and
+    ``c = theta sqrt(psi/alpha)`` (theta = 0 under a fraction), from the float inputs taken
+    exactly, to about 50 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        alpha, psi = decimal.Decimal(red.alpha), decimal.Decimal(red.psi)
+        c = decimal.Decimal(theta) * (psi / alpha).sqrt()
+
+        def h(y: decimal.Decimal) -> decimal.Decimal:
+            return (1 - c * y.sqrt()) * (1 + y).ln() / y.sqrt()
+
+        return h(alpha / (psi * n * n)) / h(decimal_optimal_load(c))
+
+
+def test_the_price_of_a_power_of_two_panel_is_at_most_3_47_percent():
+    # s(y) = sqrt(t*/y) ln(1 + y)/ln(1 + t*) is equal at both ends of the loads (2, 8]
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        t_star = decimal_t_star()
+        s2, s8 = ((t_star / y).sqrt() * (1 + y).ln() / (1 + t_star).ln()
+                  for y in (decimal.Decimal(2), decimal.Decimal(8)))
+    assert abs(s2 - s8) < decimal.Decimal("1e-45")
+    assert str(s2).startswith("0.96532288428006")
+    assert SHARE_AT_THE_EDGES == float(s2) and 1.0 - SHARE_AT_THE_EDGES < 0.0347
+
+#: Draws of the two share laws in Tier-1; ``share_law(20_000, seed, rule)`` checks more offline.
+SHARE_DRAWS = {"fraction": 1500, "fixed": 600}
+
+
+def share_law(draws: int, seed: int, rule: str) -> tuple[float, int, float]:
+    """The largest ``|selected_rate/f_at_exact / decimal_share - 1|`` in units of EPS, the draws
+    it covers and the least ``selected_rate/f_at_exact`` among them.
+
+    alpha/psi is log-uniform on [1e-1, 1e7]; under ``"fraction"`` q is uniform on [0, 0.9],
+    under ``"fixed"`` theta an integer in [0, 50].  A draw whose optimum is at one element
+    or beyond 512 (``at_boundary``) is left out.
+    """
+    rng = random.Random(seed)
+    worst, covered, least = 0.0, 0, 1.0
+    for _ in range(draws):
+        ratio = 10.0 ** rng.uniform(-1.0, 7.0)
+        psi = rng.choice((1.0, 4.0, 16.0, 64.0, rng.uniform(1.0, 1e3)))
+        red = ReducedParams(ratio * psi, psi, 10.0 ** rng.uniform(-3.0, 9.0))
+        theta = rng.randint(0, 50) if rule == "fixed" else 0
+        absorbing = FixedCount(theta) if rule == "fixed" else Fraction(rng.uniform(0.0, 0.9))
+        report = optimize(red, absorbing)
+        if report.at_boundary:
+            continue
+        covered += 1
+        share = report.selected_rate / report.f_at_exact
+        exact = decimal_share(red, report.selected_n, theta)
+        worst = max(worst, float(abs(decimal.Decimal(share) / exact - 1)) / EPS)
+        least = min(least, share)
+    return worst, covered, least
+
+
+def test_the_selected_proportional_panel_reaches_the_share_s_of_its_load():
+    # 20,000 draws each of seeds 1, 2, 3 and 4 (13,458, 13,627, 13,511 and 13,604 covered):
+    # 4.38, 5.28, 4.44 and 4.76 EPS at most
+    worst, covered, least = share_law(SHARE_DRAWS["fraction"], seed=9, rule="fraction")
+    assert worst <= 6.0
+    assert covered >= 0.6 * SHARE_DRAWS["fraction"]  # the boundary leaves out about a third
+    assert least >= SHARE_AT_THE_EDGES * (1.0 - 6.0 * EPS)
+
+
+def test_the_selected_fixed_count_panel_reaches_the_share_of_its_load_law():
+    # 20,000 draws each of seeds 1, 2, 3 and 4 (17,300, 17,251, 17,265 and 17,172 covered):
+    # 2.89, 2.88, 2.75 and 2.80 EPS at most
+    worst, covered, _ = share_law(SHARE_DRAWS["fixed"], seed=9, rule="fixed")
+    assert worst <= 4.0
+    assert covered >= 0.8 * SHARE_DRAWS["fixed"]

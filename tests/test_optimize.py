@@ -110,7 +110,7 @@ def test_meaningful_root_none_qualifies():
 @pytest.mark.parametrize("flag", [True, False])
 def test_a_boolean_is_not_an_absorbing_count(call, flag):
     # float(True) is 1.0: a boolean would silently stand for one element, as in rate_total
-    with pytest.raises(ValueError, match=rf"^absorbing count must be a number >= 0, got {flag}$"):
+    with pytest.raises(ValueError, match=rf"^absorbing count must be a number, got {flag}$"):
         call(ReducedParams(5.0, 1.0, 1.0), flag)
 
 
@@ -826,7 +826,7 @@ def test_the_two_term_rate_survives_an_overflowing_partial_product():
 
 def test_optimize_fixed_theta_rejects_a_non_finite_absorbing_count():
     for theta in (math.nan, math.inf):
-        with pytest.raises(ValueError, match=f"absorbing count theta .* got {theta}"):
+        with pytest.raises(ValueError, match=f"^absorbing count must be >= 0 and finite, got {theta}$"):
             optimize_fixed_theta(ReducedParams(5.0, 1.0, 1.0), theta)
 
 

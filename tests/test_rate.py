@@ -24,6 +24,7 @@ from omnidris.rate import (
     reduce_params,
     snr_single_link,
 )
+from omnidris.scenario import Scenario, SweepSpec, alpha_calibration_for
 from helpers import EPS, HARDWARE_PSI, REFERENCE_GAIN
 from oracle import RATE_ULPS, decimal_rate, ulps_from
 
@@ -289,13 +290,13 @@ def test_rate_total_rejects_nonpositive_counts():
                  id="rate-theta-True"),
     pytest.param(lambda red: rate_total(red, 8.0, False), "absorbing count", "False",
                  id="rate-theta-False"),
-    pytest.param(lambda red: rate_total(red, True, 0.0), "element count n", "True", id="rate-n-True"),
-    pytest.param(lambda red: rate_total(red, False, FixedCount(1)), "element count n", "False",
+    pytest.param(lambda red: rate_total(red, True, 0.0), "element count", "True", id="rate-n-True"),
+    pytest.param(lambda red: rate_total(red, False, FixedCount(1)), "element count", "False",
                  id="rate-n-False-record"),
     pytest.param(lambda red: FixedCount(True), "absorbing count", "True", id="FixedCount-True"),
     pytest.param(lambda red: f_series(red, 2.0, 0.0, True), "terms", "True", id="series-terms-True"),
     pytest.param(lambda red: f_series(red, 2.0, 0.0, 2.5), "terms", "2.5", id="series-terms-2.5"),
-    pytest.param(lambda red: f_series(red, True, 0.0, 2), "element count n", "True",
+    pytest.param(lambda red: f_series(red, True, 0.0, 2), "element count", "True",
                  id="series-n-True"),
     pytest.param(lambda red: f_series(red, 2.0, False, 2), "absorbing count", "False",
                  id="series-theta-False"),
@@ -303,6 +304,18 @@ def test_rate_total_rejects_nonpositive_counts():
                  id="bits-active-True"),
     pytest.param(lambda red: snr_single_link(system(), 1e-3, True), "num_elements", "True",
                  id="snr-elements-True"),
+    pytest.param(lambda red: snr_single_link(system(), True, 4), "channel gain", "True",
+                 id="snr-gain-True"),
+    pytest.param(lambda red: rate_single_link(system(), True), "snr", "True",
+                 id="link-rate-snr-True"),
+    pytest.param(lambda red: bits_per_sequence(red, True, 1.0), "rate", "True", id="bits-rate-True"),
+    pytest.param(lambda red: reduce_params(system(), True), "channel gain", "True",
+                 id="reduce-gain-True"),
+    pytest.param(lambda red: alpha_calibration_for(True), "noise_psd", "True",
+                 id="calibration-noise-True"),
+    pytest.param(lambda red: Scenario("x", FixedCount(0), SweepSpec(1.0, 2.0, 1.0), reduced=red,
+                                      alpha_calibration=True), "alpha_calibration", "True",
+                 id="Scenario-calibration-True"),
 ])
 def test_a_boolean_is_not_a_count(call, argument, given):
     # float(True) is 1.0: a boolean would silently stand for one element; a count of terms is whole
@@ -544,6 +557,26 @@ def test_integer_fields_reject_booleans(make):
             make(value)
 
 
+#: A valid record of each input type: every one of their fields is a number.
+INPUT_RECORDS = (ReducedParams(1.0, 1.0, 1.0), system(), FixedCount(1), Fraction(0.5),
+                 reference_room_geometry(), SweepSpec(1.0, 2.0, 1.0))
+
+#: The fields that a diagnostic names in words.
+SPOKEN = {"count": "absorbing count", "q": "absorbing fraction"}
+
+
+@pytest.mark.parametrize("record, field", [
+    pytest.param(record, field.name, id=f"{type(record).__name__}.{field.name}")
+    for record in INPUT_RECORDS for field in dataclasses.fields(record)
+])
+def test_every_numeric_field_refuses_booleans_and_non_finite_values(record, field):
+    # True and False would stand for 1 and 0; NaN and +-inf lie in no field's interval
+    name = SPOKEN.get(field, field)
+    for value in (True, False, *NON_FINITE):
+        with pytest.raises(ValueError, match=rf"^{name} must (be|lie in) .*, got {value}$"):
+            dataclasses.replace(record, **{field: value})
+
+
 def test_system_params_validation():
     with pytest.raises(ValueError):
         system(bandwidth_hz=0.0)
@@ -593,9 +626,9 @@ _RED = ReducedParams(5.0, 5.0, 5.0)
         (lambda: rate_single_link(system(bandwidth_hz=1e308), 1e300), "link rate overflowed"),
         (lambda: bits_per_sequence(_RED, math.nan, 4.0), "rate must be positive and finite"),
         (lambda: bits_per_sequence(_RED, 1.0, math.nan), "active element count must be positive"),
-        (lambda: f_series(_RED, 10.0, math.nan, 2), r"absorbing count must lie in \[0, n"),
-        (lambda: f_series(_RED, 10.0, -5.0, 2), r"absorbing count must lie in \[0, n"),
-        (lambda: f_series(_RED, 10.0, 20.0, 2), r"absorbing count must lie in \[0, n"),
+        (lambda: f_series(_RED, 10.0, math.nan, 2), r"^absorbing count must lie in \[0, 10\.0\), got"),
+        (lambda: f_series(_RED, 10.0, -5.0, 2), r"^absorbing count must lie in \[0, 10\.0\), got"),
+        (lambda: f_series(_RED, 10.0, 20.0, 2), r"^absorbing count must lie in \[0, 10\.0\), got"),
     ],
     ids=[
         "snr-gain-nan", "snr-gain-inf", "snr-elements-nan", "snr-elements-1e400",

@@ -163,6 +163,11 @@ def test_schema_version_required_and_checked(tmp_path):
         load_scenario(write(tmp_path, VALID_REDUCED_YAML.replace("schema_version: 1\n", "")))
     with pytest.raises(ScenarioError, match="schema_version"):
         load_scenario(write(tmp_path, VALID_REDUCED_YAML.replace("schema_version: 1", "schema_version: 2")))
+    for version, read in (("true", "True"), ("1.0", "1.0")):  # True == 1.0 == 1 in Python
+        text = VALID_REDUCED_YAML.replace("schema_version: 1", f"schema_version: {version}")
+        with pytest.raises(ScenarioError) as caught:
+            load_scenario(write(tmp_path, text))
+        assert str(caught.value) == f"unsupported schema_version {read} (expected 1)"
 
 
 def test_exactly_one_alpha_source(tmp_path):
@@ -209,7 +214,7 @@ def test_a_calibrated_system_builds_the_calibrated_triple(tmp_path):
         assert scenario.reduced_params() == expected
     edits = [  # the same messages as when the physical triple was built first
         ("ris_reflectiveness: 0.5", "ris_reflectiveness: 0",
-         "channel gain must be positive to form reduced parameters"),
+         "channel gain must be positive and finite, got 0.0"),
         ("transmit_power_w: 10.0", "transmit_power_w: 1.0e+200",
          "alpha must be positive and finite, got inf"),
     ]
@@ -278,13 +283,21 @@ READER_DIAGNOSTICS = [
     (VALID_REDUCED_YAML, "psi: 1.0", f"psi: {BIG_INT}", "reduced.psi is too large to be a float"),
     (VALID_REDUCED_YAML, "step: 0.5", f"step: {BIG_INT}", "sweep.step is too large to be a float"),
     (VALID_REDUCED_YAML, "absorbing_count: 1", f"absorbing_count: {BIG_INT}",
-     "invalid scenario 'unit-test': absorbing count is too large to be a float"),
+     "ris.absorbing_count is too large to be a float"),
     (VALID_SYSTEM_YAML, "absorbing_fraction: 0.5", "absorbing_fraction: 1.5",
      "invalid scenario 'room-test': absorbing fraction must lie in [0, 1), got 1.5"),
     (VALID_REDUCED_YAML, "schema_version: 1", "schema_version: 2",
      "unsupported schema_version 2 (expected 1)"),
     (VALID_REDUCED_YAML, "schema_version: 1", "schema_version: '1'",
      "unsupported schema_version '1' (expected 1)"),
+    (VALID_REDUCED_YAML, "hand-written reduced scenario", "[1, 2]",
+     "scenario description must be a string, got [1, 2]"),
+    (VALID_REDUCED_YAML, "hand-written reduced scenario", "{a: 1}",
+     "scenario description must be a string, got {'a': 1}"),
+    (VALID_REDUCED_YAML, "hand-written reduced scenario", "3",
+     "scenario description must be a string, got 3"),
+    (VALID_REDUCED_YAML, "hand-written reduced scenario", "true",
+     "scenario description must be a string, got True"),
 ]
 
 
@@ -313,7 +326,7 @@ def test_missing_block_names_the_file(tmp_path):
 def test_system_values_beyond_the_float_range_are_one_diagnostic(tmp_path):
     edits = [  # a square past the float range is inf or 0, which a range check names
         ("dist_ris_user_m: 2.03", "dist_ris_user_m: 1.0e+200",
-         "channel gain must be positive to form reduced parameters"),  # its square overflows
+         "channel gain must be positive and finite, got 0.0"),  # its square overflows
         ("dist_ris_user_m: 2.03", "dist_ris_user_m: 1.0e-200",
          "the channel gain overflowed the float range"),  # its square underflows to 0
         ("transmit_power_w: 10.0", "transmit_power_w: 1.0e+200",
@@ -326,8 +339,8 @@ def test_system_values_beyond_the_float_range_are_one_diagnostic(tmp_path):
         assert str(caught.value) == message, new
     huge_count = VALID_SYSTEM_YAML.replace("num_users: 1", f"num_users: {BIG_INT}")
     with pytest.raises(ScenarioError) as caught:
-        load_scenario(write(tmp_path, huge_count))  # rejected by SystemParams, at load
-    assert str(caught.value) == "invalid scenario 'room-test': num_users is too large to be a float"
+        load_scenario(write(tmp_path, huge_count))  # rejected by the reader, at load
+    assert str(caught.value) == "system.num_users is too large to be a float"
 
 
 def test_a_key_written_twice_in_one_mapping_is_rejected(tmp_path):
