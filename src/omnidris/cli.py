@@ -22,7 +22,6 @@ from .reports import (
     reproduce_table2,
 )
 from .scenario import (
-    ScenarioError,
     SweepRow,
     _csv,
     preset_scenarios,
@@ -84,8 +83,8 @@ def cmd_rate(args) -> str:
     payload = {
         "scenario": scenario.name,
         "n": n,
-        "theta": float(theta),
-        "zeta": float(zeta),
+        "theta": theta,
+        "zeta": zeta,
         "rate_bps": rate,
         "degenerate": zeta <= 0.0,
         "alpha": red.alpha,
@@ -189,7 +188,7 @@ def main(argv=None) -> int:
                 handle.write(text)
         else:
             sys.stdout.write(text)
-    except (ScenarioError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -81,8 +81,8 @@ MEASURED_N_ABS_TOL = 0.05
 RATE_REL_TOL = 1e-3
 
 
-def _rel_close(value: float, target: float, tol: float = RATE_REL_TOL) -> bool:
-    return abs(value - target) <= tol * abs(target)
+def _rel_close(value: float, target: float) -> bool:
+    return abs(value - target) <= RATE_REL_TOL * abs(target)
 
 
 class NormalizedRow(NamedTuple):

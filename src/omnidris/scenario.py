@@ -54,7 +54,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -98,7 +98,10 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Sweep grid: [n_min, n_max] at ``step``, or powers of two only (step None)."""
+    """Sweep grid: [n_min, n_max] at ``step``, or powers of two only (step None).
+
+    A stepped grid too large (:data:`MAX_SWEEP_POINTS`) or too fine to build is refused.
+    """
 
     n_min: float
     n_max: float
@@ -110,15 +113,26 @@ class SweepSpec:
         if self.step is not None:  # a single point may have the step 0
             _number(self.step, "step", 0, _INF, "[)" if self.n_max == self.n_min else "()",
                     ScenarioError)
+        if self.step is None or self.n_max == self.n_min:
+            return  # no stepped grid
+        if (self.n_max - self.n_min) / self.step + 1e-9 >= MAX_SWEEP_POINTS:
+            raise ScenarioError(f"sweep step {self.step} over [{self.n_min}, {self.n_max}] "
+                                f"gives more than {MAX_SWEEP_POINTS} points")
+        # Rounding ``k step`` and ``n_min + k step`` can close the gap between consecutive
+        # points by two spacings, and at one spacing a point can already repeat (ties to even).
+        if self.step <= 4.0 * math.ulp(self.n_max):
+            raise ScenarioError(f"sweep step {self.step} is at most 4 float spacings at n_max "
+                                f"{self.n_max}: consecutive points could repeat")
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One validated experiment description.
+    """One validated experiment description, its rate triple resolved when it is built.
 
     Exactly one of ``reduced`` or ``system`` supplies the rate parameters;
     ``alpha_calibration``, when present, overrides the alpha obtained from
-    either source.
+    either source.  A ``geometry``'s channel gain and physical alpha are formed
+    and checked even then: a zero gain or an alpha past the floats raises here.
     """
 
     name: str
@@ -131,33 +145,29 @@ class Scenario:
     description: str = ""
 
     def __post_init__(self) -> None:
+        alpha = self.alpha_calibration
         if (self.reduced is None) == (self.system is None):
             raise ScenarioError(
                 "exactly one of 'reduced' or 'system' must supply the rate parameters"
             )
         if self.reduced is not None and self.geometry is not None:
             raise ScenarioError("'geometry' belongs to a 'system' scenario, not 'reduced'")
-        if (
-            self.system is not None
-            and self.geometry is None
-            and self.alpha_calibration is None
-        ):
+        if self.system is not None and self.geometry is None and alpha is None:
             raise ScenarioError(
                 "a 'system' scenario needs 'geometry' or 'alpha_calibration' to fix alpha"
             )
-        if self.alpha_calibration is not None:
-            _number(self.alpha_calibration, "alpha_calibration", error=ScenarioError)
-
-    def reduced_params(self) -> ReducedParams:
-        """Resolve the (alpha, psi, xi) triple this scenario runs with, as one record."""
-        alpha = self.alpha_calibration
-        if self.reduced is not None:
-            red = self.reduced
-            return red if alpha is None else ReducedParams(alpha, red.psi, red.xi)
-        if self.geometry is not None:  # a zero gain or alpha past the floats raises
+        if alpha is not None:
+            _number(alpha, "alpha_calibration", error=ScenarioError)
+        if self.geometry is not None:  # a zero gain or alpha past the floats raises, calibrated too
             physical = _physical_alpha(self.system, channel_dc_gain(self.geometry))
             alpha = physical if alpha is None else alpha
-        return reduced_with_alpha(self.system, alpha)
+        red = (reduced_with_alpha(self.system, alpha) if self.reduced is None
+               else self.reduced if alpha is None else replace(self.reduced, alpha=alpha))
+        object.__setattr__(self, "_reduced", red)  # not a field: equality and repr ignore it
+
+    def reduced_params(self) -> ReducedParams:
+        """The (alpha, psi, xi) triple this scenario runs with, resolved when it was built."""
+        return self._reduced
 
 
 class SweepRow(NamedTuple):
@@ -247,6 +257,11 @@ def _read(value, kind: str, context: str):
     """A YAML value as the record field annotated ``kind`` takes it: a finite number, an
     integer for ``int``; the record checks its interval."""
     whole = kind == "int"
+    if isinstance(value, str) and not whole:  # YAML 1.1 reads 1.0e6 and 1e-2 as strings
+        try:
+            value = float(value)
+        except ValueError:
+            pass  # refused below, as text
     if kind == "float | None":  # the sweep step
         if value is None or value == "powers-of-two":  # the powers of two, as for an absent step
             return None
@@ -254,11 +269,6 @@ def _read(value, kind: str, context: str):
             raise ScenarioError(
                 f"{context} must be a positive number or 'powers-of-two', got {value!r}"
             )
-    if isinstance(value, str) and not whole:  # YAML 1.1 reads 1.0e6 (no sign) as a string
-        try:
-            value = float(value)
-        except ValueError:
-            pass  # refused below, as text
     if not isinstance(value, (int, float)):
         noun = "an integer" if whole else "a number"
         raise ScenarioError(f"{context} must be {noun}, got {value!r}")
@@ -336,9 +346,8 @@ def load_scenario(path) -> Scenario:
     """Load and strictly validate a scenario file."""
     import yaml  # only scenario files need PyYAML; presets never do
 
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        loader = yaml.SafeLoader(text)  # one parse pass: its node is both built and key-checked
+    try:  # one parse pass: its node is both built and key-checked
+        loader = yaml.SafeLoader(Path(path).read_text(encoding="utf-8"))
         try:
             node = loader.get_single_node()
             if isinstance(node, yaml.MappingNode):  # before construction expands its merges
@@ -355,7 +364,7 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"cannot parse scenario file: {problem}{where}") from exc
     except RecursionError as exc:
         raise ScenarioError("cannot parse scenario file: it is nested too deeply") from exc
-    except ValueError as exc:  # a scalar constructor: !!int abc, 2001-13-45, a 5,000-digit integer
+    except ValueError as exc:  # not UTF-8, or a scalar: !!int abc, 2001-13-45, a 5,000-digit int
         raise ScenarioError(f"cannot parse scenario file: {exc}") from exc
     except (KeyError, AttributeError) as exc:  # PyYAML's !!bool and !!timestamp on a bad value
         raise ScenarioError("cannot parse scenario file: malformed tagged value") from exc
@@ -490,27 +499,12 @@ def resolve_scenario(ref: str) -> Scenario:
 
 
 def _grid_values(sweep: SweepSpec) -> list[float]:
-    """The stepped grid: one point when n_min == n_max, none for powers of two only.
-
-    A step of at most four float spacings at n_max is refused: rounding ``k step`` and
-    ``n_min + k step`` can close the gap between consecutive points by two spacings, and
-    at one spacing a point can already repeat (ties to even).
-    """
+    """The stepped grid: one point when n_min == n_max, none for powers of two only."""
     if sweep.n_max == sweep.n_min:
         return [sweep.n_min]
     if sweep.step is None:
         return []
     steps = (sweep.n_max - sweep.n_min) / sweep.step + 1e-9
-    if steps >= MAX_SWEEP_POINTS:  # both checks come before the list is built
-        raise ScenarioError(
-            f"sweep step {sweep.step} over [{sweep.n_min}, {sweep.n_max}] "
-            f"gives more than {MAX_SWEEP_POINTS} points"
-        )
-    if sweep.step <= 4.0 * math.ulp(sweep.n_max):
-        raise ScenarioError(
-            f"sweep step {sweep.step} is at most 4 float spacings at n_max {sweep.n_max}: "
-            "consecutive points could repeat"
-        )
     count = int(math.floor(steps)) + 1
     values = [sweep.n_min + k * sweep.step for k in range(count)]
     values[-1] = min(values[-1], sweep.n_max)  # the 1e-9 of slack in steps may overshoot
@@ -524,7 +518,8 @@ def run_sweep(scenario: Scenario) -> list[SweepRow]:
 
     Rows are deterministic for a given scenario.  The hardware powers of
     two inside the sweep range are merged into the grid, flagged, and the
-    optimizer's selected power of two is marked on its row.
+    optimizer's selected power of two is marked on its row.  The grid and
+    the triple were checked when the scenario was built.
     """
     red = scenario.reduced_params()
     absorbing = scenario.absorbing

@@ -223,12 +223,24 @@ def test_unknown_preset_is_a_clean_error(capsys):
 
 def test_unreadable_character_is_a_one_line_error(capsys, tmp_path):
     path = tmp_path / "bell.yaml"
-    path.write_text("schema_version: 1\nname: a\x07b\n", encoding="utf-8")
-    code, out, err = run(capsys, "optimize", "--scenario", str(path))
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: cannot parse scenario file")
-    assert err.count("\n") == 1 and err.endswith("\n")
+    for text in (b"schema_version: 1\nname: a\x07b\n", b"\xff\xfeschema_version: 1\n"):  # not UTF-8
+        path.write_bytes(text)
+        code, out, err = run(capsys, "optimize", "--scenario", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot parse scenario file"), err
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_a_zero_gain_room_is_refused_by_name_in_every_command(capsys, tmp_path):
+    text = (ROOT / "demos" / "uncalibrated_room.yaml").read_text(encoding="utf-8")
+    path = tmp_path / "dark.yaml"
+    path.write_text(text.replace("ris_reflectiveness: 0.5", "ris_reflectiveness: 0"), "utf-8")
+    message = ("error: invalid scenario 'uncalibrated-room': "
+               "channel gain must be positive and finite, got 0.0\n")
+    for command in ("rate", "optimize", "sweep"):
+        extra = ("--n", "8") if command == "rate" else ()
+        assert run(capsys, command, "--scenario", str(path), *extra) == (1, "", message)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import textwrap
 
@@ -8,7 +9,15 @@ from hypothesis import strategies as st
 
 import omnidris.scenario
 
-from omnidris.rate import FixedCount, Fraction, ReducedParams, reduced_with_alpha
+from omnidris.channel import channel_dc_gain, reference_room_geometry
+from omnidris.rate import (
+    FixedCount,
+    Fraction,
+    ReducedParams,
+    SystemParams,
+    _physical_alpha,
+    reduced_with_alpha,
+)
 from omnidris.scenario import (
     _SCHEMA,
     HARDWARE_POWERS_OF_TWO,
@@ -220,10 +229,47 @@ def test_a_calibrated_system_builds_the_calibrated_triple(tmp_path):
     ]
     for old, new, message in edits:
         text = VALID_SYSTEM_YAML.replace(old, new) + "alpha_calibration: 127058.34\n"
-        scenario = load_scenario(write(tmp_path, text))
-        with pytest.raises(ValueError) as caught:
-            scenario.reduced_params()
-        assert str(caught.value) == message, new
+        with pytest.raises(ScenarioError) as caught:
+            load_scenario(write(tmp_path, text))
+        assert str(caught.value) == f"invalid scenario 'room-test': {message}", new
+
+
+def _triple_from_blocks(scenario):
+    """The triple from the scenario's own blocks: ``reduced`` with the calibrated alpha, or
+    ``system`` with the calibrated alpha or else the geometry's physical one."""
+    alpha = scenario.alpha_calibration
+    if scenario.reduced is not None:
+        red = scenario.reduced
+        return ReducedParams(red.alpha if alpha is None else alpha, red.psi, red.xi)
+    if alpha is None:
+        alpha = _physical_alpha(scenario.system, channel_dc_gain(scenario.geometry))
+    return reduced_with_alpha(scenario.system, alpha)
+
+
+def test_the_triple_is_resolved_once_when_the_scenario_is_built():
+    system = SystemParams(2e6, 10.0, 3, 1, 0.5, 2.0)
+    common = dict(absorbing=FixedCount(1), sweep=SweepSpec(1.0, 50.0, 1.0))
+    built = [  # the forms a caller builds in memory
+        Scenario(name="reduced", reduced=ReducedParams(7.0, 9.0, 3e6), **common),
+        Scenario(name="reduced-cal", reduced=ReducedParams(7.0, 9.0, 3e6), alpha_calibration=12.5,
+                 **common),
+        Scenario(name="system-cal", system=system, alpha_calibration=1234.5, **common),
+        Scenario(name="room-cal", system=system, geometry=reference_room_geometry(),
+                 alpha_calibration=1234.5, **common),
+        Scenario(name="room", system=system, geometry=reference_room_geometry(), **common),
+    ]
+    presets = preset_scenarios().values()
+    assert len(presets) == 16
+    for scenario in [*presets, *built]:
+        red = scenario.reduced_params()
+        assert scenario.reduced_params() is red, scenario.name
+        expected = dataclasses.astuple(_triple_from_blocks(scenario))
+        assert [v.hex() for v in dataclasses.astuple(red)] == [v.hex() for v in expected]
+        assert "_reduced" not in repr(scenario)
+        assert dataclasses.replace(scenario) == scenario  # equality reads the fields alone
+    assert [field.name for field in dataclasses.fields(Scenario)] == [
+        "name", "absorbing", "sweep", "reduced", "system", "geometry", "alpha_calibration",
+        "description"]
 
 
 def test_ris_mode_field_consistency(tmp_path):
@@ -333,10 +379,9 @@ def test_system_values_beyond_the_float_range_are_one_diagnostic(tmp_path):
          "alpha must be positive and finite, got inf"),
     ]
     for old, new, message in edits:
-        scenario = load_scenario(write(tmp_path, VALID_SYSTEM_YAML.replace(old, new)))
-        with pytest.raises(ValueError) as caught:
-            scenario.reduced_params()
-        assert str(caught.value) == message, new
+        with pytest.raises(ScenarioError) as caught:
+            load_scenario(write(tmp_path, VALID_SYSTEM_YAML.replace(old, new)))
+        assert str(caught.value) == f"invalid scenario 'room-test': {message}", new
     huge_count = VALID_SYSTEM_YAML.replace("num_users: 1", f"num_users: {BIG_INT}")
     with pytest.raises(ScenarioError) as caught:
         load_scenario(write(tmp_path, huge_count))  # rejected by the reader, at load
@@ -385,11 +430,12 @@ def test_the_stepped_grid_ends_at_n_max():
 )
 @example(n_min=1e16, span=10.0, step=1.0)  # 11 points where only 6 floats lie
 def test_the_stepped_grid_lies_in_its_bounds_and_increases(n_min, span, step):
-    sweep = SweepSpec(n_min, n_min + span, step)
-    if sweep.n_max > sweep.n_min and step <= 4.0 * math.ulp(sweep.n_max):
+    n_max = n_min + span
+    if n_max > n_min and step <= 4.0 * math.ulp(n_max):
         with pytest.raises(ScenarioError, match=f"^sweep step {step} is at most 4 float spacings"):
-            _grid_values(sweep)
+            SweepSpec(n_min, n_max, step)
         return
+    sweep = SweepSpec(n_min, n_max, step)
     values = _grid_values(sweep)
     assert values and all(sweep.n_min <= value <= sweep.n_max for value in values)
     assert all(a < b for a, b in zip(values, values[1:]))
@@ -405,6 +451,8 @@ def test_bad_sweep_step_string(tmp_path):
     bad = VALID_REDUCED_YAML.replace("step: 0.5", "step: every-other")
     with pytest.raises(ScenarioError, match="powers-of-two"):
         load_scenario(write(tmp_path, bad))
+    exponent = VALID_REDUCED_YAML.replace("step: 0.5", "step: 1e-2")  # a string to YAML 1.1
+    assert load_scenario(write(tmp_path, exponent)).sweep == SweepSpec(1.0, 20.0, 0.01)
 
 
 def test_sweep_bounds_validation():
@@ -549,15 +597,9 @@ def test_run_sweep_single_row_edge():
 
 
 def test_run_sweep_caps_the_grid_before_building_it():
-    # 999,999,001 points requested; the cap must fire before any list is built
-    scenario = Scenario(
-        name="huge",
-        reduced=ReducedParams(1.0, 1.0, 1.0),
-        absorbing=FixedCount(0),
-        sweep=SweepSpec(1.0, 1e6, 1e-3),
-    )
+    # 999,999,001 points requested; the cap fires when the grid is stated, before any list
     with pytest.raises(ScenarioError, match=f"more than {MAX_SWEEP_POINTS} points"):
-        run_sweep(scenario)
+        SweepSpec(1.0, 1e6, 1e-3)
 
 
 def test_run_sweep_powers_of_two_grid():
