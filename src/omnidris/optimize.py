@@ -19,22 +19,30 @@ mode, Newton's method solves it as one law in the load ``x = alpha/(psi n^2)``
 and ``c = theta sqrt(psi/alpha)``, stopping once its step falls below 2^-26
 relative, and ``sqrt((alpha/psi) / x*)`` lies within 4 ULP of the true
 argmax; in proportional mode (c = 0) it is ``sqrt(alpha / (psi t*))`` itself.
-Hardware realizations are the powers of two 1 <= N <= 512; the selection rule
-compares the exact rate at the two candidates bracketing the exact optimum.
+Hardware realizations are the powers of two 1 <= N <= 512; of the two candidates N
+and 2N bracketing the exact optimum, 2N is selected where its exact rate is larger: at
+theta = 0 exactly where ``alpha > 8 psi N^2``, elsewhere where its float rate is larger.
 
 :func:`optimize` is the one optimizer.  Inside, both absorbing rules are one
 count ``theta + q n``: a fixed count is ``(theta, 0.0)`` and a fraction
 ``(0.0, q)``, with the same bits as the rule itself, as ``theta + 0.0 n == theta``
 and ``0.0 + q n == q n``; one body solves, selects and records under it.  Every
-rate comes from the rate kernel, which gives 0 and rate_total's warning where n
+rate is the rate kernel's, bit for bit, which gives 0 and rate_total's warning where n
 does not exceed that count.
+
+What each report forms once: under either rule, the fields of the reduced triple and
+``alpha/psi``, the load at one element, which the exact optimum and the cubic share;
+under a fixed count, the load at ``n_star_cubic``, from which both its two-term series
+rate (``x - x^2/2``, the series' own sum) and its exact rate follow in their functions'
+orders of operations; and the panel rates, one per candidate.
 """
 from __future__ import annotations
 
 import math
 from typing import NamedTuple
 
-from .rate import _INF, _TINY, AbsorbingMode, Fraction, ReducedParams, _number, _rate, _series
+from .rate import (
+    _INF, _TINY, LN2, AbsorbingMode, Fraction, ReducedParams, _log1p, _number, _rate, _series)
 
 __all__ = [
     "OptimumReport",
@@ -90,8 +98,9 @@ class OptimumReport(NamedTuple):
 
 # Not public; keep the name: bench/tracing.py wraps it as the optimize.cubic span and skips a
 # missing name silently.
-def meaningful_root(red: ReducedParams, theta: float) -> float | None:
-    """The stationarity cubic's largest root at a checked theta >= 0 if it is at least 1, else None.
+def meaningful_root(ratio: float, theta: float) -> float | None:
+    """The stationarity cubic's largest root at ``rho = alpha/psi`` and a checked theta >= 0 if it
+    is at least 1, else None.
 
     The two-term series has slope ``-alpha xi / (2 ln2 psi^2 n^5) * cubic(n)``
     with the paper's cubic ``2 psi n^3 - 4 psi theta n^2 - 3 alpha n + 4 alpha theta``;
@@ -108,9 +117,9 @@ def meaningful_root(red: ReducedParams, theta: float) -> float | None:
     it monotonically.
 
     The paper's cubic is ``2 psi`` times the monic cubic
-    ``x^3 - 2 theta x^2 - 1.5 rho x + 2 theta rho`` with ``rho = alpha / psi``,
-    which is solved for ``u = x / unit``, with ``unit`` the power of two at
-    or below ``max(2 theta, sqrt(1.5 rho))``.  Each coefficient is formed
+    ``x^3 - 2 theta x^2 - 1.5 rho x + 2 theta rho``, which depends on alpha and psi
+    only through ``ratio = rho``; it is solved for ``u = x / unit``, with ``unit`` the power of
+    two at or below ``max(2 theta, sqrt(1.5 rho))``.  Each coefficient is formed
     already divided by its power of ``unit``, so every one is O(1) and none
     overflows: ``cbrt(2 theta rho)``, the third size, stays below the other
     two by the AM-GM inequality.  With ``A = 2 theta`` and ``B = sqrt(1.5 rho)`` the
@@ -120,19 +129,19 @@ def meaningful_root(red: ReducedParams, theta: float) -> float | None:
     Formed in units, u0 errs by under 2^-48 relative where rho is a normal float;
     Newton starts at u0 raised by 2^-46 and steps while the iterate falls.
     """
-    ratio = red.alpha / red.psi
     triple = 1.5 * ratio  # rooted factor by factor only where it overflows: ratio > ~1.2e308
-    sqrt_triple = math.sqrt(triple) if triple < math.inf else math.sqrt(1.5) * math.sqrt(ratio)
-    size = max(2.0 * theta, sqrt_triple)
-    if not 0.0 < size < math.inf:
+    sqrt_triple = math.sqrt(triple) if triple < _INF else math.sqrt(1.5) * math.sqrt(ratio)
+    twice = 2.0 * theta
+    size = sqrt_triple if sqrt_triple > twice else twice  # max(2 theta, sqrt(1.5 rho))
+    if not 0.0 < size < _INF:
         return None
     unit = math.ldexp(0.5, math.frexp(size)[1])
-    a, s, r = 2.0 * theta / unit, sqrt_triple / unit, ratio / unit / unit  # A, B, rho in units
-    c, d = -1.5 * r, a * r
+    a, s, r = twice / unit, sqrt_triple / unit, ratio / unit / unit  # A, B, rho in units
+    c, d, two_a = -1.5 * r, a * r, 2.0 * a
     k = 0.5 * d / (size / unit + s)  # K in units, as max(A, B) = size
     u = (0.5 * (a + s) + math.sqrt(0.25 * (a - s) * (a - s) + k)) * (1.0 + 2.0**-46)  # u0, raised
     for _ in range(64):  # a simple root takes about 4 steps
-        below = u - (((u - a) * u + c) * u + d) / ((3.0 * u - 2.0 * a) * u + c)
+        below = u - (((u - a) * u + c) * u + d) / ((3.0 * u - two_a) * u + c)
         if not below < u:
             break
         u = below
@@ -141,19 +150,26 @@ def meaningful_root(red: ReducedParams, theta: float) -> float | None:
 
 
 def _select(red: ReducedParams, theta: float, q: float, n_star: float) -> tuple:
-    """The hardware panel for the optimum ``n_star`` under the absorbing count ``theta + q n``.
+    """The hardware panel for an optimum ``n_star >= 1`` under the absorbing count ``theta + q n``.
 
-    The exact rate at the two bracketing powers of two, 2^floor(log2 n*) and
-    2^ceil(log2 n*), decides; ties go to the smaller panel.  An optimum below
-    one element degenerates to a single element, both candidates 1.  Returns
-    the seven fields ``pow2_lower`` .. ``selected_bits`` of :class:`OptimumReport`.
+    The candidates are the powers of two N = 2^floor(log2 n*) and 2N bracketing n*, or N alone
+    where n* is N.  Each rate is the rate kernel's, reported as it is.  At theta = 0, under every
+    fraction and under FixedCount(0), the exact law decides: 2N wins where ``alpha > 8 psi N^2``,
+    since ``2 ln(1 + y/4) = ln(1 + y)`` at the load ``y = 8``.  ``psi N^2`` is exact, N^2 being
+    a power of four, and where ``8 psi N^2`` overflows, N rightly wins.  Otherwise the larger rate
+    wins, ties going to the smaller panel.  Returns the seven fields ``pow2_lower`` ..
+    ``selected_bits`` of :class:`OptimumReport`.
     """
-    lower = 1 << max(int(n_star).bit_length() - 1, 0)
-    upper = lower if lower >= n_star else 2 * lower
+    bits = int(n_star).bit_length() - 1
+    lower = 1 << bits
     rate_lower = _rate(red, float(lower), theta + q * lower)
-    rate_upper = rate_lower if upper == lower else _rate(red, float(upper), theta + q * upper)
-    n, rate = (upper, rate_upper) if rate_upper > rate_lower else (lower, rate_lower)
-    return lower, upper, rate_lower, rate_upper, n, rate, n.bit_length() - 1
+    if lower == n_star:
+        return lower, lower, rate_lower, rate_lower, lower, rate_lower, bits
+    upper = 2 * lower
+    rate_upper = _rate(red, float(upper), theta + q * upper)
+    if red.alpha > 8.0 * red.psi * lower * lower if theta == 0.0 else rate_upper > rate_lower:
+        return lower, upper, rate_lower, rate_upper, upper, rate_upper, bits + 1
+    return lower, upper, rate_lower, rate_upper, lower, rate_lower, bits
 
 
 def _optimal_load(c: float) -> float:
@@ -171,23 +187,26 @@ def _optimal_load(c: float) -> float:
     """
     log1p, sqrt = math.log1p, math.sqrt
     x = start = T_STAR if 4.0 * T_STAR * c * c <= 1.0 else 0.25 / (c * c)
+    half_c = 0.5 * c
     while True:
-        log, root = log1p(x), sqrt(x)
+        log, root, twice = log1p(x), sqrt(x), 2.0 * x
         # F'(x) = (x - ln(1 + x))/(2x^2) + c/(2 sqrt(x)): where the first term cancels (small x),
         # c sqrt(x) is near 1/2 and the second, near 1/(4x), outweighs it by 1/x
-        step = (1.0 - 0.5 * log - log / (2.0 * x) - c * root) / (
-            (x - log) / (2.0 * x * x) + 0.5 * c / root)
+        step = (1.0 - 0.5 * log - log / twice - c * root) / (
+            (x - log) / (twice * x) + half_c / root)
         x += step
-        if abs(step) < 2.0**-26 * x:  # the next step, near its square, would be below rounding
-            return min(x, start)  # rounding can step right from a start on the root (tiny c)
+        bound = 2.0**-26 * x  # the next step, near this one's square, would be below rounding
+        if -bound < step < bound:
+            return start if start < x else x  # rounding can step right from a start on the root
 
 
-def _exact_optimum(red: ReducedParams, theta: float) -> tuple[float, bool]:
+def _exact_optimum(ratio: float, theta: float, c: float) -> tuple[float, bool]:
     """Argmax of the exact fixed-count rate on n >= 1, within 4 ULP, and whether it is n = 1.
 
-    The rate's slope has the sign of ``g(n) = ln(1 + x) - 2 (1 - theta/n) x/(1 + x)``
-    with ``x = alpha/(psi n^2)``: positive just above max(theta, 1) and
-    negative for large n.  Only when theta < 1 can the slope be
+    ``ratio = alpha/psi`` is the load at one element, finite, theta a count whose double is
+    finite, and ``c = theta sqrt(psi/alpha)``.  The rate's slope has the sign of
+    ``g(n) = ln(1 + x) - 2 (1 - theta/n) x/(1 + x)`` with ``x = alpha/(psi n^2)``: positive
+    just above max(theta, 1) and negative for large n.  Only when theta < 1 can the slope be
     non-positive at one element already; n = 1 is then the optimum, or 2 theta
     where the load underflows (g's root as x -> 0).
 
@@ -197,66 +216,70 @@ def _exact_optimum(red: ReducedParams, theta: float) -> tuple[float, bool]:
     ``c > 2^30``, or c overflows, the load ``1/(4c^2)`` at 2 theta is below 2^-62,
     so ``n* = 2 theta (1 + x*/2 + ...)`` rounds to 2 theta, which is returned.
     """
-    if 2.0 * theta == _INF:  # g(2 theta) > 0, so the optimum lies above 2 theta
-        raise ValueError(f"absorbing count {theta} puts the exact optimum, near 2 x {theta}, "
-                         "beyond the float range")
-    ratio = _load_ratio(red)  # the load at one element
     if theta < 1.0:  # g(1), its pull divided first where it overflows: ratio > ~9e307
         pull = 2.0 * (1.0 - theta) * ratio
         pull = pull / (1.0 + ratio) if pull < _INF else 2.0 * (1.0 - theta) * (ratio / (1.0 + ratio))
         if not math.log1p(ratio) > pull:
             return (2.0 * theta, False) if ratio == 0.0 and 2.0 * theta > 1.0 else (1.0, True)
-    c = theta * math.sqrt(red.psi / red.alpha)
     if c > 2.0**30:
         return 2.0 * theta, False
     square = ratio / (x := _optimal_load(c))  # n^2, rooted factor by factor where it overflows
     n = math.sqrt(square) if square < _INF else math.sqrt(ratio) / math.sqrt(x)
-    return max(n, theta, 1.0), False
+    n = theta if theta > n else n
+    return (1.0 if 1.0 > n else n), False
 
 
-def _load_ratio(red: ReducedParams) -> float:
-    """``alpha/psi``, the load at one element; ValueError where it overflows."""
-    if (ratio := red.alpha / red.psi) < math.inf:
-        return ratio
-    raise ValueError(f"alpha/psi overflows ({red.alpha}/{red.psi}): no finite optimum")
-
-
-def _proportional_root(red: ReducedParams) -> float:
+def _proportional_root(alpha: float, psi: float) -> float:
     """``sqrt(alpha/(psi t*))`` from mantissas, where ``psi t*`` or the quotient is not a normal float.
 
     With ``alpha = a 2^i`` and ``psi = p 2^j`` (a, p in [1/2, 1)), ``a/(p t*)`` lies in
     (1/8, 0.52), doubled where ``i - j`` is odd; ``ldexp`` scales its root by
     ``2^floor((i - j)/2)``, rounding once where the optimum, at least ~8.4e-317, is subnormal.
     """
-    (alpha, e_alpha), (psi, e_psi) = math.frexp(red.alpha), math.frexp(red.psi)
+    (alpha, e_alpha), (psi, e_psi) = math.frexp(alpha), math.frexp(psi)
     exponent = e_alpha - e_psi
     return math.ldexp(math.sqrt(math.ldexp(alpha / (psi * T_STAR), exponent & 1)), exponent >> 1)
 
 
 def _optimize(red: ReducedParams, theta: float, q: float, active_fraction) -> OptimumReport:
     """The report under the count ``theta + q n``: a fixed count where ``active_fraction`` is None."""
+    alpha, psi = red.alpha, red.psi
     fixed = active_fraction is None
+    if fixed and 2.0 * theta == _INF:  # g(2 theta) > 0, so the optimum lies above 2 theta
+        raise ValueError(f"absorbing count {theta} puts the exact optimum, near 2 x {theta}, "
+                         "beyond the float range")
+    if not (ratio := alpha / psi) < _INF:  # the load at one element
+        raise ValueError(f"alpha/psi overflows ({alpha}/{psi}): no finite optimum")
     if fixed:  # the exact optimum in the load, the series optimum from the cubic
-        n_exact, at_one = _exact_optimum(red, theta)
-        n_cubic = meaningful_root(red, theta)
+        n_exact, at_one = _exact_optimum(ratio, theta, theta * math.sqrt(psi / alpha))
+        n_cubic = meaningful_root(ratio, theta)
     else:  # x*(0) = T_STAR: the stationarity is exact, clipped at one element
-        _load_ratio(red)
-        quotient = red.alpha / (product := red.psi * T_STAR)
-        n_cubic = math.sqrt(quotient) if product >= _TINY <= quotient else _proportional_root(red)
-        n_exact, at_one = max(n_cubic, 1.0), n_cubic < 1.0
-    selection = _select(red, theta, q, min(n_exact, _LARGEST))
+        quotient = alpha / (product := psi * T_STAR)
+        n_cubic = (math.sqrt(quotient) if product >= _TINY <= quotient
+                   else _proportional_root(alpha, psi))
+        at_one = n_cubic < 1.0
+        n_exact = 1.0 if at_one else n_cubic
+    selection = _select(red, theta, q, _LARGEST if _LARGEST < n_exact else n_exact)
     f_exact = _rate(red, n_exact, theta + q * n_exact)
     used_fallback = fixed and n_cubic is None
     if used_fallback or not (fixed or at_one):  # the analytic optimum is the exact one
         n_cubic, f_cubic, f_exact_cubic = n_exact, f_exact, f_exact
-    elif fixed:  # n_cubic >= max(2 theta, 1) > theta
-        f_cubic = _series(red, n_cubic, theta, 2)
-        f_exact_cubic = _rate(red, n_cubic, theta)
+    elif fixed:  # n_cubic >= max(2 theta, 1) > theta, at a load of at most 2/3
+        # one load x for _series(red, n_cubic, theta, 2) and _rate(red, n_cubic, theta), each rate
+        # in its function's order of operations.  x is 0 where _load would take the mantissas;
+        # there, where x is below the normal floats and where a rate overflows, they take over
+        d = psi * n_cubic * n_cubic
+        x = alpha / d if _TINY <= d < _INF and psi >= _TINY else 0.0
+        scale = red.xi * (n_cubic - theta)
+        f_cubic = scale / LN2 * (x - x * x / 2)  # the series' two terms, x - x^2/2
+        f_exact_cubic = scale * float(_log1p(x)) / LN2
+        if not (_TINY <= x <= 1.0 and f_cubic < _INF and f_exact_cubic < _INF):
+            f_cubic, f_exact_cubic = _series(red, n_cubic, theta, 2), _rate(red, n_cubic, theta)
     else:  # below one element
         f_cubic = f_exact_cubic = _rate(red, n_cubic, q * n_cubic)
     return _new(OptimumReport, (
         "fixed-count" if fixed else "proportional", theta if fixed else None, active_fraction,
-        n_cubic, n_exact, f_cubic, f_exact, f_exact_cubic, *selection,
+        n_cubic, n_exact, f_cubic, f_exact, f_exact_cubic) + selection + (
         at_one or n_exact > _LARGEST, used_fallback))
 
 

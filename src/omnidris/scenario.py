@@ -115,7 +115,7 @@ class SweepSpec:
                     ScenarioError)
         if self.step is None or self.n_max == self.n_min:
             return  # no stepped grid
-        if (self.n_max - self.n_min) / self.step + 1e-9 >= MAX_SWEEP_POINTS:
+        if sum(self._stepped()) > MAX_SWEEP_POINTS:
             raise ScenarioError(f"sweep step {self.step} over [{self.n_min}, {self.n_max}] "
                                 f"gives more than {MAX_SWEEP_POINTS} points")
         # Rounding ``k step`` and ``n_min + k step`` can close the gap between consecutive
@@ -123,6 +123,19 @@ class SweepSpec:
         if self.step <= 4.0 * math.ulp(self.n_max):
             raise ScenarioError(f"sweep step {self.step} is at most 4 float spacings at n_max "
                                 f"{self.n_max}: consecutive points could repeat")
+
+    def _stepped(self) -> tuple[int, bool]:
+        """How many points ``n_min + k step`` the stepped grid has, and whether n_max follows
+        them: the one rule of its size, which the cap checks and :func:`_grid_values` builds.
+        The count takes 1e-9 of slack, so that rounding keeps a last point on n_max; from
+        MAX_SWEEP_POINTS steps on it reads MAX_SWEEP_POINTS + 1, without being formed.
+        """
+        steps = (self.n_max - self.n_min) / self.step + 1e-9
+        if not steps < MAX_SWEEP_POINTS:  # inf too, where the step is tiny
+            return MAX_SWEEP_POINTS + 1, False
+        count = int(steps) + 1
+        last = min(self.n_min + (count - 1) * self.step, self.n_max)  # the slack may overshoot
+        return count, last < self.n_max - 1e-9 * max(1.0, self.n_max)
 
 
 @dataclass(frozen=True)
@@ -504,11 +517,10 @@ def _grid_values(sweep: SweepSpec) -> list[float]:
         return [sweep.n_min]
     if sweep.step is None:
         return []
-    steps = (sweep.n_max - sweep.n_min) / sweep.step + 1e-9
-    count = int(math.floor(steps)) + 1
+    count, short = sweep._stepped()
     values = [sweep.n_min + k * sweep.step for k in range(count)]
-    values[-1] = min(values[-1], sweep.n_max)  # the 1e-9 of slack in steps may overshoot
-    if values[-1] < sweep.n_max - 1e-9 * max(1.0, sweep.n_max):
+    values[-1] = min(values[-1], sweep.n_max)  # the 1e-9 of slack in the step count may overshoot
+    if short:
         values.append(sweep.n_max)
     return values
 

@@ -55,7 +55,7 @@ def test_criterion_01_calculated_table_reproduction():
     results = {}
     for name in CALCULATED_SCENARIOS:
         red, theta = reduced(name)
-        root = meaningful_root(red, theta)
+        root = meaningful_root(red.alpha / red.psi, theta)
         results[name] = (root, f_series(red, root, theta, 2))
     elapsed = time.perf_counter() - start
 
@@ -173,7 +173,7 @@ def test_criterion_07_source_doubling_law():
 def test_criterion_08a_two_term_series_is_stationary_at_the_cubic_root():
     for name in CALCULATED_SCENARIOS:
         red, theta = reduced(name)
-        root = meaningful_root(red, theta)
+        root = meaningful_root(red.alpha / red.psi, theta)
         h = 1e-6 * root
         derivative = (f_series(red, root + h, theta, 2) - f_series(red, root - h, theta, 2)) / (
             2.0 * h

@@ -25,6 +25,7 @@ from omnidris.optimize import (
     optimize_proportional,
     _exact_optimum,
     _optimal_load,
+    _optimize,
     _select,
 )
 from omnidris.scenario import NORMALIZED_COMBOS, alpha_calibration_for
@@ -73,7 +74,7 @@ PRECISE_ARGMAX = {
 )
 def test_solve_cubic_matches_published_roots(name, published):
     red, theta = reduced(name)
-    largest = meaningful_root(red, theta)
+    largest = meaningful_root(red.alpha / red.psi, theta)
     assert largest == pytest.approx(published, rel=1e-3)
     assert largest == pytest.approx(PRECISE_ROOTS[name], rel=1e-9)
 
@@ -86,24 +87,30 @@ ROOT_ULPS = 2.0
 AT_ONE_BAND = 1e-12
 
 
+def exact_optimum(red: ReducedParams, theta: float) -> tuple[float, bool]:
+    """``_exact_optimum`` as ``_optimize`` calls it: with alpha/psi and theta sqrt(psi/alpha)."""
+    return _exact_optimum(red.alpha / red.psi, theta, theta * math.sqrt(red.psi / red.alpha))
+
+
 def test_meaningful_root_c0():
     red, theta = reduced("C0")
-    assert meaningful_root(red, theta) == pytest.approx(PRECISE_ROOTS["C0"], rel=1e-9)
+    root = meaningful_root(red.alpha / red.psi, theta)
+    assert root == pytest.approx(PRECISE_ROOTS["C0"], rel=1e-9)
 
 
 def test_meaningful_root_c2():
     red, theta = reduced("C2")
-    assert meaningful_root(red, theta) == pytest.approx(20.0250, rel=1e-3)
+    assert meaningful_root(red.alpha / red.psi, theta) == pytest.approx(20.0250, rel=1e-3)
 
 
 def test_meaningful_root_zero_theta():
-    root = meaningful_root(ReducedParams(1.0, 1.0, 1.0), 0.0)
+    root = meaningful_root(1.0, 0.0)
     assert root == pytest.approx(math.sqrt(1.5), rel=1e-9)
 
 
 def test_meaningful_root_none_qualifies():
     red = ReducedParams(0.01, 1.0, 1.0)  # stationary point at sqrt(0.015) < 1
-    assert meaningful_root(red, 0.0) is None
+    assert meaningful_root(red.alpha / red.psi, 0.0) is None
 
 
 @pytest.mark.parametrize("call", [optimize_fixed_theta])
@@ -119,13 +126,13 @@ def test_meaningful_root_rejects_a_cubic_beyond_the_float_range(alpha, psi, thet
     # alpha/psi underflows, leaving the monic cubic x^3; the exact root is far below one element
     red = ReducedParams(alpha, psi, 1.0)
     assert decimal_cubic_root(red, theta) < 1
-    assert meaningful_root(red, theta) is None
+    assert meaningful_root(red.alpha / red.psi, theta) is None
 
 
 @pytest.mark.parametrize("name", sorted(NORMALIZED_COMBOS))
 def test_meaningful_root_is_correctly_rounded(name):
     red, theta = reduced(name)
-    root = meaningful_root(red, theta)
+    root = meaningful_root(red.alpha / red.psi, theta)
     error = abs(decimal.Decimal(root) - decimal_cubic_root(red, theta))
     assert error <= decimal.Decimal(math.ulp(root)) / 2
 
@@ -145,7 +152,7 @@ def test_the_cubic_root_stands_where_4_alpha_theta_overflows():
 def test_meaningful_root_at_a_huge_absorbing_count():
     # without the power-of-two unit, Newton would start at its bound 4e200 and overflow
     red, theta = ReducedParams(5.0, 1.0, 1.0), 1e200
-    root = meaningful_root(red, theta)
+    root = meaningful_root(red.alpha / red.psi, theta)
     assert math.isfinite(root)
     assert ulps_from(root, decimal_cubic_root(red, theta)) <= ROOT_ULPS
 
@@ -154,7 +161,7 @@ def test_the_cubic_root_stands_where_3_alpha_over_psi_overflows():
     # the derivative check's 3 alpha/psi = 3e308 leaves the float range; 3 (ratio/root) does not
     red = ReducedParams(1e308, 1.0, 1.0)
     expected = math.sqrt(1.5e308)
-    assert abs(meaningful_root(red, 0.0) - expected) <= 2 * math.ulp(expected)
+    assert abs(meaningful_root(red.alpha / red.psi, 0.0) - expected) <= 2 * math.ulp(expected)
     assert not optimize(red, FixedCount(0)).used_fallback
 
 
@@ -206,7 +213,7 @@ def test_meaningful_root_matches_the_probe_reference(alpha, psi, theta):
     start, bound = _newton_start(red, theta), 2.0 * theta + math.sqrt(1.5 * (alpha / psi))
     assert start <= bound * (1.0 + 2.0**-45)  # u0 <= A + B, raised by 2^-46
     assert exact <= decimal.Decimal(start)
-    root = meaningful_root(red, theta)
+    root = meaningful_root(red.alpha / red.psi, theta)
     assert (root is None) == (exact < 1)
     if root is not None:
         assert ulps_from(root, exact) <= ROOT_ULPS
@@ -223,10 +230,10 @@ def test_cubic_roots_follow_the_scaling_law(alpha, psi, theta, scale_exp):
     # n -> s n with alpha/psi -> s^2 alpha/psi and theta -> s theta maps the cubic onto itself;
     # a power of two s scales every step of the root search exactly
     s = 2.0**scale_exp
-    root = meaningful_root(ReducedParams(alpha, psi, 1.0), theta)
+    root = meaningful_root(alpha / psi, theta)
     if root is None:
         return
-    assert meaningful_root(ReducedParams(s * s * alpha, psi, 1.0), s * theta) == s * root
+    assert meaningful_root(s * s * alpha / psi, s * theta) == s * root
 
 
 @settings(max_examples=300, deadline=None)
@@ -246,7 +253,7 @@ def test_the_largest_root_rises_inside_the_series_domain(alpha, psi, theta):
     assume(ratio < math.inf)
     exact = decimal_cubic_root(ReducedParams(alpha, psi, 1.0), theta)
     assume(abs(exact - 1) > AT_ONE_BAND)  # Hypothesis counts the draws it leaves out
-    root = meaningful_root(ReducedParams(alpha, psi, 1.0), theta)
+    root = meaningful_root(alpha / psi, theta)
     assert (root is None) == (exact < 1)
     if root is None:
         return
@@ -326,11 +333,28 @@ def test_select_tie_prefers_smaller_panel():
     assert selected == lower == 2
 
 
-def test_select_below_one_degenerates():
-    red = ReducedParams(1.0, 1.0, 1.0)
-    lower, upper, _, _, selected, _, _ = _select(red, 0.0, 0.0, 0.4)
-    assert lower == upper == 1
-    assert selected == 1
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha=st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e),
+    psi=st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e),
+    rule=st.one_of(
+        st.integers(min_value=0, max_value=10**6).map(FixedCount),
+        st.floats(min_value=0.0, max_value=0.99).map(Fraction),
+        st.floats(min_value=0.0, max_value=1e6),  # a float count, as _optimize takes it
+    ),
+)
+def test_the_panel_brackets_the_clipped_exact_optimum(alpha, psi, rule):
+    # the exact optimum is at least one element, so the panel is the power of two at or below
+    # it, clipped at 512, or the next one up
+    red = ReducedParams(alpha, psi, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateConfigWarning)
+        report = optimize(red, rule) if rule.__class__ is not float else _optimize(
+            red, rule, 0.0, None)
+    lower, upper = report.pow2_lower, report.pow2_upper
+    assert 1 <= lower <= min(report.n_star_exact, 512) <= upper <= 2 * lower
+    assert lower & (lower - 1) == 0
+    assert report.selected_n in (lower, upper)
 
 
 @settings(max_examples=300, deadline=None)
@@ -521,10 +545,19 @@ def test_every_rule_kind_gives_the_rate_and_selection_of_its_count(alpha, psi, r
             st.sampled_from((0.1, 0.15, 0.2, 0.3, 0.7, 0.9)), st.floats(min_value=0.0, max_value=0.99)
         ).map(Fraction),
     ),
+    xi=st.one_of(st.just(1.0), st.floats(min_value=-3.0, max_value=9.0).map(lambda e: 10.0**e)),
 )
-def test_report_rates_are_the_rates_at_the_reported_counts(alpha, psi, theta, rule):
+# the load at n_star_cubic off the one-load path: psi n^2 overflows, psi is subnormal, psi n^2
+# overflows and the load underflows, the load alone underflows, and xi (n - theta) overflows
+# where the series' other order of operations does not
+@example(alpha=1.7e308, psi=1.0, theta=0.0, rule=None, xi=1.0)
+@example(alpha=1e-310, psi=1e-320, theta=0.0, rule=None, xi=1.0)
+@example(alpha=5.0, psi=1.0, theta=1e200, rule=None, xi=1.0)
+@example(alpha=1e-300, psi=1.0, theta=1e5, rule=None, xi=1.0)
+@example(alpha=5.0, psi=1.0, theta=1.0, rule=None, xi=1e308)
+def test_report_rates_are_the_rates_at_the_reported_counts(alpha, psi, theta, rule, xi):
     # every rate of a report is, bit for bit, the checked public function at its count
-    red = ReducedParams(alpha, psi, 1.0)
+    red = ReducedParams(alpha, psi, xi)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateConfigWarning)
         if rule is None:
@@ -563,7 +596,7 @@ def test_exact_optimum_matches_the_bisection_reference(alpha, psi, theta):
     red = ReducedParams(alpha, psi, 1.0)
     exact = decimal_argmax(red, theta)
     assume(abs(exact - 1) > AT_ONE_BAND)  # Hypothesis counts the draws it leaves out
-    n_exact, at_one = _exact_optimum(red, theta)
+    n_exact, at_one = exact_optimum(red, theta)
     assert at_one == (theta < 1.0 and exact < 1)
     if at_one:
         assert n_exact == 1.0
@@ -616,7 +649,7 @@ def test_no_absorbing_count_is_the_proportional_optimum(alpha, psi):
     (1e-310, 1e-320, 0.0, math.sqrt(1e-310 / 1e-320 / T_STAR)),
 ])
 def test_exact_optimum_holds_where_psi_n2_is_not_a_normal_float(alpha, psi, theta, expected):
-    n_exact, at_one = _exact_optimum(ReducedParams(alpha, psi, 1.0), theta)
+    n_exact, at_one = exact_optimum(ReducedParams(alpha, psi, 1.0), theta)
     assert not at_one
     assert abs(n_exact - expected) <= 4 * math.ulp(expected)
 
@@ -624,8 +657,8 @@ def test_exact_optimum_holds_where_psi_n2_is_not_a_normal_float(alpha, psi, thet
 def test_exact_optimum_scales_to_the_edge_of_the_float_range():
     # c = theta sqrt(psi/alpha) ~ 0.77 puts the optimum at ~2.3e154, where psi n^2 overflows;
     # scaling alpha by 4^-100 and theta by 2^-100 keeps c and scales n* by 2^-100
-    edge, at_one = _exact_optimum(ReducedParams(1.7e308, 1.0, 1.0), 1e154)
-    inside, _ = _exact_optimum(ReducedParams(1.7e308 * 2.0**-200, 1.0, 1.0), 1e154 * 2.0**-100)
+    edge, at_one = exact_optimum(ReducedParams(1.7e308, 1.0, 1.0), 1e154)
+    inside, _ = exact_optimum(ReducedParams(1.7e308 * 2.0**-200, 1.0, 1.0), 1e154 * 2.0**-100)
     assert not at_one
     assert abs(edge - inside * 2.0**100) <= 4 * math.ulp(edge)
 

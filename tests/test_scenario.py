@@ -602,6 +602,29 @@ def test_run_sweep_caps_the_grid_before_building_it():
         SweepSpec(1.0, 1e6, 1e-3)
 
 
+def test_the_sweep_cap_counts_the_point_on_n_max():
+    # 1,000,000 points k step from 1 fall short of n_max, which would be the 1,000,001st
+    with pytest.raises(ScenarioError, match=f"more than {MAX_SWEEP_POINTS} points"):
+        SweepSpec(1.0, 1000000.5, 1.0)
+    # at the cap, without building the grid: the last point k step lies on n_max, or n_max follows
+    assert SweepSpec(1.0, 1000000.0, 1.0)._stepped() == (MAX_SWEEP_POINTS, False)
+    assert SweepSpec(1.0, 999999.5, 1.0)._stepped() == (MAX_SWEEP_POINTS - 1, True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_min=st.floats(min_value=1.0, max_value=100.0),
+    width=st.floats(min_value=1e-3, max_value=100.0),
+    step=st.floats(min_value=0.05, max_value=10.0),
+)
+def test_the_sweep_cap_counts_the_grid_it_builds(n_min, width, step):
+    sweep = SweepSpec(n_min, n_min + width, step)
+    values = _grid_values(sweep)
+    assert len(values) == sum(sweep._stepped())
+    assert values[0] == n_min and all(a < b for a, b in zip(values, values[1:]))
+    assert sweep.n_max - 1e-9 * max(1.0, sweep.n_max) <= values[-1] <= sweep.n_max
+
+
 def test_run_sweep_powers_of_two_grid():
     scenario = Scenario(
         name="pow2",
