@@ -14,11 +14,12 @@ Two regimes:
   puts the optimum at ``n* = sqrt(alpha / (psi t*))`` regardless of the
   active fraction or the rate scale.
 
-The exact-rate optimum is the root of the exact stationarity: in fixed
-mode, Newton's method solves it as one law in the load ``x = alpha/(psi n^2)``
-and ``c = theta sqrt(psi/alpha)``, stopping once its step falls below 2^-26
-relative, and ``sqrt((alpha/psi) / x*)`` lies within 4 ULP of the true
-argmax; in proportional mode (c = 0) it is ``sqrt(alpha / (psi t*))`` itself.
+The exact-rate optimum is one law under either rule: in the load ``x = alpha/(psi n^2)``, with
+``c = theta sqrt(psi/alpha)``, the stationarity is ``(1 + x) ln(1 + x)/(2x) + c sqrt(x) = 1``.
+At theta = 0 its root is t* and the optimum ``sqrt(alpha / (psi t*))``, under FixedCount(0) and
+every fraction alike; at theta > 0 Newton's method solves it to 2^-26 relative, and
+``sqrt((alpha/psi) / x*)``, above 2 theta, lies within 4 ULP of the root.  The slope changes sign
+once, there, so the argmax on n >= 1 is one element exactly where the root is below one.
 Hardware realizations are the powers of two 1 <= N <= 512; of the two candidates N
 and 2N bracketing the exact optimum, 2N is selected where its exact rate is larger: at
 theta = 0 exactly where ``alpha > 8 psi N^2``, elsewhere where its float rate is larger.
@@ -65,7 +66,9 @@ class OptimumReport(NamedTuple):
 
     ``n_star_cubic`` is the analytic optimum (cubic root in fixed mode,
     ``sqrt(alpha/(psi t*))`` in proportional mode) and ``n_star_exact``
-    the argmax of the exact rate on n >= 1, within 4 ULP of it.  In fixed mode
+    the argmax of the exact rate on n >= 1, within 4 ULP of it: FixedCount(0) and
+    Fraction(0.0) report it, and every field but the rule's and the analytic optimum's,
+    with the same bits.  In fixed mode
     ``f_at_cubic`` follows the two-term-series convention of the
     published "calculated" column, while ``f_exact_at_cubic`` is the
     exact rate at the same point; in proportional mode the stationarity
@@ -73,8 +76,7 @@ class OptimumReport(NamedTuple):
     cubic's largest root is below one element and ``n_star_exact`` stands
     in for it.  The panel is selected around ``n_star_exact``, clamped to
     512 elements, into the seven fields ``pow2_lower`` .. ``selected_bits``;
-    ``at_boundary`` is set when the exact optimum lies at one element or
-    beyond 512.
+    ``at_boundary`` is set when the root lies below one element or beyond 512.
     """
 
     mode: str
@@ -200,33 +202,21 @@ def _optimal_load(c: float) -> float:
             return start if start < x else x  # rounding can step right from a start on the root
 
 
-def _exact_optimum(ratio: float, theta: float, c: float) -> tuple[float, bool]:
-    """Argmax of the exact fixed-count rate on n >= 1, within 4 ULP, and whether it is n = 1.
+def _exact_root(ratio: float, theta: float, c: float) -> float:
+    """The root of the exact fixed-count stationarity at a count theta > 0, within 4 ULP.
 
     ``ratio = alpha/psi`` is the load at one element, finite, theta a count whose double is
-    finite, and ``c = theta sqrt(psi/alpha)``.  The rate's slope has the sign of
-    ``g(n) = ln(1 + x) - 2 (1 - theta/n) x/(1 + x)`` with ``x = alpha/(psi n^2)``: positive
-    just above max(theta, 1) and negative for large n.  Only when theta < 1 can the slope be
-    non-positive at one element already; n = 1 is then the optimum, or 2 theta
-    where the load underflows (g's root as x -> 0).
-
-    Otherwise g's root is ``sqrt((alpha/psi) / x*)``, with x* from
-    :func:`_optimal_load`, held to at least max(theta, 1): the roundings of x*,
-    of the quotients and of the root leave it within 4 ULP of the true root.  Where
-    ``c > 2^30``, or c overflows, the load ``1/(4c^2)`` at 2 theta is below 2^-62,
-    so ``n* = 2 theta (1 + x*/2 + ...)`` rounds to 2 theta, which is returned.
+    finite, and ``c = theta sqrt(psi/alpha)``.  The root is ``sqrt((alpha/psi) / x*)``, with x*
+    from :func:`_optimal_load`: the roundings of x*, of the quotients and of the root leave it
+    within 4 ULP of the true root.  As ``x* < 1/(4c^2)``, the load at 2 theta, it lies above
+    2 theta.  Where ``c > 2^30``, or c overflows (as it does where the load underflows to 0),
+    the load ``1/(4c^2)`` at 2 theta is below 2^-62, so ``n* = 2 theta (1 + x*/2 + ...)`` rounds
+    to 2 theta, which is returned.
     """
-    if theta < 1.0:  # g(1), its pull divided first where it overflows: ratio > ~9e307
-        pull = 2.0 * (1.0 - theta) * ratio
-        pull = pull / (1.0 + ratio) if pull < _INF else 2.0 * (1.0 - theta) * (ratio / (1.0 + ratio))
-        if not math.log1p(ratio) > pull:
-            return (2.0 * theta, False) if ratio == 0.0 and 2.0 * theta > 1.0 else (1.0, True)
     if c > 2.0**30:
-        return 2.0 * theta, False
+        return 2.0 * theta
     square = ratio / (x := _optimal_load(c))  # n^2, rooted factor by factor where it overflows
-    n = math.sqrt(square) if square < _INF else math.sqrt(ratio) / math.sqrt(x)
-    n = theta if theta > n else n
-    return (1.0 if 1.0 > n else n), False
+    return math.sqrt(square) if square < _INF else math.sqrt(ratio) / math.sqrt(x)
 
 
 def _proportional_root(alpha: float, psi: float) -> float:
@@ -245,20 +235,20 @@ def _optimize(red: ReducedParams, theta: float, q: float, active_fraction) -> Op
     """The report under the count ``theta + q n``: a fixed count where ``active_fraction`` is None."""
     alpha, psi = red.alpha, red.psi
     fixed = active_fraction is None
-    if fixed and 2.0 * theta == _INF:  # g(2 theta) > 0, so the optimum lies above 2 theta
+    if fixed and 2.0 * theta == _INF:  # the exact optimum, the root, lies above 2 theta
         raise ValueError(f"absorbing count {theta} puts the exact optimum, near 2 x {theta}, "
                          "beyond the float range")
     if not (ratio := alpha / psi) < _INF:  # the load at one element
         raise ValueError(f"alpha/psi overflows ({alpha}/{psi}): no finite optimum")
-    if fixed:  # the exact optimum in the load, the series optimum from the cubic
-        n_exact, at_one = _exact_optimum(ratio, theta, theta * math.sqrt(psi / alpha))
-        n_cubic = meaningful_root(ratio, theta)
-    else:  # x*(0) = T_STAR: the stationarity is exact, clipped at one element
+    if theta == 0.0:  # x*(0) = T_STAR under either rule: the closed form
         quotient = alpha / (product := psi * T_STAR)
-        n_cubic = (math.sqrt(quotient) if product >= _TINY <= quotient
-                   else _proportional_root(alpha, psi))
-        at_one = n_cubic < 1.0
-        n_exact = 1.0 if at_one else n_cubic
+        root = (math.sqrt(quotient) if product >= _TINY <= quotient
+                else _proportional_root(alpha, psi))
+    else:  # c only for theta > 0: 0 sqrt(psi/alpha) is NaN where psi/alpha overflows
+        root = _exact_root(ratio, theta, theta * math.sqrt(psi / alpha))
+    at_one = root < 1.0  # the slope changes sign once, at the root: the argmax on n >= 1
+    n_exact = 1.0 if at_one else root
+    n_cubic = meaningful_root(ratio, theta) if fixed else root  # the series optimum in fixed mode
     selection = _select(red, theta, q, _LARGEST if _LARGEST < n_exact else n_exact)
     f_exact = _rate(red, n_exact, theta + q * n_exact)
     used_fallback = fixed and n_cubic is None

@@ -155,10 +155,8 @@ class ReducedParams:
     xi: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.alpha < _INF and 0.0 < self.psi < _INF and 0.0 < self.xi < _INF
-                and self.alpha.__class__ is self.psi.__class__ is self.xi.__class__ is float):
-            for field in ("alpha", "psi", "xi"):  # names the bad field; an int is a number too
-                _number(getattr(self, field), field)
+        for field in ("alpha", "psi", "xi"):
+            _number(getattr(self, field), field)
 
 
 def snr_single_link(params: SystemParams, gain: float, num_elements: int) -> float:
@@ -329,18 +327,21 @@ def bits_per_sequence(red: ReducedParams, rate: float, active: float) -> float:
         k = 1/2 * log2( alpha / (psi * (e^(ln2 * rate / (xi * active)) - 1)) )
 
     Round-trip law: for a power-of-two panel with a fixed absorbing count,
-    ``bits_per_sequence(rate_total(n), n - theta) == log2 n``.
+    ``bits_per_sequence(rate_total(n), n - theta) == log2 n``.  Only an exponent that
+    underflows to 0, leaving no rate to invert, is refused.
     """
     _number(active, "active element count")
     _number(rate, "rate")
     exponent = LN2 * rate / (red.xi * active)
-    denominator = red.psi * math.expm1(exponent)
-    if denominator <= 0:
-        raise ValueError("rate inversion produced a non-positive denominator")
-    ratio = red.alpha / denominator
-    if ratio < 1.0 - 1e-9:
+    if exponent == 0.0:
+        raise ValueError(f"rate inversion underflowed: ln2 rate / (xi active) is 0 at rate {rate}")
+    growth = math.expm1(exponent)
+    ratio = red.alpha / denominator if _TINY <= (denominator := red.psi * growth) < _INF else 0.0
+    log_ratio = (math.log2(ratio) if _TINY <= ratio < _INF  # else from its factors' logarithms
+                 else math.log2(red.alpha) - math.log2(red.psi) - math.log2(growth))
+    if log_ratio < math.log2(1.0 - 1e-9):
         raise ValueError(
             "rate exceeds single-element capacity for these parameters "
-            f"(implied element count {math.sqrt(ratio):.6g} < 1)"
+            f"(implied element count {2.0 ** (0.5 * log_ratio):.6g} < 1)"
         )
-    return 0.5 * math.log2(ratio)
+    return 0.5 * log_ratio

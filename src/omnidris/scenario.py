@@ -158,6 +158,10 @@ class Scenario:
     description: str = ""
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str) or not self.name:
+            raise ScenarioError(f"scenario name must be a non-empty string, got {self.name!r}")
+        if not isinstance(self.description, str):
+            raise ScenarioError(f"scenario description must be a string, got {self.description!r}")
         alpha = self.alpha_calibration
         if (self.reduced is None) == (self.system is None):
             raise ScenarioError(
@@ -312,12 +316,8 @@ def _scenario_from_dict(data: dict, *, source: str = "scenario") -> Scenario:
     if version.__class__ is not int or version != 1:  # True == 1.0 == 1
         raise ScenarioError(f"unsupported schema_version {version!r} (expected 1)")
     name = _require(data, "name", source)
-    if not isinstance(name, str) or not name:
-        raise ScenarioError(f"scenario name must be a non-empty string, got {name!r}")
     description = data.get("description")
     description = "" if description is None else description  # a key with no value is null
-    if not isinstance(description, str):
-        raise ScenarioError(f"scenario description must be a string, got {description!r}")
 
     try:
         reduced = _record(ReducedParams, data, "reduced")

@@ -38,7 +38,7 @@ def test_bench_pairs_alternates_the_sides_and_writes_what_bench_compare_reads(tm
             runs = [seed + offset for seed in (1, 2, 3)]
             assert metrics["ops_per_s"] == {"median": 2 + offset, "q1": 1.5 + offset,
                                             "q3": 2.5 + offset, "runs": runs}
-    lines = load_tool("bench_compare").compare(written, None, SPEC)
+    lines = load_tool("bench_compare").compare(written, SPEC)
     assert len(lines) == 2 * len(NAMES)
     ops = next(line for line in lines if line.split()[:2] == ["optimize-grid", "ops_per_s"])
     assert "change better on 3, worse on 0 of 3 seeds" in ops

@@ -18,12 +18,12 @@ from omnidris.rate import (
 )
 from omnidris.optimize import (
     HARDWARE_POWERS_OF_TWO,
+    OptimumReport,
     T_STAR,
     meaningful_root,
     optimize,
     optimize_fixed_theta,
     optimize_proportional,
-    _exact_optimum,
     _optimal_load,
     _optimize,
     _select,
@@ -88,8 +88,15 @@ AT_ONE_BAND = 1e-12
 
 
 def exact_optimum(red: ReducedParams, theta: float) -> tuple[float, bool]:
-    """``_exact_optimum`` as ``_optimize`` calls it: with alpha/psi and theta sqrt(psi/alpha)."""
-    return _exact_optimum(red.alpha / red.psi, theta, theta * math.sqrt(red.psi / red.alpha))
+    """The fixed-count report's exact optimum, and whether it is at one element.
+
+    ``at_boundary`` is set at one element or beyond 512, and ``n_star_exact`` is 1 exactly at one
+    element (an optimum beyond 512 is not 1).
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateConfigWarning)  # panels at or below theta
+        report = _optimize(red, theta, 0.0, None)
+    return report.n_star_exact, report.at_boundary and report.n_star_exact == 1.0
 
 
 def test_meaningful_root_c0():
@@ -493,7 +500,7 @@ def test_the_benchmark_s_optimizer_calls_report_what_optimize_reports(alpha, psi
 
 
 def test_exact_optimum_survives_an_overflowing_slope_term():
-    # at one element the load is 1e308, and 2 (1 - theta/n) x overflows unless divided first
+    # at one element the load is 1e308: the closed form holds at the top of the float range
     report = optimize(ReducedParams(1e308, 1.0, 1.0), FixedCount(0))
     assert report.n_star_exact == pytest.approx(math.sqrt(1e308 / T_STAR), rel=1e-12)
 
@@ -633,13 +640,33 @@ def test_the_load_law_rises_is_concave_and_is_solved(c, x):
     assert ulps_from(root, decimal_optimal_load(c)) <= LOAD_ULPS
 
 
+#: The fields in which FixedCount(0) and Fraction(0.0) may differ: the rule, and the analytic
+#: optimum (the cubic's root against the closed form), its two rates and the fallback flag.
+RULE_FIELDS = frozenset(("mode", "theta", "active_fraction", "n_star_cubic", "f_at_cubic",
+                         "f_exact_at_cubic", "used_fallback"))
+
+
 @settings(max_examples=200, deadline=None)
-@given(alpha=WIDE_ALPHA, psi=HARDWARE_PSI)
+@given(
+    alpha=st.one_of(WIDE_ALPHA, ANY_POSITIVE_FLOAT),
+    psi=st.one_of(HARDWARE_PSI, WIDE_PSI, ANY_POSITIVE_FLOAT),
+)
+# draws where a second derivation of the optimum for FixedCount(0) moved n_star_exact by 1 ULP
+# (and with it f_at_exact by 2)
+@example(alpha=32804.22086242246, psi=788.9346277843777)
+@example(alpha=6.110240669708804e-39, psi=3.790535636977509e-294)
+@example(alpha=1e-300, psi=1e10)  # psi/alpha overflows: c = 0 sqrt(psi/alpha) would be NaN
+@example(alpha=1e308, psi=1e-10)  # alpha/psi overflows: both refuse it
 def test_no_absorbing_count_is_the_proportional_optimum(alpha, psi):
-    # FixedCount(0) and Fraction(0) both leave every element active: c = 0 and the load is t*
-    fixed = optimize(ReducedParams(alpha, psi, 1.0), FixedCount(0)).n_star_exact
-    share = optimize(ReducedParams(alpha, psi, 1.0), Fraction(0.0)).n_star_exact
-    assert abs(fixed - share) <= 4 * math.ulp(share)
+    # FixedCount(0) and Fraction(0.0) both leave every element active: one rate, one optimum
+    red = ReducedParams(alpha, psi, 1.0)
+    fixed = _fields_or_error(optimize, red, FixedCount(0))
+    share = _fields_or_error(optimize, red, Fraction(0.0))
+    if isinstance(fixed, str):  # the same error
+        assert fixed == share
+        return
+    shared = [i for i, field in enumerate(OptimumReport._fields) if field not in RULE_FIELDS]
+    assert [fixed[i] for i in shared] == [share[i] for i in shared]
 
 
 @pytest.mark.parametrize("alpha,psi,theta,expected", [

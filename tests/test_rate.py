@@ -513,6 +513,26 @@ def test_bits_rejects_infeasible_rate():
         bits_per_sequence(red, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("psi, rate, expected", [
+    # alpha/(psi ln2 1e-320) overflows: log2 of the quotient is 1063.5 (the rate is subnormal,
+    # so ln2 rate keeps only its leading bits)
+    (1.0, 1e-320, 0.5 * (-math.log2(LN2 * 1e-320))),
+    # psi expm1(E) underflows to 0 at E = 5e-324 (ln2 x 5e-324 rounds up to it): 1/(2^-1 2^-1074)
+    (0.5, 5e-324, 537.5),
+])
+def test_bits_hold_where_the_quotient_leaves_the_floats(psi, rate, expected):
+    bits = bits_per_sequence(ReducedParams(1.0, psi, 1.0), rate, 1.0)
+    assert math.isfinite(bits) and bits == pytest.approx(expected, rel=1e-12)
+
+
+def test_bits_refuse_an_exponent_that_underflows():
+    # ln2 5e-324 / 1e10 is 0: no rate is left to invert
+    with pytest.raises(ValueError) as caught:
+        bits_per_sequence(ReducedParams(1.0, 1.0, 1.0), 5e-324, 1e10)
+    message = "rate inversion underflowed: ln2 rate / (xi active) is 0 at rate 5e-324"
+    assert str(caught.value) == message
+
+
 @given(
     log_alpha=st.floats(min_value=-1.0, max_value=4.0),
     log_psi=st.floats(min_value=-1.0, max_value=1.0),

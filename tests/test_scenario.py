@@ -109,6 +109,30 @@ def test_a_null_description_is_empty(tmp_path):
     assert load_scenario(write(tmp_path, text)).description == ""
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"name": ""}, "scenario name must be a non-empty string, got ''"),
+    ({"name": 5}, "scenario name must be a non-empty string, got 5"),
+    ({"description": None}, "scenario description must be a string, got None"),
+    ({"description": 3}, "scenario description must be a string, got 3"),
+])
+def test_a_scenario_built_in_code_checks_its_name_and_description(fields, message):
+    # the same checks, with the same messages, as a scenario file's
+    valid = {"name": "unit-test", "absorbing": FixedCount(1), "sweep": SweepSpec(1.0, 20.0, 0.5),
+             "reduced": ReducedParams(2.0, 1.0, 3.0)}
+    assert Scenario(**valid).description == ""
+    with pytest.raises(ScenarioError) as caught:
+        Scenario(**{**valid, **fields})
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n", "- 1\n- 2\n"])
+def test_a_file_without_a_mapping_is_refused(tmp_path, text):
+    path = write(tmp_path, text)
+    with pytest.raises(ScenarioError) as caught:
+        load_scenario(path)
+    assert str(caught.value) == f"scenario file {path} must contain a mapping"
+
+
 def test_load_system_scenario(tmp_path):
     scenario = load_scenario(write(tmp_path, VALID_SYSTEM_YAML))
     assert scenario.absorbing == Fraction(0.5)
@@ -344,6 +368,13 @@ READER_DIAGNOSTICS = [
      "scenario description must be a string, got 3"),
     (VALID_REDUCED_YAML, "hand-written reduced scenario", "true",
      "scenario description must be a string, got True"),
+    (VALID_REDUCED_YAML, "name: unit-test", "name: ''",
+     "scenario name must be a non-empty string, got ''"),
+    (VALID_REDUCED_YAML, "name: unit-test", "name: 5",
+     "scenario name must be a non-empty string, got 5"),
+    (VALID_REDUCED_YAML, "ris:", VALID_SYSTEM_YAML[VALID_SYSTEM_YAML.index("geometry:"):
+                                                   VALID_SYSTEM_YAML.index("ris:")] + "ris:",
+     "'geometry' belongs to a 'system' scenario, not 'reduced'"),
 ]
 
 

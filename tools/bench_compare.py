@@ -1,4 +1,4 @@
-"""Compare a committed benchmark trajectory file with its baseline.
+"""Compare the change with the parent in a committed benchmark trajectory file.
 
     python3 tools/bench_compare.py [BENCH_N.json]
 
@@ -13,10 +13,10 @@ same seeds::
                                                           "q1": a, "q3": b}},
                                   "change": {...}}}}
 
-The baseline of a metric is the ``change`` median of the previous
-``BENCH_*.json`` for the same workload, or the file's own ``parent``
-median when there is no previous file.  A metric whose median is worse
-than its baseline by more than its ``BENCHMARK.json`` bound is flagged,
+The baseline of a metric is the file's own ``parent`` median, measured
+alternated with the change on the same seeds; another file's runs, taken on
+another day, would read the machine's drift as a change.  A metric whose
+``change`` median is worse than its baseline by more than its ``BENCHMARK.json`` bound is flagged,
 not failed: on a shared machine some metrics (``cli-cold`` latency) spread
 by nearly as much as their bound between runs of one commit, so a flag
 asks for a second look rather than proving a regression.  Where both
@@ -65,41 +65,34 @@ def _wins(parent: dict, change: dict, better: str) -> str:
     return f"; change better on {won}, worse on {lost} of {len(ours)} seeds"
 
 
-def compare(current: dict, previous: dict | None, spec: dict) -> list[str]:
-    """One line per workload and end-to-end metric, flagged where worse beyond its bound."""
+def compare(current: dict, spec: dict) -> list[str]:
+    """One line per workload and end-to-end metric: the change's median against the parent's,
+    flagged where worse beyond its bound."""
     lines = []
     for workload, sides in current["workloads"].items():
-        base_sides = (previous or {}).get("workloads", {}).get(workload)
-        source = "previous change" if base_sides else "parent"
         for metric in spec["end_to_end"]:
             name, better, bound = metric["name"], metric["better"], metric["bound"]
-            ours = sides["change"][name]
-            base = (base_sides["change"] if base_sides else sides["parent"])[name]
+            base, ours = sides["parent"][name], sides["change"][name]
             worse = _worse_by(ours["median"], base["median"], better)
             verdict = f"FLAG: worse by more than the {bound:.0%} bound" if worse > bound else "ok"
             direction = f"{worse:.1%} worse" if worse > 0 else f"{-worse:.1%} better"
             lines.append(
-                f"{workload:14s} {name:26s} {source} {base['median']:.6g} -> "
-                f"{ours['median']:.6g} ({direction}{_wins(sides['parent'][name], ours, better)})"
-                f": {verdict}"
+                f"{workload:14s} {name:26s} parent {base['median']:.6g} -> "
+                f"{ours['median']:.6g} ({direction}{_wins(base, ours, better)}): {verdict}"
             )
     return lines
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    files = trajectory_files()
     try:
-        path = Path(argv[0]) if argv else files[-1]
+        path = Path(argv[0]) if argv else trajectory_files()[-1]
         spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-        current = json.loads(path.read_text(encoding="utf-8"))
-        earlier = [p for p in files if _number(p) < _number(path)]
-        previous = json.loads(earlier[-1].read_text(encoding="utf-8")) if earlier else None
-        lines = compare(current, previous, spec)
+        lines = compare(json.loads(path.read_text(encoding="utf-8")), spec)
     except (IndexError, OSError, ValueError, KeyError, TypeError) as error:
         print(f"bench_compare: cannot compare: {error!r}", file=sys.stderr)
         return 2
-    print(f"{path.name} against {earlier[-1].name if earlier else 'its own parent runs'}")
+    print(f"{path.name}: the change against its own parent runs")
     print("\n".join(lines))
     flagged = sum(": FLAG" in line for line in lines)
     print(f"{flagged} of {len(lines)} metric(s) flagged")
