@@ -17,9 +17,13 @@ Two regimes:
 The exact-rate optimum is one law under either rule: in the load ``x = alpha/(psi n^2)``, with
 ``c = theta sqrt(psi/alpha)``, the stationarity is ``(1 + x) ln(1 + x)/(2x) + c sqrt(x) = 1``.
 At theta = 0 its root is t* and the optimum ``sqrt(alpha / (psi t*))``, under FixedCount(0) and
-every fraction alike; at theta > 0 Newton's method solves it to 2^-26 relative, and
-``sqrt((alpha/psi) / x*)``, above 2 theta, lies within 4 ULP of the root.  The slope changes sign
-once, there, so the argmax on n >= 1 is one element exactly where the root is below one.
+every fraction alike.  At theta > 0 Newton's method solves it for x* to 2^-26 relative, and the
+optimum is ``sqrt((alpha/psi) / x*)``: the roundings of x*, of the quotients and of the root
+leave it within 4 ULP of the true root.  As ``x* < 1/(4c^2)``, the load at 2 theta, it lies
+above 2 theta.  Where ``c > 2^30``, or c overflows (as it does where the load underflows to 0),
+that load is below 2^-62, so ``n* = 2 theta (1 + x*/2 + ...)`` rounds to 2 theta, which is
+taken.  The slope changes sign once, at the root, so the argmax on n >= 1 is one element
+exactly where the root is below one.
 Hardware realizations are the powers of two 1 <= N <= 512; of the two candidates N
 and 2N bracketing the exact optimum, 2N is selected where its exact rate is larger: at
 theta = 0 exactly where ``alpha > 8 psi N^2``, elsewhere where its float rate is larger.
@@ -27,15 +31,17 @@ theta = 0 exactly where ``alpha > 8 psi N^2``, elsewhere where its float rate is
 :func:`optimize` is the one optimizer.  Inside, both absorbing rules are one
 count ``theta + q n``: a fixed count is ``(theta, 0.0)`` and a fraction
 ``(0.0, q)``, with the same bits as the rule itself, as ``theta + 0.0 n == theta``
-and ``0.0 + q n == q n``; one body solves, selects and records under it.  Every
-rate is the rate kernel's, bit for bit, which gives 0 and rate_total's warning where n
-does not exceed that count.
+and ``0.0 + q n == q n``; one body, :func:`_optimize`, solves, chooses the panel and
+builds the record as one tuple under it.  Every rate is the rate kernel's, bit for bit,
+which gives 0 and rate_total's warning where n does not exceed that count; the warning
+points at the caller of ``_optimize``.
 
 What each report forms once: under either rule, the fields of the reduced triple and
 ``alpha/psi``, the load at one element, which the exact optimum and the cubic share;
-under a fixed count, the load at ``n_star_cubic``, from which both its two-term series
-rate (``x - x^2/2``, the series' own sum) and its exact rate follow in their functions'
-orders of operations; and the panel rates, one per candidate.
+the exact optimum, from one root of the load law; under a fixed count, the load at
+``n_star_cubic``, from which both its two-term series rate (``x - x^2/2``, the series'
+own sum) and its exact rate follow in their functions' orders of operations; the panel
+candidates and their rates, one per candidate; and the record, one tuple of its fields.
 """
 from __future__ import annotations
 
@@ -151,29 +157,6 @@ def meaningful_root(ratio: float, theta: float) -> float | None:
     return root if root >= 1.0 else None
 
 
-def _select(red: ReducedParams, theta: float, q: float, n_star: float) -> tuple:
-    """The hardware panel for an optimum ``n_star >= 1`` under the absorbing count ``theta + q n``.
-
-    The candidates are the powers of two N = 2^floor(log2 n*) and 2N bracketing n*, or N alone
-    where n* is N.  Each rate is the rate kernel's, reported as it is.  At theta = 0, under every
-    fraction and under FixedCount(0), the exact law decides: 2N wins where ``alpha > 8 psi N^2``,
-    since ``2 ln(1 + y/4) = ln(1 + y)`` at the load ``y = 8``.  ``psi N^2`` is exact, N^2 being
-    a power of four, and where ``8 psi N^2`` overflows, N rightly wins.  Otherwise the larger rate
-    wins, ties going to the smaller panel.  Returns the seven fields ``pow2_lower`` ..
-    ``selected_bits`` of :class:`OptimumReport`.
-    """
-    bits = int(n_star).bit_length() - 1
-    lower = 1 << bits
-    rate_lower = _rate(red, float(lower), theta + q * lower)
-    if lower == n_star:
-        return lower, lower, rate_lower, rate_lower, lower, rate_lower, bits
-    upper = 2 * lower
-    rate_upper = _rate(red, float(upper), theta + q * upper)
-    if red.alpha > 8.0 * red.psi * lower * lower if theta == 0.0 else rate_upper > rate_lower:
-        return lower, upper, rate_lower, rate_upper, upper, rate_upper, bits + 1
-    return lower, upper, rate_lower, rate_upper, lower, rate_lower, bits
-
-
 def _optimal_load(c: float) -> float:
     """x*(c), the load ``alpha/(psi n^2)`` at the exact fixed-count optimum, for ``c <= 2^30``.
 
@@ -202,23 +185,6 @@ def _optimal_load(c: float) -> float:
             return start if start < x else x  # rounding can step right from a start on the root
 
 
-def _exact_root(ratio: float, theta: float, c: float) -> float:
-    """The root of the exact fixed-count stationarity at a count theta > 0, within 4 ULP.
-
-    ``ratio = alpha/psi`` is the load at one element, finite, theta a count whose double is
-    finite, and ``c = theta sqrt(psi/alpha)``.  The root is ``sqrt((alpha/psi) / x*)``, with x*
-    from :func:`_optimal_load`: the roundings of x*, of the quotients and of the root leave it
-    within 4 ULP of the true root.  As ``x* < 1/(4c^2)``, the load at 2 theta, it lies above
-    2 theta.  Where ``c > 2^30``, or c overflows (as it does where the load underflows to 0),
-    the load ``1/(4c^2)`` at 2 theta is below 2^-62, so ``n* = 2 theta (1 + x*/2 + ...)`` rounds
-    to 2 theta, which is returned.
-    """
-    if c > 2.0**30:
-        return 2.0 * theta
-    square = ratio / (x := _optimal_load(c))  # n^2, rooted factor by factor where it overflows
-    return math.sqrt(square) if square < _INF else math.sqrt(ratio) / math.sqrt(x)
-
-
 def _proportional_root(alpha: float, psi: float) -> float:
     """``sqrt(alpha/(psi t*))`` from mantissas, where ``psi t*`` or the quotient is not a normal float.
 
@@ -232,7 +198,18 @@ def _proportional_root(alpha: float, psi: float) -> float:
 
 
 def _optimize(red: ReducedParams, theta: float, q: float, active_fraction) -> OptimumReport:
-    """The report under the count ``theta + q n``: a fixed count where ``active_fraction`` is None."""
+    """The report under the count ``theta + q n``: a fixed count where ``active_fraction`` is None.
+
+    One body solves, chooses the panel and builds the record as one tuple.  The exact optimum
+    is the closed form at theta = 0 and the load law's root at theta > 0 (module docstring).
+    The panel candidates are the powers of two N = 2^floor(log2 n*) and 2N bracketing the
+    optimum n*, clamped to the largest panel, or N alone where n* is N; each rate is the rate
+    kernel's, reported as it is.  At theta = 0, under every fraction and under FixedCount(0),
+    the exact law decides: 2N wins where ``alpha > 8 psi N^2``, since ``2 ln(1 + y/4) =
+    ln(1 + y)`` at the load ``y = 8``.  ``psi N^2`` is exact, N^2 being a power of four, and
+    where ``8 psi N^2`` overflows, N rightly wins.  Otherwise the larger rate wins, ties going
+    to the smaller panel.
+    """
     alpha, psi = red.alpha, red.psi
     fixed = active_fraction is None
     if fixed and 2.0 * theta == _INF:  # the exact optimum, the root, lies above 2 theta
@@ -244,12 +221,25 @@ def _optimize(red: ReducedParams, theta: float, q: float, active_fraction) -> Op
         quotient = alpha / (product := psi * T_STAR)
         root = (math.sqrt(quotient) if product >= _TINY <= quotient
                 else _proportional_root(alpha, psi))
-    else:  # c only for theta > 0: 0 sqrt(psi/alpha) is NaN where psi/alpha overflows
-        root = _exact_root(ratio, theta, theta * math.sqrt(psi / alpha))
+    elif (c := theta * math.sqrt(psi / alpha)) > 2.0**30:  # c only here: NaN at theta = 0
+        root = 2.0 * theta  # the load at 2 theta is below 2^-62: the root rounds to 2 theta
+    else:  # n^2 = ratio / x*, rooted factor by factor where it overflows
+        square = ratio / (load := _optimal_load(c))
+        root = math.sqrt(square) if square < _INF else math.sqrt(ratio) / math.sqrt(load)
     at_one = root < 1.0  # the slope changes sign once, at the root: the argmax on n >= 1
     n_exact = 1.0 if at_one else root
     n_cubic = meaningful_root(ratio, theta) if fixed else root  # the series optimum in fixed mode
-    selection = _select(red, theta, q, _LARGEST if _LARGEST < n_exact else n_exact)
+    n_star = _LARGEST if _LARGEST < n_exact else n_exact  # the panel brackets the clamped optimum
+    bits = int(n_star).bit_length() - 1
+    selected = lower = 1 << bits
+    rate = rate_lower = _rate(red, float(lower), theta + q * lower)
+    if lower == n_star:  # one candidate
+        upper, rate_upper = lower, rate_lower
+    else:
+        upper = 2 * lower
+        rate_upper = _rate(red, float(upper), theta + q * upper)
+        if alpha > 8.0 * psi * lower * lower if theta == 0.0 else rate_upper > rate_lower:
+            selected, rate, bits = upper, rate_upper, bits + 1
     f_exact = _rate(red, n_exact, theta + q * n_exact)
     used_fallback = fixed and n_cubic is None
     if used_fallback or not (fixed or at_one):  # the analytic optimum is the exact one
@@ -269,8 +259,8 @@ def _optimize(red: ReducedParams, theta: float, q: float, active_fraction) -> Op
         f_cubic = f_exact_cubic = _rate(red, n_cubic, q * n_cubic)
     return _new(OptimumReport, (
         "fixed-count" if fixed else "proportional", theta if fixed else None, active_fraction,
-        n_cubic, n_exact, f_cubic, f_exact, f_exact_cubic) + selection + (
-        at_one or n_exact > _LARGEST, used_fallback))
+        n_cubic, n_exact, f_cubic, f_exact, f_exact_cubic, lower, upper, rate_lower, rate_upper,
+        selected, rate, bits, at_one or n_exact > _LARGEST, used_fallback))
 
 
 def optimize(red: ReducedParams, absorbing: AbsorbingMode) -> OptimumReport:

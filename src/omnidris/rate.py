@@ -45,7 +45,6 @@ _TINY = sys.float_info.min
 _FLOAT_MAX = sys.float_info.max
 _INF = math.inf
 _log1p = np.log1p
-_isfinite = math.isfinite
 
 
 class DegenerateConfigWarning(UserWarning):
@@ -138,6 +137,7 @@ class Fraction:
 
     def __post_init__(self) -> None:
         _number(self.q, "absorbing fraction", 0, 1, "[)")
+        object.__setattr__(self, "q", self.q + 0)  # -0.0 + 0 is 0.0, and an int 0 stays an int
 
     def theta_at(self, n):
         return self.q * n
@@ -243,13 +243,13 @@ def _rate(red: ReducedParams, n: float, theta: float) -> float:
         warnings.warn("no active elements (absorbing count >= element count); rate is 0",
                       DegenerateConfigWarning, stacklevel=3)
         return 0.0
-    d = red.psi * n * n
-    load = red.alpha / d if _TINY <= d < _INF and red.psi >= _TINY else _load(red, n)
+    d = (psi := red.psi) * n * n
+    load = red.alpha / d if _TINY <= d < _INF and psi >= _TINY else _load(red, n)
     if load < _TINY:
         return _finite(_first_order_rate(red, n, active), f"the rate at n = {n}")
     ln_load = float(_log1p(load))
     rate = red.xi * active * ln_load / LN2
-    if _isfinite(rate):
+    if rate < _INF:  # the rate is positive or +inf here
         return rate
     if load == _INF:  # alpha / (psi n^2) beyond the floats, where log1p(load) = log(load)
         ln_load = math.log(red.alpha) - math.log(red.psi) - 2.0 * math.log(n)

@@ -22,7 +22,6 @@ import pytest
 from omnidris.channel import channel_dc_gain, reference_room_geometry
 from omnidris.optimize import (
     T_STAR,
-    _select,
     meaningful_root,
     optimize,
 )
@@ -127,12 +126,11 @@ def test_criterion_05_power_of_two_selection_pattern():
     selections = [row.selected_n for row in report.rows]
     assert selections == [128, 128, 128, 128, 128, 64], selections
     assert all(row.pattern_ok for row in report.rows)
-    # tie-break: equal rates at both candidates resolve to the smaller panel
-    red = ReducedParams(1.0, 1.0, 1.0)
-    with pytest.warns(Warning):
-        lower, _, rate_lower, rate_upper, selected, _, _ = _select(red, 5.0, 0.0, 2.5)
-    assert rate_lower == rate_upper
-    assert selected == lower == 2
+    # tie-break: equal rates at both candidates resolve to the smaller panel, under either rule
+    for rule in (FixedCount(0), Fraction(0.0)):
+        tie = optimize(ReducedParams(128.0, 1.0, 1.0), rule)
+        assert tie.rate_pow2_lower.hex() == tie.rate_pow2_upper.hex()
+        assert tie.selected_n == tie.pow2_lower == 4
     print("criterion 5: PASS (selections 128/128/128, 128@psd3, 64@psd8; ties pick smaller N)")
 
 

@@ -26,7 +26,6 @@ from omnidris.optimize import (
     optimize_proportional,
     _optimal_load,
     _optimize,
-    _select,
 )
 from omnidris.scenario import NORMALIZED_COMBOS, alpha_calibration_for
 from helpers import EPS, HARDWARE_PSI, reduced
@@ -310,74 +309,69 @@ def test_brute_force_validation():
 
 
 def test_select_exact_power_of_two_passes_through():
-    red = ReducedParams(100.0, 1.0, 1.0)
-    lower, upper, _, _, selected, _, _ = _select(red, 0.0, 0.0, 8.0)
-    assert selected == 8
-    assert lower == upper == 8
+    # an optimum on a power of two is its own panel, the one candidate
+    report = optimize(ReducedParams(64 * T_STAR, 1.0, 1.0), Fraction(0.0))
+    assert report.n_star_exact == 8.0
+    assert report.pow2_lower == report.pow2_upper == report.selected_n == 8
 
 
 def test_select_noise_rows_match_published_pattern():
     xi = 5e5
     base = alpha_calibration_for(2.0)
     # PSD 5 row: optimum ~113.8, the upper candidate 128 wins
-    red5 = ReducedParams(base * 2.0 / 5.0, 1.0, xi)
-    n5 = math.sqrt(red5.alpha / T_STAR)
-    lower, upper, _, _, selected, _, _ = _select(red5, 0.0, 0.5, n5)
-    assert (lower, upper, selected) == (64, 128, 128)
+    report = optimize(ReducedParams(base * 2.0 / 5.0, 1.0, xi), Fraction(0.5))
+    assert (report.pow2_lower, report.pow2_upper, report.selected_n) == (64, 128, 128)
     # PSD 3 row: optimum ~147, the lower candidate 128 wins
-    red3 = ReducedParams(base * 2.0 / 3.0, 1.0, xi)
-    n3 = math.sqrt(red3.alpha / T_STAR)
-    lower, upper, _, _, selected, _, _ = _select(red3, 0.0, 0.5, n3)
-    assert (lower, upper, selected) == (128, 256, 128)
+    report = optimize(ReducedParams(base * 2.0 / 3.0, 1.0, xi), Fraction(0.5))
+    assert (report.pow2_lower, report.pow2_upper, report.selected_n) == (128, 256, 128)
 
 
 def test_select_tie_prefers_smaller_panel():
-    # both candidates fully absorbed: rates are exactly 0.0 each
-    red = ReducedParams(1.0, 1.0, 1.0)
-    with pytest.warns(Warning):
-        lower, upper, rate_lower, rate_upper, selected, _, _ = _select(red, 5.0, 0.0, 2.5)
-    assert rate_lower == rate_upper == 0.0
-    assert selected == lower == 2
+    # alpha = 8 psi N^2 at N = 4: 4 log2(1 + 8) = 8 log2(1 + 2), an exact tie in the rates too
+    for rule in (FixedCount(0), Fraction(0.0)):
+        report = optimize(ReducedParams(128.0, 1.0, 1.0), rule)
+        assert (report.pow2_lower, report.pow2_upper) == (4, 8)
+        assert report.rate_pow2_lower.hex() == report.rate_pow2_upper.hex()
+        assert report.rate_pow2_lower == 12.67970000576925
+        assert report.selected_n == 4
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(
-    alpha=st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e),
     psi=st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e),
+    # alpha itself, or its scale s over psi t*, which puts the proportional optimum sqrt(s)
+    # anywhere from 1 to 2^62, and exactly on 2^k at s = 4^k
+    alpha=st.one_of(
+        st.floats(min_value=-300.0, max_value=300.0).map(lambda e: (10.0**e, None)),
+        st.floats(min_value=1.0, max_value=2.0**124).map(lambda s: (None, s)),
+        st.integers(min_value=0, max_value=62).map(lambda k: (None, 4.0**k)),
+    ),
     rule=st.one_of(
         st.integers(min_value=0, max_value=10**6).map(FixedCount),
         st.floats(min_value=0.0, max_value=0.99).map(Fraction),
         st.floats(min_value=0.0, max_value=1e6),  # a float count, as _optimize takes it
     ),
 )
-def test_the_panel_brackets_the_clipped_exact_optimum(alpha, psi, rule):
+def test_the_panel_brackets_the_clipped_exact_optimum(psi, alpha, rule):
     # the exact optimum is at least one element, so the panel is the power of two at or below
-    # it, clipped at 512, or the next one up
-    red = ReducedParams(alpha, psi, 1.0)
+    # it, clipped at 512, and the next one up unless that power is the optimum itself
+    alpha, scale = alpha
+    red = ReducedParams(alpha if scale is None else psi * T_STAR * scale, psi, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateConfigWarning)
         report = optimize(red, rule) if rule.__class__ is not float else _optimize(
             red, rule, 0.0, None)
     lower, upper = report.pow2_lower, report.pow2_upper
-    assert 1 <= lower <= min(report.n_star_exact, 512) <= upper <= 2 * lower
+    clipped = min(report.n_star_exact, 512)
+    assert 1 <= lower <= clipped < 2 * lower
     assert lower & (lower - 1) == 0
+    assert upper == (lower if clipped == lower else 2 * lower)
     assert report.selected_n in (lower, upper)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.one_of(
-        st.floats(min_value=1.0, max_value=2.0**62),
-        st.integers(min_value=0, max_value=62).map(lambda k: float(2**k)),
-    )
-)
-def test_select_brackets_with_powers_of_two(n_star):
-    lower, upper = _select(ReducedParams(1.0, 1.0, 1.0), 0.0, 0.0, n_star)[:2]
-    assert lower <= n_star < 2 * lower
-    assert lower & (lower - 1) == 0 and upper & (upper - 1) == 0
-    is_pow2 = n_star.is_integer() and int(n_star) & (int(n_star) - 1) == 0
-    assert (upper == lower) == is_pow2
-    assert upper in (lower, 2 * lower)
+    if scale is not None and report.theta in (None, 0.0):  # the proportional optimum sqrt(s)
+        root = math.sqrt(scale)
+        if root.is_integer() and int(root) & (int(root) - 1) == 0:  # s = 4^k
+            assert report.n_star_exact == root
+            assert lower == upper == min(root, 512)
 
 
 # --- universal constant ----------------------------------------------------------------
@@ -527,14 +521,17 @@ def test_every_rule_kind_gives_the_rate_and_selection_of_its_count(alpha, psi, r
         result = rate_total(red, n, rule)
         assert rate_total(red, n, theta).hex() == result.hex()
         report = optimize(red, rule) if record else optimize_fixed_theta(red, theta)
-        count, q = (0.0, rule.q) if isinstance(rule, Fraction) else (theta, 0.0)
-        lower, upper, rate_lower, rate_upper, selected, rate, _ = _select(
-            red, count, q, min(report.n_star_exact, 512))
+        lower, upper = report.pow2_lower, report.pow2_upper
+        rate_lower, rate_upper = rate_total(red, lower, rule), rate_total(red, upper, rule)
     assert ulps_from(result, decimal_rate(red, n, theta)) <= RATE_ULPS
-    fields = ("pow2_lower", "pow2_upper", "rate_pow2_lower", "rate_pow2_upper", "selected_n",
-              "selected_rate", "selected_bits")
+    # the panel law: with no absorbing count the exact comparison alpha > 8 psi N^2, else the
+    # larger rate, ties going to the smaller panel
+    count = 0.0 if isinstance(rule, Fraction) else theta
+    wins = alpha > 8.0 * psi * lower * lower if count == 0.0 else rate_upper > rate_lower
+    selected, rate = (upper, rate_upper) if upper != lower and wins else (lower, rate_lower)
+    fields = ("rate_pow2_lower", "rate_pow2_upper", "selected_n", "selected_rate", "selected_bits")
     assert repr(tuple(getattr(report, field) for field in fields)) == repr((
-        lower, upper, rate_lower, rate_upper, selected, rate, selected.bit_length() - 1,
+        rate_lower, rate_upper, selected, rate, selected.bit_length() - 1,
     ))
 
 
