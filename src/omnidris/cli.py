@@ -23,7 +23,6 @@ from .reports import (
 )
 from .scenario import (
     SweepRow,
-    _as_built,
     _csv,
     preset_scenarios,
     resolve_scenario,
@@ -59,19 +58,8 @@ def _json_value(value) -> str:
 
 
 def _sweep_json(rows) -> str:
-    """``_json([row._asdict() for row in rows])``, written row by row without the dicts.
-
-    Finite rows as :func:`run_sweep` builds them are filled with ``float.__repr__`` and
-    ``true``/``false`` directly; any other row sends the table value by value through
-    :func:`_json_value`, which raises on a non-finite float.
-    """
-    if _as_built(rows) and math.isfinite(sum(map(sum, rows))):  # NaN and +-inf stay in a sum
-        text, flag = float.__repr__, ("false", "true")
-        body = ",\n".join([
-            _SWEEP_ROW_JSON % (text(n), text(theta), text(zeta), text(rate), flag[pow2], flag[chosen])
-            for n, theta, zeta, rate, pow2, chosen in rows])
-    else:  # a finite sum that overflows lands here too, with the same bytes
-        body = ",\n".join([_SWEEP_ROW_JSON % tuple(map(_json_value, row)) for row in rows])
+    """``_json([row._asdict() for row in rows])``, written row by row without the dicts."""
+    body = ",\n".join([_SWEEP_ROW_JSON % tuple(map(_json_value, row)) for row in rows])
     return f"[\n{body}\n]\n" if rows else "[]\n"
 
 

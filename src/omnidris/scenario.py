@@ -56,7 +56,7 @@ import io
 import math
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
-from typing import NamedTuple, get_type_hints
+from typing import NamedTuple
 
 from .channel import LinkGeometry, channel_dc_gain, reference_room_geometry
 from .optimize import HARDWARE_POWERS_OF_TWO, T_STAR, optimize
@@ -199,13 +199,6 @@ class SweepRow(NamedTuple):
     rate_bps: float
     pow2: bool
     selected: bool
-
-
-#: Per ``SweepRow`` field, from its annotation, the type :func:`run_sweep` gives it; and one row of
-#: :func:`sweep_to_csv` for those types, in :func:`_fmt`'s bytes.
-_SWEEP_TYPES = tuple(get_type_hints(SweepRow).values())
-_SWEEP_ROW_CSV = ",".join({float: "%.17g", bool: "%d"}[kind] for kind in _SWEEP_TYPES) + "\n"
-_new = tuple.__new__  # a record from its finished field tuple, skipping the NamedTuple's __new__
 
 
 # --- strict YAML schema -----------------------------------------------------
@@ -554,7 +547,7 @@ def run_sweep(scenario: Scenario) -> list[SweepRow]:
         theta = min(absorbing.theta_at(n), n)
         rate = _rate(red, n, theta) if theta < n else 0.0  # unwarned: all absorbing
         pow2 = n in pow2_in_range
-        rows.append(_new(SweepRow, (n, theta, n - theta, rate, pow2, pow2 and n == selected_n)))
+        rows.append(SweepRow(n, theta, n - theta, rate, pow2, pow2 and n == selected_n))
     return rows
 
 
@@ -575,18 +568,6 @@ def _csv(header, records) -> str:
     return buffer.getvalue()
 
 
-def _as_built(rows) -> bool:
-    """Whether every row holds exactly the types :func:`run_sweep` gives its fields."""
-    return all(tuple(map(type, row)) == _SWEEP_TYPES for row in rows)
-
-
 def sweep_to_csv(rows: list[SweepRow]) -> str:
-    """The sweep as a CSV table of the ``SweepRow`` fields; floats carry 17 significant digits.
-
-    Rows as :func:`run_sweep` builds them fill one template each; any other row (an int, a
-    numpy scalar) sends the table through :func:`_csv`, value by value, with the same bytes.
-    """
-    if not _as_built(rows):
-        return _csv(SweepRow._fields, rows)
-    template = _SWEEP_ROW_CSV
-    return ",".join(SweepRow._fields) + "\n" + "".join([template % row for row in rows])
+    """The sweep as a CSV table of the ``SweepRow`` fields; floats carry 17 significant digits."""
+    return _csv(SweepRow._fields, rows)

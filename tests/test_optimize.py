@@ -334,6 +334,14 @@ def test_select_tie_prefers_smaller_panel():
         assert report.rate_pow2_lower.hex() == report.rate_pow2_upper.hex()
         assert report.rate_pow2_lower == 12.67970000576925
         assert report.selected_n == 4
+    # under absorbing elements the panel rates decide: (N - theta) ln(1 + a/N^2) =
+    # (2N - theta) ln(1 + a/4N^2) at the root, and these alphas meet it in the floats
+    for alpha, theta, lower in (("0x1.f4f107c4e90e4p+5", 1, 4), ("0x1.353671a553cccp+7", 3, 8)):
+        red = ReducedParams(float.fromhex(alpha), 1.0, 1.0)
+        for report in (optimize(red, FixedCount(theta)), optimize_fixed_theta(red, float(theta))):
+            assert (report.pow2_lower, report.pow2_upper) == (lower, 2 * lower)
+            assert report.rate_pow2_lower.hex() == report.rate_pow2_upper.hex()
+            assert report.selected_n == lower
 
 
 @settings(max_examples=500, deadline=None)
